@@ -20,8 +20,8 @@ from .distribution import PlAptParams, Sample, quantile, sample as draw_sample
 from . import distribution
 from .exceptions import DomainError, NumericalError, PlaptError
 from .extremes import WeightSpec, double_hill_components, evi_asymptotic_test, extremal_quantile
-from .inference import fit_mle, fit_mle_profile
-from .montecarlo import ExperimentConfig, ExperimentKind, run_experiment
+from .inference import _information_criteria, fit_mle, fit_mle_profile
+from .montecarlo import REFERENCE_PARAMETER_GRID, ExperimentConfig, ExperimentKind, run_experiment
 
 SEED_ENV_VAR = "PLAPT_SEED"
 
@@ -30,15 +30,14 @@ _EXIT_VALIDATION = 2
 _EXIT_NUMERICAL = 3
 _EXIT_IO = 4
 
-# Parameter grids reproduced by the bare `table` subcommand.
-_DEFAULT_THETAS = (0.6, 1.5, 3.0, 5.2)
-_DEFAULT_PAIRS = ((0.5, 1.1), (1.5, 1.5), (2.0, 2.5), (1.0, 1.1), (1.0, 1.5), (1.0, 2.5))
 _DEFAULT_US = (0.25, 0.5, 0.75)
 
 
 def _fmt(value: float, digits: int | None) -> str:
     if digits is None:
         return repr(float(value))
+    if digits < 1:
+        raise DomainError(f"--digits must be at least 1, got {digits}")
     return f"{value:.{digits}g}"
 
 
@@ -94,7 +93,11 @@ def _params_from(args) -> PlAptParams:
 def _seed_from(args) -> int:
     if args.seed is not None:
         return int(args.seed)
-    return int(os.environ.get(SEED_ENV_VAR, "0"))
+    raw = os.environ.get(SEED_ENV_VAR, "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise DomainError(f"${SEED_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
 def _weight_from(args) -> WeightSpec:
@@ -163,6 +166,7 @@ def _cmd_fit(args) -> int:
     else:
         fit = fit_mle(args.alpha, data, init=init)
         n_free = 2
+    aic, bic = _information_criteria(fit.loglik, n_free, data.n)
     payload = {
         "n": data.n,
         "alpha": fit.params.alpha,
@@ -171,8 +175,8 @@ def _cmd_fit(args) -> int:
         "stderr_theta": fit.stderr_theta,
         "stderr_beta": fit.stderr_beta,
         "loglik": fit.loglik,
-        "aic": 2.0 * n_free - 2.0 * fit.loglik,
-        "bic": n_free * math.log(data.n) - 2.0 * fit.loglik,
+        "aic": aic,
+        "bic": bic,
         "convergence": {
             "converged": fit.converged,
             "iterations": fit.iterations,
@@ -226,11 +230,10 @@ def _cmd_expansion(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    truth = None
-    if args.alpha is not None:
-        if args.beta is None or args.theta is None:
-            raise DomainError("truth requires --alpha, --beta and --theta together")
-        truth = PlAptParams(alpha=args.alpha, beta=args.beta, theta=args.theta)
+    flags = (args.alpha, args.beta, args.theta)
+    if None in flags and flags != (None, None, None):
+        raise DomainError("truth requires --alpha, --beta and --theta together")
+    truth = None if args.alpha is None else _params_from(args)
     cfg = ExperimentConfig(
         kind=ExperimentKind(args.kind.replace("-", "_")),
         n=args.n,
@@ -273,11 +276,14 @@ def build_parser() -> argparse.ArgumentParser:
         sub.set_defaults(func=_cmd_eval)
 
     table = subs.add_parser("table", help="CSV table of quartiles over a parameter grid")
-    table.add_argument("--thetas", type=float, nargs="+", default=list(_DEFAULT_THETAS))
+    # The bare `table` reproduces the reference grid, theta outermost.
+    thetas = dict.fromkeys(p.theta for p in REFERENCE_PARAMETER_GRID)
+    pairs = dict.fromkeys(f"{p.alpha}:{p.beta}" for p in REFERENCE_PARAMETER_GRID)
+    table.add_argument("--thetas", type=float, nargs="+", default=list(thetas))
     table.add_argument(
         "--pairs",
         nargs="+",
-        default=[f"{a}:{b}" for a, b in _DEFAULT_PAIRS],
+        default=list(pairs),
         help="alpha:beta pairs, e.g. 0.5:1.1 2:2.5",
     )
     table.add_argument("--u", type=float, nargs="+", default=list(_DEFAULT_US))

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .exceptions import DomainError, NumericalError
 from .special_functions import BRANCH_POINT, LambertBranch, lambert_w
@@ -46,6 +45,15 @@ ALPHA_ONE_TOL = 1e-8
 _BRANCH_SLACK = 1e-14
 
 
+def _validate_params(alpha: float, beta: float, theta: float) -> None:
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise DomainError(f"alpha must be a positive real, got {alpha}")
+    if not (math.isfinite(beta) and beta > 1.0):
+        raise DomainError(f"beta must exceed 1, got {beta}")
+    if not (math.isfinite(theta) and theta > 0.0):
+        raise DomainError(f"theta must be a positive real, got {theta}")
+
+
 @dataclass(frozen=True)
 class PlAptParams:
     """Validated parameter triple (alpha, beta, theta).
@@ -61,12 +69,7 @@ class PlAptParams:
     def __post_init__(self):
         for name in ("alpha", "beta", "theta"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
-            raise DomainError(f"alpha must be a positive real, got {self.alpha}")
-        if not (math.isfinite(self.beta) and self.beta > 1.0):
-            raise DomainError(f"beta must exceed 1, got {self.beta}")
-        if not (math.isfinite(self.theta) and self.theta > 0.0):
-            raise DomainError(f"theta must be a positive real, got {self.theta}")
+        _validate_params(self.alpha, self.beta, self.theta)
 
     @property
     def is_alpha_one(self) -> bool:
@@ -190,15 +193,15 @@ def hazard(p: PlAptParams, x):
     return _wrap(x, out)
 
 
-def _w_argument(p: PlAptParams, u):
-    # Argument handed to W_{-1}; free of theta, so quantiles scale exactly
-    # as 1/theta.  The fused log1p form is exact at u=0 and keeps full
-    # precision as u -> 1 where the plain difference of logs cancels.
+def _w_argument(p: PlAptParams, v):
+    # W_{-1} argument of the quantile Q(1 - v) at tail mass v; free of theta,
+    # so quantiles scale exactly as 1/theta.  The fused log1p form is exact at
+    # v=1 and keeps full precision as v -> 0, where a difference of logs cancels.
     b_exp = p.beta * math.exp(-p.beta)
     if p.is_alpha_one:
-        return b_exp * (u - 1.0)
+        return -b_exp * v
     log_a = math.log(p.alpha)
-    return (b_exp / log_a) * np.log1p((p.alpha - 1.0) * (u - 1.0) / p.alpha)
+    return (b_exp / log_a) * np.log1p(v * (1.0 - p.alpha) / p.alpha)
 
 
 def _quantile_from_arg(p: PlAptParams, arg):
@@ -226,7 +229,7 @@ def quantile(p: PlAptParams, u):
     ua = np.asarray(u, dtype=float)
     if not np.all(np.isfinite(ua)) or np.any(ua < 0.0) or np.any(ua >= 1.0):
         raise DomainError("quantile requires 0 <= u < 1")
-    x = _quantile_from_arg(p, _w_argument(p, ua))
+    x = _quantile_from_arg(p, _w_argument(p, 1.0 - ua))
     out = np.where(ua == 0.0, 0.0, x)
     return _wrap(u, out)
 
@@ -241,14 +244,12 @@ def tail_quantile(p: PlAptParams, v):
     va = np.asarray(v, dtype=float)
     if not np.all(np.isfinite(va)) or np.any(va <= 0.0) or np.any(va > 1.0):
         raise DomainError("tail_quantile requires 0 < v <= 1")
-    b_exp = p.beta * math.exp(-p.beta)
-    if p.is_alpha_one:
-        arg = -b_exp * va
-    else:
-        log_a = math.log(p.alpha)
-        arg = (b_exp / log_a) * np.log1p(va * (1.0 - p.alpha) / p.alpha)
-    out = _quantile_from_arg(p, arg)
-    return _wrap(v, out)
+    return _wrap(v, _quantile_from_arg(p, _w_argument(p, va)))
+
+
+def replication_rng(seed: int, rep: int) -> np.random.Generator:
+    """Independent generator for one replication of a seeded experiment."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rep,)))
 
 
 def sample(p: PlAptParams, n: int, seed) -> Sample:
@@ -276,9 +277,15 @@ def order_stat_pdf(p: PlAptParams, spec: OrderStatSpec, x):
         - math.lgamma(spec.n - spec.k + 1.0)
         - math.lgamma(spec.k)
     )
+    # A term whose exponent is 0 is skipped, not formed as 0 * log(0) = nan,
+    # so the density stays finite where the cdf or the reliability is 0.
+    log_out = log_coef
     with np.errstate(divide="ignore"):
-        out = np.exp(log_coef + xlogy(spec.k - 1, cdf_val) + xlogy(spec.n - spec.k, r)) * g
-    return _wrap(x, out)
+        if spec.k > 1:
+            log_out = log_out + (spec.k - 1) * np.log(cdf_val)
+        if spec.n > spec.k:
+            log_out = log_out + (spec.n - spec.k) * np.log(r)
+    return _wrap(x, np.exp(log_out) * g)
 
 
 def median_order_stat_pdf(p: PlAptParams, m: int, x):

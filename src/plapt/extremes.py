@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distribution import PlAptParams, Sample, _w_argument, tail_quantile
+from .distribution import PlAptParams, Sample, _w_argument, _wrap, replication_rng, tail_quantile
 from .exceptions import DomainError, NumericalError
 from .special_functions import LambertBranch, gamma_fn, lambert_w
 
@@ -58,11 +58,9 @@ def a_function(p: PlAptParams, u):
     if p.is_alpha_one:
         raise DomainError("a_function is defined for alpha != 1")
     ua = np.asarray(u, dtype=float)
-    if np.any(ua <= 0.0) or np.any(ua > 1.0):
+    if not np.all(np.isfinite(ua)) or np.any(ua <= 0.0) or np.any(ua > 1.0):
         raise DomainError("a_function requires 0 < u <= 1")
-    log_a = math.log(p.alpha)
-    out = (p.beta * math.exp(-p.beta) / log_a) * np.log1p(ua * (1.0 - p.alpha) / p.alpha)
-    return float(out[()]) if np.ndim(u) == 0 else out
+    return _wrap(u, _w_argument(p, ua))
 
 
 @dataclass(frozen=True)
@@ -388,12 +386,9 @@ def maxima_normalization(p: PlAptParams, n: int, reps: int, seed) -> MaximaResul
         raise DomainError(f"sample size must be >= 100, got {n}")
     if reps < 1:
         raise DomainError(f"replication count must be >= 1, got {reps}")
-    children = np.random.SeedSequence(seed).spawn(reps)
-    u_max = np.empty(reps)
-    for i, child in enumerate(children):
-        u_max[i] = np.random.default_rng(child).random(n).max()
-    w_max = lambert_w(LambertBranch.NEGATIVE_ONE, _w_argument(p, u_max))
-    w_ref = lambert_w(LambertBranch.NEGATIVE_ONE, a_function(p, 1.0 / n))
+    u_max = np.array([replication_rng(seed, i).random(n).max() for i in range(reps)])
+    w_max = lambert_w(LambertBranch.NEGATIVE_ONE, _w_argument(p, 1.0 - u_max))
+    w_ref = lambert_w(LambertBranch.NEGATIVE_ONE, _w_argument(p, 1.0 / n))
     normalized = w_ref - w_max  # equals theta * (X_max - Q(1 - 1/n)) exactly
     return MaximaResult(
         normalized=normalized,

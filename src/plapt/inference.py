@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distribution import ALPHA_ONE_TOL, PlAptParams, Sample, _survival_log
+from .distribution import ALPHA_ONE_TOL, PlAptParams, Sample, _survival_log, _validate_params
 from .exceptions import DomainError, NumericalError
 
 __all__ = [
@@ -37,15 +37,6 @@ _BETA_FLOOR = 1.0 + 1e-9
 _MAX_HALVINGS = 30
 
 
-def _validate(alpha: float, theta: float, beta: float) -> None:
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise DomainError(f"alpha must be a positive real, got {alpha}")
-    if not (math.isfinite(theta) and theta > 0.0):
-        raise DomainError(f"theta must be a positive real, got {theta}")
-    if not (math.isfinite(beta) and beta > 1.0):
-        raise DomainError(f"beta must exceed 1, got {beta}")
-
-
 def log_likelihood(alpha: float, theta: float, beta: float, data: Sample) -> float:
     """Log-likelihood of the data under parameters (alpha, theta, beta).
 
@@ -53,7 +44,7 @@ def log_likelihood(alpha: float, theta: float, beta: float, data: Sample) -> flo
     evaluated jointly as log(log(alpha)/(alpha - 1)), which is real and
     finite on both sides of alpha = 1.
     """
-    _validate(alpha, theta, beta)
+    _validate_params(alpha, beta, theta)
     x = data.values
     n = data.n
     t = theta * x
@@ -68,7 +59,7 @@ def log_likelihood(alpha: float, theta: float, beta: float, data: Sample) -> flo
 
 def score(alpha: float, theta: float, beta: float, data: Sample) -> tuple[float, float]:
     """Partial derivatives of :func:`log_likelihood` in (theta, beta)."""
-    _validate(alpha, theta, beta)
+    _validate_params(alpha, beta, theta)
     x = data.values
     n = data.n
     t = theta * x
@@ -195,7 +186,7 @@ def fit_mle(
         theta, beta = 1.0 / mean, 2.0
     else:
         theta, beta = float(init[0]), float(init[1])
-    _validate(alpha, theta, beta)
+    _validate_params(alpha, beta, theta)
 
     tol = SCORE_TOL_PER_OBS * data.n
     s = _score_vec(alpha, theta, beta, data)
@@ -314,6 +305,11 @@ def _fit_lindley(data: Sample) -> tuple[float, float]:
     return theta, log_likelihood(1.0, theta, 1.0 + theta, data)
 
 
+def _information_criteria(loglik: float, n_free: int, n: int) -> tuple[float, float]:
+    """AIC and BIC of a fit with n_free free parameters to n observations."""
+    return 2.0 * n_free - 2.0 * loglik, n_free * math.log(n) - 2.0 * loglik
+
+
 def model_compare(data: Sample, candidates: Sequence[FamilySpec]) -> list[ModelCompareRow]:
     """Fit each candidate family and tabulate loglik, AIC and BIC.
 
@@ -321,7 +317,6 @@ def model_compare(data: Sample, candidates: Sequence[FamilySpec]) -> list[ModelC
     aborting the table.
     """
     rows: list[ModelCompareRow] = []
-    log_n = math.log(data.n)
     for fam in candidates:
         try:
             if fam.kind == "lindley":
@@ -356,13 +351,14 @@ def model_compare(data: Sample, candidates: Sequence[FamilySpec]) -> list[ModelC
                 )
             )
             continue
+        aic, bic = _information_criteria(ll, k, data.n)
         rows.append(
             ModelCompareRow(
                 name=fam.name,
                 n_free=k,
                 loglik=ll,
-                aic=2.0 * k - 2.0 * ll,
-                bic=k * log_n - 2.0 * ll,
+                aic=aic,
+                bic=bic,
                 converged=conv,
                 params=params,
                 error=err,

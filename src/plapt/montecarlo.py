@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .distribution import PlAptParams, Sample, quantile
+from .distribution import PlAptParams, Sample, replication_rng, sample
 from .exceptions import DomainError, PlaptError
 from .extremes import WeightSpec, double_hill_components, gumbel_ks_distance, maxima_normalization
 from .inference import (
@@ -51,11 +51,6 @@ class ExperimentKind(str, enum.Enum):
     MODEL_COMPARE = "model_compare"
     EVI_COVERAGE = "evi_coverage"
     MAXIMA_GUMBEL = "maxima_gumbel"
-
-
-def replication_rng(seed: int, rep: int) -> np.random.Generator:
-    """Independent generator for one replication of a seeded experiment."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rep,)))
 
 
 @dataclass(frozen=True)
@@ -161,7 +156,7 @@ _DEFAULT_ALPHA_GRID = (0.5, 1.0, 1.5, 2.0, 4.0)
 
 def _recovery_rep(cfg: ExperimentConfig, rep: int) -> dict:
     rng = replication_rng(cfg.seed, rep)
-    data = Sample(quantile(cfg.truth, rng.random(cfg.n)))
+    data = sample(cfg.truth, cfg.n, rng)
     try:
         fit = fit_mle(cfg.truth.alpha, data)
     except PlaptError as exc:
@@ -182,7 +177,7 @@ def _recovery_rep(cfg: ExperimentConfig, rep: int) -> dict:
 
 def _model_compare_rep(cfg: ExperimentConfig, rep: int) -> dict:
     rng = replication_rng(cfg.seed, rep)
-    data = Sample(quantile(cfg.truth, rng.random(cfg.n)))
+    data = sample(cfg.truth, cfg.n, rng)
     grid = cfg.alpha_grid if cfg.alpha_grid is not None else _DEFAULT_ALPHA_GRID
     candidates = [lindley_family(), pseudo_lindley_family(), pl_apt_family(alpha_grid=grid)]
     rows = model_compare(data, candidates)
@@ -209,7 +204,7 @@ def _evi_coverage_rep(cfg: ExperimentConfig, rep: int) -> dict:
     else:
         # Exploratory centering at 1/theta (the scale of the top spacings);
         # the family itself has extreme value index 0.
-        data = Sample(quantile(cfg.truth, rng.random(cfg.n)))
+        data = sample(cfg.truth, cfg.n, rng)
         target = 1.0 / cfg.truth.theta
     try:
         rep_out = double_hill_components(data, cfg.weight, cfg.k_value())

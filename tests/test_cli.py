@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import plapt
 from plapt import PlAptParams, Sample, WeightSpec, double_hill_components, quantile, sample
 from plapt.cli import main, read_numeric_csv
 
@@ -46,6 +50,16 @@ class TestEvalCommands:
         )
         assert rc == 2
         assert "error" in err
+
+    def test_digits_below_one_exit_code(self, capsys):
+        for argv in (
+            ["cdf", "--alpha", "1", "--beta", "2", "--theta", "1", "--x", "0.5", "--digits", "-1"],
+            ["table", "--digits", "0"],
+        ):
+            rc, out, err = run_cli(capsys, argv)
+            assert rc == 2
+            assert out == ""
+            assert "--digits" in err
 
 
 class TestTable:
@@ -114,6 +128,14 @@ class TestSampleAndCsv:
         assert main(args + ["--seed", "123", "--output", str(b)]) == 0
         capsys.readouterr()
         assert a.read_text() == b.read_text()
+
+    def test_seed_env_var_non_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("PLAPT_SEED", "abc")
+        rc, _, err = run_cli(
+            capsys, ["sample", "--alpha", "2", "--beta", "2.5", "--theta", "0.6", "--n", "5"]
+        )
+        assert rc == 2
+        assert "PLAPT_SEED" in err
 
     def test_header_and_crlf_accepted(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -264,3 +286,24 @@ class TestExpansionAndExperiment:
         assert rc == 0
         payload = json.loads(out)
         assert "coverage" in payload["summary"]
+
+    def test_experiment_partial_truth_rejected(self, capsys):
+        base = ["experiment", "--kind", "evi-coverage", "--n", "1000", "--reps", "2",
+                "--seed", "3", "--pareto-gamma", "0.5"]
+        for partial in (
+            ["--beta", "2"],
+            ["--alpha", "2", "--theta", "0.6"],
+            ["--beta", "2", "--theta", "0.6"],
+        ):
+            rc, out, err = run_cli(capsys, base + partial)
+            assert rc == 2
+            assert out == ""
+            assert "--alpha, --beta and --theta" in err
+
+
+def test_import_leaves_scipy_unloaded():
+    # numpy is the only runtime dependency; scipy serves the tests alone
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(plapt.__file__))}
+    code = "import sys, plapt, plapt.cli; assert 'scipy' not in sys.modules, sorted(sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

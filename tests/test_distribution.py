@@ -254,11 +254,23 @@ class TestOrderStatistics:
         got = order_stat_pdf(P_APT, OrderStatSpec(n=1, k=1), x)
         assert np.max(np.abs(got - pdf(P_APT, x))) <= 1e-15
 
+    # x = 0 makes the cdf 0 and x = 2000 underflows the reliability to 0, so
+    # the log term with exponent 0 must be skipped, not formed as 0 * log(0)
+    TAIL_X = np.concatenate([np.linspace(0.0, 10.0, 50), [2000.0]])
+
     def test_maximum_reduction(self):
-        x = np.linspace(0.0, 10.0, 50)
+        x = self.TAIL_X
+        assert reliability(P_APT, x[-1]) == 0.0
         got = order_stat_pdf(P_APT, OrderStatSpec(n=5, k=5), x)
         expected = 5.0 * cdf(P_APT, x) ** 4 * pdf(P_APT, x)
         assert np.max(np.abs(got - expected)) <= 1e-13
+
+    def test_minimum_reduction(self):
+        x = self.TAIL_X
+        got = order_stat_pdf(P_APT, OrderStatSpec(n=5, k=1), x)
+        expected = 5.0 * reliability(P_APT, x) ** 4 * pdf(P_APT, x)
+        assert np.max(np.abs(got - expected)) <= 1e-13
+        assert got[0] == pytest.approx(5.0 * pdf(P_APT, 0.0), rel=1e-15)
 
     def test_spec_validation(self):
         with pytest.raises(DomainError):

@@ -16,10 +16,12 @@ from plapt import (
     gumbel_ks_distance,
     maxima_normalization,
     pi_variation_check,
+    quantile,
     sample,
     tail_constant,
     tail_quantile,
 )
+from plapt.montecarlo import replication_rng
 
 P = PlAptParams(2.0, 2.5, 0.6)
 
@@ -78,6 +80,10 @@ class TestAFunction:
     def test_alpha_one_rejected(self):
         with pytest.raises(DomainError):
             a_function(PlAptParams(1.0, 2.0, 1.0), 0.5)
+        # tail masses outside (0, 1], non-finite ones included, as tail_quantile
+        for u in (0.0, 1.5, math.nan, math.inf, np.array([0.5, math.nan])):
+            with pytest.raises(DomainError):
+                a_function(P, u)
 
 
 class TestExtremalQuantile:
@@ -278,6 +284,10 @@ class TestMaximaNormalization:
         a = maxima_normalization(PlAptParams(2.0, 2.5, 0.6), n=2000, reps=50, seed=7)
         b = maxima_normalization(PlAptParams(2.0, 2.5, 3.0), n=2000, reps=50, seed=7)
         assert np.array_equal(a.normalized, b.normalized)
+        # replication i draws its maximum from replication_rng(seed, i)
+        u_max = np.array([replication_rng(7, i).random(2000).max() for i in range(50)])
+        direct = P.theta * (quantile(P, u_max) - tail_quantile(P, 1.0 / 2000))
+        assert np.max(np.abs(a.normalized - direct)) <= 1e-9
 
     def test_rough_gumbel_agreement(self):
         res = maxima_normalization(P, n=10**4, reps=400, seed=123)
