@@ -179,6 +179,7 @@ def _cmd_fit(args) -> int:
         "bic": bic,
         "convergence": {
             "converged": fit.converged,
+            "status": fit.status,
             "iterations": fit.iterations,
             "score_norm": fit.score_norm,
         },

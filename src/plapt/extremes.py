@@ -44,8 +44,8 @@ def tail_constant(alpha: float, beta: float) -> float:
     C = (1 - alpha) * beta * exp(-beta) / (alpha * log(alpha)) is negative
     for every alpha > 0 (alpha != 1) and beta > 0.
     """
-    if alpha <= 0.0 or alpha == 1.0:
-        raise DomainError("tail_constant requires alpha > 0, alpha != 1")
+    if not (math.isfinite(alpha) and math.isfinite(beta)) or alpha <= 0.0 or alpha == 1.0:
+        raise DomainError("tail_constant requires finite alpha > 0, alpha != 1 and finite beta")
     return (1.0 - alpha) * beta * math.exp(-beta) / (alpha * math.log(alpha))
 
 
@@ -175,8 +175,8 @@ class WeightSpec:
         if not (math.isfinite(self.s) and self.s > 0.0):
             raise DomainError(f"s must be a positive real, got {self.s}")
         if self.kind == "power":
-            if self.tau is None:
-                raise DomainError("power weights require tau")
+            if self.tau is None or not math.isfinite(float(self.tau)):
+                raise DomainError(f"power weights require a finite tau, got {self.tau}")
             object.__setattr__(self, "tau", float(self.tau))
         elif self.kind == "custom":
             if not self.table:

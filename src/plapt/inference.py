@@ -1,10 +1,11 @@
 """Maximum-likelihood estimation of (theta, beta) at fixed alpha.
 
-The two score equations are the exact partial derivatives of the
-log-likelihood (validated against central finite differences in the test
-suite) and are solved by a damped Newton-Raphson iteration with a
-finite-difference Jacobian.  Model comparison against the nested Lindley
-and Pseudo-Lindley families reports AIC/BIC per candidate.
+The log-likelihood, its score and its Hessian come from one closed-form
+pass over the data (validated against central finite differences in the
+test suite).  Newton's method runs on unconstrained coordinates, ending
+converged at an interior maximum, at one of the boundaries beta -> 1 and
+beta -> inf, or at the iteration limit.  Model comparison against the
+nested Lindley and Pseudo-Lindley families reports AIC/BIC per candidate.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distribution import ALPHA_ONE_TOL, PlAptParams, Sample, _survival_log, _validate_params
+from .distribution import ALPHA_ONE_TOL, PlAptParams, Sample, _validate_params
 from .exceptions import DomainError, NumericalError
 
 __all__ = [
@@ -32,9 +33,45 @@ __all__ = [
 ]
 
 SCORE_TOL_PER_OBS = 1e-8  # converged when ||score||_2 <= 1e-8 * n
+_STEP_TOL = 1e-6  # and Newton's step is shorter in both coordinates
+_BOUNDARY_GAIN_PER_OBS = 1e-10  # largest gain a boundary step may still predict
+_STEP_SHRUNK = 0.1  # a shorter step in log(beta - 1) is not heading for a boundary
 MAX_ITER = 200
-_BETA_FLOOR = 1.0 + 1e-9
 _MAX_HALVINGS = 30
+_MAX_STEP = 4.0
+# Near a maximum a Newton step gains less than the rounding error of the sum.
+_LOGLIK_RTOL = 1e-13
+
+
+def _loglik_derivatives(alpha, theta, beta, data):
+    # Log-likelihood, score and Hessian in (theta, beta) from one pass.  With
+    # t = theta*x, d = beta - 1 + t and e = exp(-t), the alpha-power term
+    # log(alpha) * sum(1 - (1 + t/beta)*e) and its derivatives are sums of
+    # x*e*t**k, k = 0, 1, 2.
+    x = data.values
+    n = data.n
+    t = theta * x
+    d = beta - 1.0 + t
+    q = 1.0 / d
+    xq = x * q
+    ll = n * (math.log(theta) - math.log(beta)) + float(np.log(d).sum() - t.sum())
+    s_t = n / theta - float(x.sum()) + float(xq.sum())
+    s_b = -n / beta + float(q.sum())
+    h_tt = -n / theta**2 - float(xq @ xq)
+    h_tb = -float(xq @ q)
+    h_bb = n / beta**2 - float(q @ q)
+    if abs(alpha - 1.0) >= ALPHA_ONE_TOL:
+        log_a = math.log(alpha)
+        e = np.exp(-t)
+        xe = x * e
+        s0, s1, s2 = float(xe.sum()), float(xe @ t), float((xe * t) @ t)
+        ll += n * math.log(log_a / (alpha - 1.0)) + log_a * (n - float(e.sum()) - theta * s0 / beta)
+        s_t += log_a * ((beta - 1.0) * s0 + s1) / beta
+        s_b += log_a * theta * s0 / beta**2
+        h_tt += log_a * ((2.0 - beta) * s1 - s2) / (beta * theta)
+        h_tb += log_a * (s0 - s1) / beta**2
+        h_bb -= 2.0 * log_a * theta * s0 / beta**3
+    return ll, np.array([s_t, s_b]), np.array([[h_tt, h_tb], [h_tb, h_bb]])
 
 
 def log_likelihood(alpha: float, theta: float, beta: float, data: Sample) -> float:
@@ -45,106 +82,43 @@ def log_likelihood(alpha: float, theta: float, beta: float, data: Sample) -> flo
     finite on both sides of alpha = 1.
     """
     _validate_params(alpha, beta, theta)
-    x = data.values
-    n = data.n
-    t = theta * x
-    ll = n * (math.log(theta) - math.log(beta))
-    ll += float(np.sum(np.log(beta - 1.0 + t)) - np.sum(t))
-    if abs(alpha - 1.0) >= ALPHA_ONE_TOL:
-        log_a = math.log(alpha)
-        ll += n * math.log(log_a / (alpha - 1.0))
-        ll += log_a * float(np.sum(-np.expm1(_survival_log(beta, t))))
-    return float(ll)
+    return _loglik_derivatives(alpha, theta, beta, data)[0]
 
 
 def score(alpha: float, theta: float, beta: float, data: Sample) -> tuple[float, float]:
     """Partial derivatives of :func:`log_likelihood` in (theta, beta)."""
     _validate_params(alpha, beta, theta)
-    x = data.values
-    n = data.n
-    t = theta * x
-    denom = beta - 1.0 + t
-    d_theta = n / theta - float(np.sum(x)) + float(np.sum(x / denom))
-    d_beta = -n / beta + float(np.sum(1.0 / denom))
-    if abs(alpha - 1.0) >= ALPHA_ONE_TOL:
-        log_a = math.log(alpha)
-        xe = x * np.exp(-t)
-        d_theta += log_a * float(np.sum(xe * denom)) / beta
-        d_beta += log_a * theta * float(np.sum(xe)) / (beta * beta)
+    d_theta, d_beta = _loglik_derivatives(alpha, theta, beta, data)[1]
     return float(d_theta), float(d_beta)
 
 
 @dataclass(frozen=True, eq=False)
 class FitResult:
-    """MLE output: estimates with convergence diagnostics and standard errors."""
+    """MLE output: estimates, status (see :func:`fit_mle`) and standard errors."""
 
     params: PlAptParams
     loglik: float
     score_norm: float
     iterations: int
-    converged: bool
+    status: str
     stderr_theta: float
     stderr_beta: float
-    covariance: np.ndarray | None  # 2x2 over (theta, beta) when positive semidefinite
+    covariance: np.ndarray | None  # 2x2 over (theta, beta) when positive definite
+
+    @property
+    def converged(self) -> bool:
+        """True at an interior maximum."""
+        return self.status == "converged"
 
 
-def _score_vec(alpha, theta, beta, data):
-    return np.asarray(score(alpha, theta, beta, data), dtype=float)
-
-
-def _score_jacobian(alpha, theta, beta, data):
-    # Central differences of the analytic score: better conditioned than
-    # second differences of the likelihood itself.
-    h_theta = min(6e-6 * max(1.0, abs(theta)), 0.49 * theta)
-    h_beta = min(6e-6 * max(1.0, abs(beta)), 0.49 * (beta - 1.0))
-    jac = np.empty((2, 2))
-    jac[:, 0] = (
-        _score_vec(alpha, theta + h_theta, beta, data)
-        - _score_vec(alpha, theta - h_theta, beta, data)
-    ) / (2.0 * h_theta)
-    jac[:, 1] = (
-        _score_vec(alpha, theta, beta + h_beta, data)
-        - _score_vec(alpha, theta, beta - h_beta, data)
-    ) / (2.0 * h_beta)
-    return jac
-
-
-def _damp_into_region(theta, beta, step):
-    scale = 1.0
-    for _ in range(_MAX_HALVINGS):
-        cand = (theta + scale * step[0], beta + scale * step[1])
-        if cand[0] > 0.0 and cand[1] > _BETA_FLOOR:
-            return cand
-        scale *= 0.5
-    return None
-
-
-def _ascent_fallback(alpha, theta, beta, grad, data):
-    base = log_likelihood(alpha, theta, beta, data)
-    scale = 1.0 / (1.0 + float(np.hypot(*grad)))
-    for _ in range(_MAX_HALVINGS):
-        cand = (theta + scale * grad[0], beta + scale * grad[1])
-        if cand[0] > 0.0 and cand[1] > _BETA_FLOOR:
-            if log_likelihood(alpha, cand[0], cand[1], data) > base:
-                return cand
-        scale *= 0.5
-    return None
-
-
-def _covariance(alpha, theta, beta, data):
-    hess = _score_jacobian(alpha, theta, beta, data)
-    hess = 0.5 * (hess + hess.T)
-    try:
-        cov = np.linalg.inv(-hess)
-    except np.linalg.LinAlgError:
+def _covariance(hess):
+    # Inverse of the observed information -H, when it is positive definite.
+    (h_tt, h_tb), (_, h_bb) = hess
+    det = h_tt * h_bb - h_tb * h_tb
+    if not (h_tt < 0.0 and det > 0.0):
         return None, math.nan, math.nan
-    if not np.all(np.isfinite(cov)):
-        return None, math.nan, math.nan
-    eig = np.linalg.eigvalsh(cov)
-    if eig[0] < -1e-12 * max(1.0, abs(eig[-1])):
-        return None, math.nan, math.nan
-    se = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    return cov, float(se[0]), float(se[1])
+    cov = np.array([[-h_bb, h_tb], [h_tb, -h_tt]]) / det
+    return cov, math.sqrt(-h_bb / det), math.sqrt(-h_tt / det)
 
 
 def fit_mle(
@@ -154,7 +128,12 @@ def fit_mle(
     *,
     max_iter: int = MAX_ITER,
 ) -> FitResult:
-    """Fit (theta, beta) by damped Newton-Raphson on the score at fixed alpha.
+    """Fit (theta, beta) at fixed alpha by Newton's method on
+    u = log theta + log(beta/(beta + 1)) and v = log(beta - 1).
+
+    Every iterate has theta > 0 and beta > 1.  The shift of log theta keeps
+    the likelihood's ridge straight as beta -> inf, where the best theta at
+    fixed beta tends to its limit as 1 + 1/beta.
 
     Parameters
     ----------
@@ -169,13 +148,18 @@ def fit_mle(
     Returns
     -------
     FitResult
-        ``converged`` is False (never an exception) when the score norm
-        fails to reach 1e-8 * n within ``max_iter`` iterations.
+        ``status`` is "converged" (an interior maximum: score norm at most
+        1e-8 * n, Newton's step below 1e-6), "boundary_beta_one" or
+        "boundary_beta_inf" (the beta-score keeps its sign as beta -> 1 or
+        beta -> inf, the alpha-power exponential limit: Newton's step in v
+        follows it without shrinking and predicts a gain below 1e-10 * n),
+        or "max_iter" (neither within ``max_iter`` iterations, or no step
+        kept the log-likelihood from falling).  None of these raises.
 
     Raises
     ------
     NumericalError
-        If the finite-difference Jacobian is numerically rank-deficient.
+        If the Hessian of the log-likelihood is not finite or is singular.
     """
     if data.n < 2:
         raise DomainError("fitting requires at least two observations")
@@ -188,38 +172,53 @@ def fit_mle(
         theta, beta = float(init[0]), float(init[1])
     _validate_params(alpha, beta, theta)
 
-    tol = SCORE_TOL_PER_OBS * data.n
-    s = _score_vec(alpha, theta, beta, data)
-    norm = float(np.hypot(*s))
+    ll, grad, hess = _loglik_derivatives(alpha, theta, beta, data)
+    status = None
     iterations = 0
-    while norm > tol and iterations < max_iter:
-        iterations += 1
-        jac = _score_jacobian(alpha, theta, beta, data)
-        if not np.all(np.isfinite(jac)):
-            raise NumericalError("score Jacobian is not finite")
-        try:
-            step = np.linalg.solve(jac, -s)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError("score Jacobian is numerically singular") from exc
+    while True:
+        # Chain rule to (u, v): theta = exp(u)*(1 + 1/beta), beta = 1 + exp(v).
+        m = beta - 1.0
+        t_v = -theta * m / (beta * (beta + 1.0))  # d theta / dv
+        jac = np.array([[theta, t_v], [0.0, m]])
+        g = jac.T @ grad
+        h = jac.T @ hess @ jac + grad[0] * np.array([[theta, t_v], [t_v, t_v * (2.0 - beta) / beta]])
+        h[1, 1] += grad[1] * m
+        # Eigenvalues of h taken by magnitude: Newton's step or a step uphill.
+        w, vecs = np.linalg.eigh(h)
+        step = vecs @ ((vecs.T @ g) / np.abs(w))
         if not np.all(np.isfinite(step)):
-            raise NumericalError("score Jacobian is numerically singular")
-        cand = _damp_into_region(theta, beta, step)
-        if cand is None:
-            cand = _ascent_fallback(alpha, theta, beta, s, data)
-        if cand is None:
-            break  # stalled against the parameter boundary
-        theta, beta = cand
-        s = _score_vec(alpha, theta, beta, data)
-        norm = float(np.hypot(*s))
+            raise NumericalError("Hessian of the log-likelihood is not finite or is singular")
+        # On a concave model, a step in v that follows the beta-score without
+        # shrinking heads for a boundary.
+        heads_out = w[1] < 0.0 and abs(step[1]) >= _STEP_SHRUNK and step[1] * grad[1] > 0.0
+        if math.hypot(*grad) <= SCORE_TOL_PER_OBS * data.n and max(abs(step)) <= _STEP_TOL:
+            status = "converged"
+        elif heads_out and g @ step <= _BOUNDARY_GAIN_PER_OBS * data.n:
+            status = "boundary_beta_inf" if grad[1] > 0.0 else "boundary_beta_one"
+        if status is not None or iterations == max_iter:
+            break
+        scale = min(1.0, _MAX_STEP / max(abs(step)))
+        phi = theta * beta / (beta + 1.0)
+        for _ in range(_MAX_HALVINGS):
+            cand_beta = 1.0 + m * math.exp(scale * step[1])
+            cand_theta = phi * math.exp(scale * step[0]) * (1.0 + 1.0 / cand_beta)
+            cand = _loglik_derivatives(alpha, cand_theta, cand_beta, data)
+            if cand[0] >= ll - _LOGLIK_RTOL * abs(ll):
+                break
+            scale *= 0.5
+        else:
+            break  # no step keeps the log-likelihood from falling
+        theta, beta = cand_theta, cand_beta
+        ll, grad, hess = cand
+        iterations += 1
 
-    converged = norm <= tol
-    cov, se_theta, se_beta = _covariance(alpha, theta, beta, data)
+    cov, se_theta, se_beta = _covariance(hess)
     return FitResult(
         params=PlAptParams(alpha=alpha, beta=beta, theta=theta),
-        loglik=log_likelihood(alpha, theta, beta, data),
-        score_norm=norm,
+        loglik=ll,
+        score_norm=math.hypot(*grad),
         iterations=iterations,
-        converged=converged,
+        status=status or "max_iter",
         stderr_theta=se_theta,
         stderr_beta=se_beta,
         covariance=cov,
@@ -234,8 +233,8 @@ def fit_mle_profile(
     """Profile the likelihood over a grid of alpha values.
 
     Fits (theta, beta) at every alpha and returns the best fit by profile
-    log-likelihood (converged fits preferred) together with all per-alpha
-    results.
+    log-likelihood (fits that reached a maximum or a boundary preferred)
+    together with all per-alpha results.
     """
     grid = [float(a) for a in alpha_grid]
     if not grid:
@@ -243,9 +242,8 @@ def fit_mle_profile(
     fits: list[FitResult] = []
     for a in grid:
         fits.append(fit_mle(a, data, init=init))
-    converged = [f for f in fits if f.converged]
-    pool = converged if converged else fits
-    best = max(pool, key=lambda f: f.loglik)
+    finished = [f for f in fits if f.status != "max_iter"]
+    best = max(finished or fits, key=lambda f: f.loglik)
     return best, fits
 
 
@@ -313,8 +311,9 @@ def _information_criteria(loglik: float, n_free: int, n: int) -> tuple[float, fl
 def model_compare(data: Sample, candidates: Sequence[FamilySpec]) -> list[ModelCompareRow]:
     """Fit each candidate family and tabulate loglik, AIC and BIC.
 
-    A candidate that fails to fit contributes a flagged row instead of
-    aborting the table.
+    A candidate that fails to fit, or whose fit stops at the iteration
+    limit, contributes a flagged row instead of aborting the table; a fit on
+    a boundary is scored with its last iterate.
     """
     rows: list[ModelCompareRow] = []
     for fam in candidates:
@@ -322,21 +321,17 @@ def model_compare(data: Sample, candidates: Sequence[FamilySpec]) -> list[ModelC
             if fam.kind == "lindley":
                 theta, ll = _fit_lindley(data)
                 k, params, conv, err = 1, PlAptParams(1.0, 1.0 + theta, theta), True, None
-            elif fam.kind == "pseudo_lindley":
-                fit = fit_mle(1.0, data)
-                k, ll, params, conv = 2, fit.loglik, fit.params, fit.converged
-                err = None if conv else "fit did not converge"
-            elif fam.kind == "pl_apt":
-                if fam.alpha_grid is not None:
-                    fit, _ = fit_mle_profile(fam.alpha_grid, data)
-                    k = 3
-                else:
-                    fit = fit_mle(fam.alpha, data)
-                    k = 2
-                ll, params, conv = fit.loglik, fit.params, fit.converged
-                err = None if conv else "fit did not converge"
             else:
-                raise DomainError(f"unknown family kind: {fam.kind!r}")
+                if fam.kind == "pseudo_lindley":
+                    fit, k = fit_mle(1.0, data), 2
+                elif fam.kind != "pl_apt":
+                    raise DomainError(f"unknown family kind: {fam.kind!r}")
+                elif fam.alpha_grid is not None:
+                    fit, k = fit_mle_profile(fam.alpha_grid, data)[0], 3
+                else:
+                    fit, k = fit_mle(fam.alpha, data), 2
+                ll, params, conv = fit.loglik, fit.params, fit.converged
+                err = "fit did not converge" if fit.status == "max_iter" else None
         except Exception as exc:  # a failed candidate must not take down the table
             rows.append(
                 ModelCompareRow(

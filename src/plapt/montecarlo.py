@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -100,9 +101,9 @@ class ExperimentConfig:
                 object.__setattr__(self, "pareto_gamma", float(self.pareto_gamma))
                 if not self.pareto_gamma > 0.0:
                     raise DomainError("pareto_gamma must be positive")
-            if not 1 <= self.k_value() <= self.n - 1:
+            if not (math.isfinite(self.k_exponent) and 1 <= self.k_value() <= self.n - 1):
                 raise DomainError(
-                    f"k = floor(n**{self.k_exponent}) = {self.k_value()} is outside [1, n-1]"
+                    f"k_exponent = {self.k_exponent} does not give k = floor(n**k_exponent) in [1, n-1]"
                 )
 
     def k_value(self) -> int:
@@ -161,11 +162,12 @@ def _recovery_rep(cfg: ExperimentConfig, rep: int) -> dict:
         fit = fit_mle(cfg.truth.alpha, data)
     except PlaptError as exc:
         return {"rep": rep, "ok": False, "error": str(exc)}
-    if not fit.converged:
-        return {"rep": rep, "ok": False, "error": "fit did not converge"}
+    if fit.status == "max_iter":
+        return {"rep": rep, "ok": False, "error": "fit did not converge", "status": fit.status}
     return {
         "rep": rep,
         "ok": True,
+        "status": fit.status,
         "theta_hat": fit.params.theta,
         "beta_hat": fit.params.beta,
         "stderr_theta": fit.stderr_theta,
@@ -243,7 +245,7 @@ def _mean_sd(values: list[float]) -> tuple[float, float]:
 
 
 def _param_summary(records: list[dict], key: str, truth: float) -> dict:
-    vals = [r[key] for r in records if r["ok"]]
+    vals = [r[key] for r in records if r.get("status") == "converged"]
     mean, sd = _mean_sd(vals)
     rmse = (
         float(np.sqrt(np.mean((np.asarray(vals) - truth) ** 2))) if vals else math.nan
@@ -257,6 +259,7 @@ def _summarize(cfg: ExperimentConfig, records: list[dict]) -> dict:
     if cfg.kind is ExperimentKind.RECOVERY:
         summary["theta"] = _param_summary(records, "theta_hat", cfg.truth.theta)
         summary["beta"] = _param_summary(records, "beta_hat", cfg.truth.beta)
+        summary["status_counts"] = dict(Counter(r["status"] for r in records if "status" in r))
     elif cfg.kind is ExperimentKind.MODEL_COMPARE:
         names = sorted({name for r in ok for name in r["families"]})
         summary["mean_aic"] = {

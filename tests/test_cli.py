@@ -183,6 +183,7 @@ class TestFit:
         assert rc == 0
         payload = json.loads(out)
         assert payload["convergence"]["converged"] is True
+        assert payload["convergence"]["status"] == "converged"
         assert abs(payload["theta"] - truth.theta) <= 4.0 * payload["stderr_theta"]
         assert abs(payload["beta"] - truth.beta) <= 4.0 * payload["stderr_beta"]
         assert payload["aic"] == pytest.approx(4.0 - 2.0 * payload["loglik"])
@@ -240,6 +241,13 @@ class TestEvi:
         path, _ = self._write_pareto(tmp_path, n=50)
         rc, _, err = run_cli(capsys, ["evi", "--input", str(path), "--k", "50"])
         assert rc == 2
+
+    def test_non_finite_tau_rejected(self, tmp_path, capsys):
+        path, _ = self._write_pareto(tmp_path, n=500)
+        rc, out, err = run_cli(capsys, ["evi", "--input", str(path), "--k", "50", "--tau", "nan"])
+        assert rc == 2
+        assert out == ""
+        assert "tau" in err
 
     def test_target_adds_test_block(self, tmp_path, capsys):
         path, _ = self._write_pareto(tmp_path, seed=3)
@@ -299,6 +307,16 @@ class TestExpansionAndExperiment:
             assert rc == 2
             assert out == ""
             assert "--alpha, --beta and --theta" in err
+
+
+    def test_experiment_non_finite_k_exponent_rejected(self, capsys):
+        base = ["experiment", "--kind", "evi-coverage", "--pareto-gamma", "0.5",
+                "--n", "100", "--reps", "2", "--k-exponent"]
+        for value in ("nan", "inf"):
+            rc, out, err = run_cli(capsys, base + [value])
+            assert rc == 2
+            assert out == ""
+            assert "k_exponent" in err
 
 
 def test_import_leaves_scipy_unloaded():

@@ -53,8 +53,9 @@ class TestTailConstant:
             assert tail_constant(alpha, float(rng.uniform(1.0001, 10.0))) < 0.0
 
     def test_alpha_one_rejected(self):
-        with pytest.raises(DomainError):
-            tail_constant(1.0, 2.0)
+        for alpha, beta in ((1.0, 2.0), (math.nan, 2.0), (2.0, math.nan)):
+            with pytest.raises(DomainError):
+                tail_constant(alpha, beta)
 
 
 class TestAFunction:
@@ -239,6 +240,8 @@ class TestDoubleHill:
             WeightSpec.custom([1.0, -2.0])
         with pytest.raises(DomainError):
             WeightSpec(kind="bogus")
+        with pytest.raises(DomainError):
+            WeightSpec.power(tau=math.nan)
 
 
 class TestEviTest:

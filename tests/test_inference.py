@@ -18,7 +18,7 @@ from plapt import (
     sample,
     score,
 )
-from plapt.inference import FamilySpec
+from plapt.inference import FamilySpec, _loglik_derivatives
 
 
 def _fd_score(alpha, theta, beta, data):
@@ -33,6 +33,15 @@ def _fd_score(alpha, theta, beta, data):
         - log_likelihood(alpha, theta, beta - h_b, data)
     ) / (2.0 * h_b)
     return d_t, d_b
+
+
+def _fd_hessian(alpha, theta, beta, data):
+    # central differences of the analytic score, column by column
+    h_t = 1e-6 * max(1.0, abs(theta))
+    h_b = min(1e-6 * max(1.0, abs(beta)), 0.4 * (beta - 1.0))
+    col_t = np.subtract(score(alpha, theta + h_t, beta, data), score(alpha, theta - h_t, beta, data))
+    col_b = np.subtract(score(alpha, theta, beta + h_b, data), score(alpha, theta, beta - h_b, data))
+    return np.column_stack([col_t / (2.0 * h_t), col_b / (2.0 * h_b)])
 
 
 class TestLogLikelihood:
@@ -71,6 +80,9 @@ class TestScore:
             fd = _fd_score(alpha, theta, beta, data)
             for g, f in zip(got, fd):
                 assert abs(g - f) <= 1e-5 * max(1.0, abs(f))
+            hess = _loglik_derivatives(alpha, theta, beta, data)[2]
+            fd_hess = _fd_hessian(alpha, theta, beta, data)
+            assert np.all(np.abs(hess - fd_hess) <= 1e-6 * np.maximum(1.0, np.abs(fd_hess)))
 
     def test_alpha_one_reduction(self):
         data = sample(PlAptParams(1.0, 1.5, 3.0), 200, seed=5)
@@ -130,6 +142,7 @@ class TestFit:
         data = sample(PlAptParams(2.0, 2.5, 0.6), 500, seed=1)
         fit = fit_mle(2.0, data, init=(5.0, 9.0), max_iter=1)
         assert not fit.converged
+        assert fit.status == "max_iter"
         assert fit.iterations == 1
 
     def test_too_small_sample_rejected(self):
@@ -140,7 +153,40 @@ class TestFit:
         data = sample(PlAptParams(2.0, 2.5, 0.6), 3000, seed=17)
         best, fits = fit_mle_profile([0.5, 1.0, 2.0, 4.0], data)
         assert len(fits) == 4
-        assert best.loglik == max(f.loglik for f in fits if f.converged)
+        assert best.loglik == max(f.loglik for f in fits if f.status != "max_iter")
+
+
+class TestBoundary:
+    def test_beta_inf_named_within_twenty_iterations(self):
+        # At alpha = 4 this sample's likelihood still rises as beta -> inf;
+        # Newton's method used to walk to beta = 5.4e4 in 77 iterations and
+        # call that converged.
+        data = sample(PlAptParams(2.0, 2.5, 1.5), 100_000, seed=9)
+        fit = fit_mle(4.0, data)
+        assert fit.status == "boundary_beta_inf"
+        assert not fit.converged
+        assert fit.iterations <= 20
+        assert fit.params.beta > 1e3
+        assert score(4.0, fit.params.theta, fit.params.beta, data)[1] > 0.0
+
+    def test_beta_one_named(self):
+        # Gamma(3) data are more peaked than the beta = 1 member, Gamma(2),
+        # so the likelihood rises all the way to beta -> 1.
+        data = Sample(np.random.default_rng(0).gamma(3.0, 1.0, 500))
+        for alpha in (1.0, 2.0):
+            fit = fit_mle(alpha, data)
+            assert fit.status == "boundary_beta_one"
+            assert 1.0 < fit.params.beta < 1.0 + 1e-6
+            assert score(alpha, fit.params.theta, fit.params.beta, data)[1] < 0.0
+
+    def test_boundary_fit_is_scored_not_flagged(self):
+        data = Sample(np.random.default_rng(0).gamma(3.0, 1.0, 500))
+        best, fits = fit_mle_profile([1.0, 2.0], data)
+        assert best.status == "boundary_beta_one"
+        assert best.loglik == max(f.loglik for f in fits)
+        row = model_compare(data, [pseudo_lindley_family()])[0]
+        assert row.error is None and not row.converged
+        assert math.isfinite(row.aic)
 
 
 class TestModelCompare:

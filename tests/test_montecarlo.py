@@ -38,6 +38,11 @@ class TestConfig:
             ExperimentConfig(
                 kind="evi_coverage", n=100, reps=2, seed=1, pareto_gamma=0.5, k_exponent=1.5
             )
+        for k_exponent in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                ExperimentConfig(
+                    kind="evi_coverage", n=100, reps=2, seed=1, pareto_gamma=0.5, k_exponent=k_exponent
+                )
 
     def test_k_rule(self):
         cfg = ExperimentConfig(
@@ -58,6 +63,20 @@ class TestRecovery:
         )
         rmse = math.sqrt(float(np.mean((thetas - TRUTH.theta) ** 2)))
         assert report.summary["theta"]["rmse"] == pytest.approx(rmse)
+
+    def test_boundary_fits_counted_not_summarised(self):
+        truth = PlAptParams(1.0, 1.1, 0.6)
+        report = run_experiment(ExperimentConfig(kind="recovery", n=50, reps=20, seed=1, truth=truth))
+        counts = report.summary["status_counts"]
+        assert counts.get("boundary_beta_one", 0) > 0 and counts.get("converged", 0) > 0
+        assert sum(counts.values()) == 20
+        boundary = [r for r in report.records if r["status"] != "converged"]
+        assert all(r["ok"] and math.isfinite(r["beta_hat"]) for r in boundary)
+        assert report.failures == 0
+        betas = np.array([r["beta_hat"] for r in report.records if r["status"] == "converged"])
+        assert report.summary["beta"]["mean"] == pytest.approx(float(betas.mean()))
+        rmse = math.sqrt(float(np.mean((betas - truth.beta) ** 2)))
+        assert report.summary["beta"]["rmse"] == pytest.approx(rmse)
 
     def test_recovery_is_sane(self):
         cfg = ExperimentConfig(kind="recovery", n=2000, reps=10, seed=7, truth=TRUTH)
