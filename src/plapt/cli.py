@@ -191,7 +191,8 @@ def _cmd_fit(args) -> int:
 def _cmd_evi(args) -> int:
     data = Sample(read_numeric_csv(args.input))
     w = _weight_from(args)
-    report = double_hill_components(data, w, args.k, target=args.target)
+    test = None if args.target is None else evi_asymptotic_test(data, w, args.k, args.target)
+    report = double_hill_components(data, w, args.k) if test is None else test.report
     payload = {
         "n": data.n,
         "k": report.k,
@@ -206,8 +207,7 @@ def _cmd_evi(args) -> int:
         "ci_low": report.ci_low,
         "ci_high": report.ci_high,
     }
-    if args.target is not None:
-        test = evi_asymptotic_test(data, w, args.k, args.target)
+    if test is not None:
         payload["test"] = {
             "target": args.target,
             "z_stat": test.z_stat,

@@ -214,8 +214,10 @@ def _quantile_from_arg(p: PlAptParams, arg):
                 "parameters are inconsistent"
             )
         arg = np.where(below, BRANCH_POINT, arg)
-    if np.any(arg >= 0.0):
-        raise NumericalError("Lambert argument left (-1/e, 0); parameters are inconsistent")
+    if np.any(arg >= 0.0):  # the argument is negative, so only underflow reaches 0
+        raise NumericalError(
+            "Lambert argument underflowed to 0; the tail mass or exp(-beta) is too small"
+        )
     w = lambert_w(LambertBranch.NEGATIVE_ONE, arg)
     return np.maximum((-p.beta - w) / p.theta, 0.0)
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .distribution import PlAptParams, Sample, _w_argument, _wrap, replication_rng, tail_quantile
 from .exceptions import DomainError, NumericalError
-from .special_functions import LambertBranch, gamma_fn, lambert_w
+from .special_functions import LambertBranch, lambert_w
 
 __all__ = [
     "ExtremalExpansion",
@@ -253,14 +253,16 @@ def double_hill_components(
     k : int
         Number of top spacings, 1 <= k <= n-1.
     target : float, optional
-        Centering for the z statistic (on the same scale as m_n); defaults
-        to m_n itself, which makes z_stat zero and leaves the confidence
-        interval as the inferential output.
+        Extreme-value index g under test (on the same scale as m_n); the z
+        statistic is (a_n/s_n) * ((t_n/a_n)/g**s - 1), standard normal in
+        the limit when g is the true index.  Without a target z_stat is
+        zero and the confidence interval is the inferential output.
 
     Raises
     ------
     DomainError
-        On k out of range or nonpositive top order statistics.
+        On k out of range, nonpositive top order statistics or a target
+        that is not a positive real.
     NumericalError
         When every top spacing is zero (tied observations).
     """
@@ -268,6 +270,8 @@ def double_hill_components(
     k = int(k)
     if not 1 <= k <= n - 1:
         raise DomainError(f"k must lie in [1, {n - 1}], got {k}")
+    if target is not None and not (math.isfinite(target) and target > 0.0):
+        raise DomainError(f"target must be a positive real, got {target}")
     top = data.values[n - k - 1 :]
     if top[0] <= 0.0:
         raise DomainError("the top k+1 order statistics must be strictly positive")
@@ -284,15 +288,14 @@ def double_hill_components(
     g_j = f_j * j**-s
 
     t_n = math.fsum(f_j * spacings**s)
-    a_n = gamma_fn(s + 1.0) * math.fsum(g_j)
-    s_n2 = (gamma_fn(2.0 * s + 1.0) - gamma_fn(s + 1.0) ** 2) * math.fsum(g_j * g_j)
+    a_n = math.gamma(s + 1.0) * math.fsum(g_j)
+    s_n2 = (math.gamma(2.0 * s + 1.0) - math.gamma(s + 1.0) ** 2) * math.fsum(g_j * g_j)
     s_n = math.sqrt(s_n2)
     b_n = float(np.max(g_j)) / s_n
 
     ratio = t_n / a_n
     m_n = ratio ** (1.0 / s)
-    tgt = m_n if target is None else float(target)
-    z_stat = (a_n / s_n) * (ratio - tgt**s)
+    z_stat = 0.0 if target is None else (a_n / s_n) * (ratio / target**s - 1.0)
     half = _Z975 * (s_n / a_n) * ratio
     ci_low = max(ratio - half, 0.0) ** (1.0 / s)
     ci_high = max(ratio + half, 0.0) ** (1.0 / s)
@@ -324,18 +327,15 @@ class EviTestResult:
 def evi_asymptotic_test(data: Sample, w: WeightSpec, k: int, target: float) -> EviTestResult:
     """Test m_n against a caller-supplied target on the m_n scale.
 
-    z = (a_n/s_n) * (m_n - target) / target with a two-sided normal
-    p-value.  The report carries a_n/s_n and b_n so the caller can judge
-    whether the asymptotic regime (a_n/s_n small, b_n small) is plausible.
+    Reads the z statistic of :func:`double_hill_components` at that target
+    and adds a two-sided normal p-value.  The report carries a_n/s_n and
+    b_n so the caller can judge whether the asymptotic regime (a_n/s_n
+    small, b_n small) is plausible.
     """
-    target = float(target)
-    if not (math.isfinite(target) and target > 0.0):
-        raise DomainError(f"target must be a positive real, got {target}")
-    rep = double_hill_components(data, w, k, target=target)
-    z = rep.an_sn_ratio * (rep.m_n - target) / target
-    p_value = math.erfc(abs(z) / math.sqrt(2.0))
+    rep = double_hill_components(data, w, k, target=float(target))
+    p_value = math.erfc(abs(rep.z_stat) / math.sqrt(2.0))
     return EviTestResult(
-        z_stat=z,
+        z_stat=rep.z_stat,
         p_value=p_value,
         an_sn_ratio=rep.an_sn_ratio,
         b_n=rep.b_n,

@@ -1,9 +1,11 @@
-"""Real-branch Lambert W and the Gamma function.
+"""The W_{-1} branch of the real Lambert W function.
 
-The quantile machinery of the package rests on the W_{-1} branch on
-(-1/e, 0), so that branch gets a full production evaluator: series at the
-branch point, asymptotic initial guesses elsewhere, and Halley refinement
-to machine tolerance.
+The quantile machinery of the package rests on W_{-1} on [-1/e, 0).  Its
+evaluator takes a fixed number of steps: the branch-point series or the
+logarithmic asymptote as the initial guess, three Newton steps on
+w + log(-w) = log(-z) (Iacono & Boyd 2017), which need no exp and so stay
+accurate down to subnormal z, and one Newton step on w*exp(w) = z wherever
+exp(w) is a normal float.
 """
 from __future__ import annotations
 
@@ -12,26 +14,23 @@ import math
 
 import numpy as np
 
-from .exceptions import DomainError, NumericalError
+from .exceptions import DomainError
 
-__all__ = ["BRANCH_POINT", "LambertBranch", "lambert_w", "gamma_fn"]
+__all__ = ["BRANCH_POINT", "LambertBranch", "lambert_w"]
 
 BRANCH_POINT = -math.exp(-1.0)  # -1/e, where the two real branches meet
 
-_EPS = float(np.finfo(float).eps)
-_MAX_ITER = 64
-# Series about the branch point in p = +/-sqrt(2*(1 + e*z)); + for the
-# principal branch, - for W_{-1}.
+# Series of W_{-1} about the branch point in p = -sqrt(2*(1 + e*z)).
 _BRANCH_COEFFS = (-1.0, 1.0, -1.0 / 3.0, 11.0 / 72.0, -43.0 / 540.0, 769.0 / 17280.0)
 # Below this distance from the branch point the series alone is already at
-# machine accuracy and Halley's denominator is too ill-conditioned to help.
+# machine accuracy and Newton's denominator 1 + w is too ill-conditioned to help.
 _SERIES_ONLY = 1e-5
+_TINY = float(np.finfo(float).tiny)  # smallest normal float
 
 
 class LambertBranch(enum.Enum):
-    """Real branches of the Lambert W function."""
+    """Real branch of the Lambert W function evaluated by :func:`lambert_w`."""
 
-    PRINCIPAL = 0
     NEGATIVE_ONE = -1
 
 
@@ -42,129 +41,58 @@ def _branch_series(p):
     return w
 
 
-def _halley(w, z):
-    """Refine w*exp(w) = z; raises if 64 iterations are not enough.
-
-    Stops a lane when the correction drops below 2*eps*|w| or when it stops
-    shrinking while already at the roundoff floor (near the branch point the
-    last-ulp correction can oscillate instead of hitting the strict bound).
-    """
-    live = np.ones(w.shape, dtype=bool)
-    prev = np.full(w.shape, np.inf)
-    for _ in range(_MAX_ITER):
-        with np.errstate(all="ignore"):
-            e = np.exp(w)
-            f = w * e - z
-            wp1 = w + 1.0
-            dw = np.where(
-                live & (wp1 != 0.0),
-                f / (e * wp1 - 0.5 * (w + 2.0) * f / wp1),
-                0.0,
-            )
-        w = w - dw
-        adw = np.abs(dw)
-        done = adw <= 2.0 * _EPS * np.abs(w)
-        stalled = (adw >= prev) & (adw <= 1e-8 * np.abs(w))
-        live &= ~(done | stalled)
-        prev = np.where(live, adw, 0.0)
-        if not live.any():
-            return w
-    raise NumericalError("Lambert W iteration did not converge in 64 steps")
-
-
 def _wm1(z):
     """W_{-1} on [-1/e, 0), elementwise; domain already validated."""
-    out = np.empty_like(z)
-    delta = 1.0 + np.e * z  # distance above the branch point
-    at_branch = delta <= 0.0  # within rounding of -1/e itself
-    out[at_branch] = -1.0
-    rest = ~at_branch
-    if rest.any():
-        zr = z[rest]
-        d = delta[rest]
-        with np.errstate(all="ignore"):
-            w = _branch_series(-np.sqrt(2.0 * d))
-            far = zr > (0.5 - 1.0) / np.e  # where the branch series degrades
-            if far.any():
-                log_z = np.log(-zr[far])
-                log_log = np.log(-log_z)
-                w[far] = log_z - log_log + log_log / log_z
-        refine = d >= _SERIES_ONLY
-        if refine.any():
-            w[refine] = _halley(w[refine], zr[refine])
-        out[rest] = w
-    return out
-
-
-def _w0(z):
-    """Principal branch on [-1/e, inf), elementwise; domain already validated."""
-    out = np.empty_like(z)
-    delta = 1.0 + np.e * z
-    at_branch = delta <= 0.0
-    out[at_branch] = -1.0
-    rest = ~at_branch
-    if rest.any():
-        zr = z[rest]
-        d = delta[rest]
-        with np.errstate(all="ignore"):
-            w = _branch_series(np.sqrt(2.0 * d))
-            w = np.where(zr > -0.2, np.log1p(zr), w)
-            big = zr > np.e
-            if big.any():
-                log_z = np.log(zr[big])
-                w[big] = log_z - np.log(log_z)
-        refine = d >= _SERIES_ONLY
-        if refine.any():
-            w[refine] = _halley(w[refine], zr[refine])
-        out[rest] = w
-    return out
+    d = 1.0 + np.e * z  # distance above the branch point
+    with np.errstate(all="ignore"):
+        series = _branch_series(-np.sqrt(2.0 * d))
+        log_z = np.log(-z)
+        log_log = np.log(-log_z)
+        w = np.where(d > 0.5, log_z - log_log + log_log / log_z, series)
+        # Over 4.4e6 points from 1 + e*z = 1e-5 down through the subnormals
+        # the worst relative error falls from 0.055 to 1e-3, 3e-7 and 3e-14;
+        # the last is set by the conditioning 1/|1 + w| near the branch point
+        # (a fourth step gives 2.5e-14).  The exp step then brings the
+        # residual w*exp(w) - z down to rounding.
+        for _ in range(3):
+            w = w - (w - log_z + np.log(-w)) * w / (1.0 + w)
+        e = np.exp(w)
+        w = np.where(e >= _TINY, w - (w * e - z) / (e * (1.0 + w)), w)
+    w = np.where(d < _SERIES_ONLY, series, w)
+    return np.where(d <= 0.0, -1.0, w)  # within rounding of -1/e itself
 
 
 def lambert_w(branch: LambertBranch, z):
-    """Evaluate the real Lambert W function, the inverse of w -> w*exp(w).
+    """Evaluate the W_{-1} branch of the real Lambert W function.
+
+    W_{-1} is the inverse of w -> w*exp(w) on w <= -1; it is defined on
+    [-1/e, 0).
 
     Parameters
     ----------
     branch : LambertBranch
-        PRINCIPAL is defined on [-1/e, inf) and returns values >= -1;
-        NEGATIVE_ONE is defined on [-1/e, 0) and returns values <= -1.
+        LambertBranch.NEGATIVE_ONE, the only branch implemented.
     z : float or array_like
         Evaluation point(s). Scalar input yields a float, arrays an ndarray.
 
     Returns
     -------
     float or numpy.ndarray
-        w with ``w * exp(w) == z`` to machine tolerance.
+        w <= -1 with ``w * exp(w) == z`` to machine tolerance.
 
     Raises
     ------
     DomainError
-        If ``z`` lies outside the branch domain (non-finite values included).
-    NumericalError
-        If the Halley refinement fails to converge (should not happen for
-        in-domain input).
+        If ``z`` lies outside [-1/e, 0) (non-finite values included) or
+        ``branch`` is not a LambertBranch.
     """
+    if branch is not LambertBranch.NEGATIVE_ONE:
+        raise DomainError(f"unknown Lambert branch: {branch!r}")
     arr = np.asarray(z, dtype=float)
-    scalar = arr.ndim == 0
     zz = np.atleast_1d(arr)
     if not np.all(np.isfinite(zz)):
         raise DomainError("lambert_w requires finite arguments")
-    if branch is LambertBranch.NEGATIVE_ONE:
-        if np.any(zz < BRANCH_POINT) or np.any(zz >= 0.0):
-            raise DomainError("W_{-1} branch requires -1/e <= z < 0")
-        out = _wm1(zz)
-    elif branch is LambertBranch.PRINCIPAL:
-        if np.any(zz < BRANCH_POINT):
-            raise DomainError("principal branch requires z >= -1/e")
-        out = _w0(zz)
-    else:
-        raise DomainError(f"unknown Lambert branch: {branch!r}")
-    return float(out[0]) if scalar else out.reshape(arr.shape)
-
-
-def gamma_fn(x: float) -> float:
-    """Euler Gamma function for positive real x."""
-    x = float(x)
-    if not x > 0.0:
-        raise DomainError(f"gamma_fn requires x > 0, got {x}")
-    return math.gamma(x)
+    if np.any(zz < BRANCH_POINT) or np.any(zz >= 0.0):
+        raise DomainError("W_{-1} branch requires -1/e <= z < 0")
+    out = _wm1(zz)
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)

@@ -257,6 +257,7 @@ class TestEvi:
         assert rc == 0
         payload = json.loads(out)
         assert 0.0 <= payload["test"]["p_value"] <= 1.0
+        assert payload["z_stat"] == payload["test"]["z_stat"]
 
 
 class TestExpansionAndExperiment:

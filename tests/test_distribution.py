@@ -215,6 +215,15 @@ class TestQuantile:
         with pytest.raises(DomainError):
             tail_quantile(P_APT, 1.5)
 
+    def test_tail_quantile_down_to_underflow(self):
+        p = PlAptParams(2.0, 2.5, 1.5)
+        # The Lambert argument at v = 1e-320 is the subnormal -1.48e-321, with
+        # about 3 significant digits, so only 1e-5 of the 50-digit value holds.
+        assert tail_quantile(p, 1e-320) == pytest.approx(495.23429350541144864, rel=1e-5)
+        # below v ~ 2e-323 the Lambert argument rounds to 0
+        with pytest.raises(NumericalError, match="underflowed"):
+            tail_quantile(p, 1e-323)
+
 
 class TestSample:
     def test_deterministic(self):
