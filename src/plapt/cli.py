@@ -339,7 +339,13 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--tau", type=float, default=None)
     exp.add_argument("--pareto-gamma", type=float, default=None)
     exp.add_argument("--alpha-grid", type=float, nargs="+", default=None)
-    exp.add_argument("--workers", type=int, default=1)
+    exp.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="processes for evi-coverage (at most reps and the CPU count); "
+        "recovery and model-compare fit their replications in lockstep in one process",
+    )
     exp.add_argument("--output", default=None)
     exp.set_defaults(func=_cmd_experiment)
 

@@ -93,6 +93,17 @@ class OrderStatSpec:
             raise DomainError(f"rank must lie in [1, {self.n}], got {self.k}")
 
 
+def _sorted_rows(values: np.ndarray) -> np.ndarray:
+    """Each row (the last axis) of nonempty values sorted ascending, checked
+    as a sample: finite and nonnegative."""
+    v = np.sort(values, axis=-1)
+    if not np.all(np.isfinite(v)):
+        raise DomainError("sample values must be finite")
+    if np.any(v[..., 0] < 0.0):
+        raise DomainError("sample values must be nonnegative")
+    return v
+
+
 @dataclass(frozen=True, eq=False)
 class Sample:
     """Nonnegative observations, stored sorted ascending."""
@@ -100,14 +111,10 @@ class Sample:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.sort(np.asarray(self.values, dtype=float).ravel())
+        v = np.asarray(self.values, dtype=float).ravel()
         if v.size == 0:
             raise DomainError("sample must contain at least one observation")
-        if not np.all(np.isfinite(v)):
-            raise DomainError("sample values must be finite")
-        if v[0] < 0.0:
-            raise DomainError("sample values must be nonnegative")
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _sorted_rows(v))
 
     @property
     def n(self) -> int:

@@ -6,12 +6,20 @@ test suite).  Newton's method runs on unconstrained coordinates, ending
 converged at an interior maximum, at one of the boundaries beta -> 1 and
 beta -> inf, or at the iteration limit.  Model comparison against the
 nested Lindley and Pseudo-Lindley families reports AIC/BIC per candidate.
+
+Every fit is a lane of one lockstep Newton engine: a lane is one (alpha,
+sample) pair with its own start point, and the engine fits a stack of
+lanes with array operations, one row of data per lane.  ``fit_mle`` is
+one lane, ``fit_mle_profile`` one lane per grid alpha, and
+``model_compare`` and the simulation studies fit the candidates of many
+samples at once.  A lane's arithmetic is elementwise and its sums are row
+sums, so its result does not depend on the lanes fitted beside it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,37 +49,87 @@ _MAX_HALVINGS = 30
 _MAX_STEP = 4.0
 # Near a maximum a Newton step gains less than the rounding error of the sum.
 _LOGLIK_RTOL = 1e-13
+# Lanes times observations fitted in lockstep; larger stacks run in chunks.
+CHUNK_ELEMENTS = 1 << 16
+
+
+def _alpha_terms(alpha, n: int) -> tuple:
+    # log(alpha) and the log-likelihood constant
+    # n*log(log(alpha)/(alpha - 1)) + n*log(alpha) of every lane, or () for
+    # lanes at alpha = 1, which skip the alpha-power term (the lanes agree
+    # on which side of ALPHA_ONE_TOL they are).
+    if abs(alpha[0] - 1.0) < ALPHA_ONE_TOL:
+        return ()
+    log_a = np.log(alpha)
+    return log_a, n * np.log(log_a / (alpha - 1.0)) + n * log_a
+
+
+def _lane_derivatives(theta, m, inv_b, x, x_sum, log_a=None, ll_a=None):
+    # Log-likelihood, score and Hessian of every lane from one pass over its
+    # row of x, with m = beta - 1, inv_b = 1/beta and the alpha-power terms
+    # of _alpha_terms, if any.  The derivatives come scaled to the log
+    # coordinates a = log(theta), v = log(beta - 1): (ll, theta*s_theta,
+    # m*s_beta, theta**2*h_theta_theta, theta*m*h_theta_beta,
+    # m**2*h_beta_beta), one entry per lane.  With t = theta*x, d = m + t,
+    # y = t/d and z = m/d (so y + z = 1), the Pseudo-Lindley part needs the
+    # sums of log(d), y, z, y*z and z*z; the alpha-power term
+    # log(alpha) * (n - sum((1 + t/beta)*e)), e = exp(-t), and its
+    # derivatives need the sums of t**k * e, k = 0..3.  Every sum is a row
+    # sum of a reduction over the stack w.
+    lanes, n = x.shape
+    w = np.empty((6, lanes, n))
+    log_d, y, z, yz, zz, t = w
+    np.multiply(theta[:, None], x, out=t)
+    d = np.add(t, m[:, None], out=zz)
+    np.log(d, out=log_d)
+    np.divide(t, d, out=y)
+    np.divide(m[:, None], d, out=z)
+    np.multiply(y, z, out=yz)
+    np.multiply(z, z, out=zz)
+    s_log_d, s_y, s_z, s_yz, s_zz = np.add.reduce(w[:5], axis=2)
+    n = float(n)
+    s_t = theta * x_sum
+    mb = m * inv_b
+    n_mb = n * mb
+    ll = n * np.log(theta * inv_b) + (s_log_d - s_t)
+    g_a = (n - s_t) + s_y
+    g_v = s_z - n_mb
+    h_aa = (s_yz - s_y) - n
+    h_av = -s_yz
+    h_vv = n_mb * mb - s_zz
+    if log_a is not None:
+        e, te, t2e, t3e = w[:4]
+        np.exp(np.negative(t, out=e), out=e)
+        np.multiply(t, e, out=te)
+        np.multiply(te, t, out=t2e)
+        np.multiply(t2e, t, out=t3e)
+        e_sums = np.add.reduce(w[:4], axis=2)
+        # log(alpha)/beta times the sums of t**k * e, k = 1..3.
+        a1, a2, a3 = (log_a * inv_b) * e_sums[1:]
+        mb_a1 = mb * a1
+        ll += ll_a - (log_a * e_sums[0] + a1)
+        g_a += m * a1 + a2
+        g_v += mb_a1
+        h_aa += (1.0 - m) * a2 - a3
+        h_av += mb * (a1 - a2)
+        h_vv -= 2.0 * mb * mb_a1
+    return ll, g_a, g_v, h_aa, h_av, h_vv
+
+
+def _theta_beta(theta, m, g_a, g_v, h_aa, h_av, h_vv):
+    # Score and Hessian in (theta, beta) from the scaled ones.
+    return (g_a / theta, g_v / m), (h_aa / theta**2, h_av / (theta * m), h_vv / m**2)
 
 
 def _loglik_derivatives(alpha, theta, beta, data):
-    # Log-likelihood, score and Hessian in (theta, beta) from one pass.  With
-    # t = theta*x, d = beta - 1 + t and e = exp(-t), the alpha-power term
-    # log(alpha) * sum(1 - (1 + t/beta)*e) and its derivatives are sums of
-    # x*e*t**k, k = 0, 1, 2.
-    x = data.values
-    n = data.n
-    t = theta * x
-    d = beta - 1.0 + t
-    q = 1.0 / d
-    xq = x * q
-    ll = n * (math.log(theta) - math.log(beta)) + float(np.log(d).sum() - t.sum())
-    s_t = n / theta - float(x.sum()) + float(xq.sum())
-    s_b = -n / beta + float(q.sum())
-    h_tt = -n / theta**2 - float(xq @ xq)
-    h_tb = -float(xq @ q)
-    h_bb = n / beta**2 - float(q @ q)
-    if abs(alpha - 1.0) >= ALPHA_ONE_TOL:
-        log_a = math.log(alpha)
-        e = np.exp(-t)
-        xe = x * e
-        s0, s1, s2 = float(xe.sum()), float(xe @ t), float((xe * t) @ t)
-        ll += n * math.log(log_a / (alpha - 1.0)) + log_a * (n - float(e.sum()) - theta * s0 / beta)
-        s_t += log_a * ((beta - 1.0) * s0 + s1) / beta
-        s_b += log_a * theta * s0 / beta**2
-        h_tt += log_a * ((2.0 - beta) * s1 - s2) / (beta * theta)
-        h_tb += log_a * (s0 - s1) / beta**2
-        h_bb -= 2.0 * log_a * theta * s0 / beta**3
-    return ll, np.array([s_t, s_b]), np.array([[h_tt, h_tb], [h_tb, h_bb]])
+    # One lane of _lane_derivatives: log-likelihood, score and Hessian in
+    # (theta, beta).
+    x = data.values[None, :]
+    alpha, theta, beta = (np.array([v], dtype=float) for v in (alpha, theta, beta))
+    m = beta - 1.0
+    ll, *derivs = _lane_derivatives(theta, m, 1.0 / beta, x, x.sum(axis=1), *_alpha_terms(alpha, x.shape[1]))
+    (s_t, s_b), (h_tt, h_tb, h_bb) = _theta_beta(theta, m, *derivs)
+    return float(ll[0]), np.concatenate([s_t, s_b]), np.array([[h_tt[0], h_tb[0]], [h_tb[0], h_bb[0]]])
 
 
 def log_likelihood(alpha: float, theta: float, beta: float, data: Sample) -> float:
@@ -111,14 +169,241 @@ class FitResult:
         return self.status == "converged"
 
 
-def _covariance(hess):
+def _covariance(h_tt, h_tb, h_bb):
     # Inverse of the observed information -H, when it is positive definite.
-    (h_tt, h_tb), (_, h_bb) = hess
     det = h_tt * h_bb - h_tb * h_tb
     if not (h_tt < 0.0 and det > 0.0):
         return None, math.nan, math.nan
     cov = np.array([[-h_bb, h_tb], [h_tb, -h_tt]]) / det
     return cov, math.sqrt(-h_bb / det), math.sqrt(-h_tt / det)
+
+
+class _Lane(NamedTuple):
+    """One fit: the row of data, the fixed alpha, the start point and the
+    iteration limit."""
+
+    row: int
+    alpha: float
+    theta: float
+    beta: float
+    max_iter: int
+
+
+def _plan(lanes: list, row: int, values: np.ndarray, alphas, init=None, max_iter=MAX_ITER, mean=None) -> list:
+    # Appends to lanes one fit of the data row per alpha, with fit_mle's
+    # checks and start point (init, or 1/mean and beta = 2); returns per
+    # alpha the index of its lane or the DomainError that kept it out.
+    alphas = [float(a) for a in alphas]
+    if not alphas:
+        raise DomainError("alpha grid must be nonempty")
+    if values.size < 2:
+        return [DomainError("fitting requires at least two observations")] * len(alphas)
+    if init is None:
+        mean = float(np.mean(values)) if mean is None else mean
+        if mean <= 0.0:
+            return [DomainError("degenerate sample: all observations are zero")] * len(alphas)
+        theta, beta = 1.0 / mean, 2.0
+    else:
+        theta, beta = float(init[0]), float(init[1])
+    plan: list = []
+    for alpha in alphas:
+        try:
+            _validate_params(alpha, beta, theta)
+        except DomainError as exc:
+            plan.append(exc)
+        else:
+            plan.append(len(lanes))
+            lanes.append(_Lane(row, alpha, theta, beta, int(max_iter)))
+    return plan
+
+
+def _fits(plan: list, results: list) -> list[FitResult]:
+    # The fits of a plan in order; raises the first error among them.
+    fits = [results[step] if isinstance(step, int) else step for step in plan]
+    for fit in fits:
+        if isinstance(fit, Exception):
+            raise fit
+    return fits
+
+
+def _best(fits: list[FitResult]) -> FitResult:
+    # The highest log-likelihood, preferring fits that reached a maximum or
+    # a boundary.
+    finished = [f for f in fits if f.status != "max_iter"]
+    return max(finished or fits, key=lambda f: f.loglik)
+
+
+_CONVERGED, _BETA_ONE, _BETA_INF, _MAX_ITER, _FAILED = range(5)
+_STATUS = ("converged", "boundary_beta_one", "boundary_beta_inf", "max_iter")
+_NOT_FINITE = "Hessian of the log-likelihood is not finite or is singular"
+
+
+def _newton_step(beta, m, g_a, g_v, h_aa, h_av, h_vv):
+    # The v-gradient and Newton step in (u, v) of every lane, and the mean
+    # eigenvalue and determinant of the Hessian there, from the scaled
+    # derivatives of _lane_derivatives.  Those give the derivatives in
+    # a = log(theta) and v: the gradient (g_a, g_v) and the Hessian
+    # [[h_aa + g_a, h_av], [h_av, h_vv + g_v]].  (u, v) is a shear of
+    # (a, v), a = u + log(1 + 1/beta), so da/dv = -k with
+    # k = m/(beta*(beta + 1)).
+    b1 = beta * (beta + 1.0)
+    k = m / b1
+    p = h_aa + g_a
+    k_p = k * p
+    q = h_av - k_p
+    r = h_vv + g_v + k * (k_p - 2.0 * h_av) + g_a * k * (m * m - 2.0) / b1
+    g_v = g_v - k * g_a
+    # The Hessian [[p, q], [q, r]] has eigenvalues c +- |h| with
+    # c = (p + r)/2 and h = (p - r)/2 + iq.  Taking each by magnitude
+    # (Newton's step where both are negative, a step uphill elsewhere)
+    # gives, with the gradient as g = g_u + i*g_v, the closed form
+    # step = (M*g - (c/M)*h*conj(g)) / |det|, M = max(|c|, |h|).
+    c = 0.5 * (p + r)
+    h = 0.5 * (p - r) + 1j * q
+    det = p * r - q * q
+    big = np.maximum(np.abs(c), np.abs(h))
+    g = g_a + 1j * g_v
+    step = (big * g - c / big * h * g.conj()) / np.abs(det)
+    return g_v, step.real, step.imag, c, det
+
+
+def _fit_chunk(x, alpha, theta, beta, max_iter):
+    # Newton's method in lockstep on the lanes of one chunk; x holds one
+    # row of data per lane.  A lane's state is (exp(u), exp(v), theta,
+    # beta, 1/beta) and its scaled derivatives.  Returns the final states
+    # (one column per lane), status codes and iteration counts.
+    n = x.shape[1]
+    score_tol, gain_tol = SCORE_TOL_PER_OBS * n, _BOUNDARY_GAIN_PER_OBS * n
+    data = (x, x.sum(axis=1), *_alpha_terms(alpha, n))  # per-lane inputs of a pass
+    m, inv_b = beta - 1.0, 1.0 / beta
+    state = (theta / (1.0 + inv_b), m, theta, beta, inv_b, *_lane_derivatives(theta, m, inv_b, *data))
+    final = np.empty((len(state), alpha.size))
+    status = np.empty(alpha.size, dtype=int)
+    iterations = np.empty(alpha.size, dtype=int)
+    live = np.arange(alpha.size)  # the lane of each entry of state
+    it = 0
+
+    def retire(sel, code):
+        # Record the lanes at entries sel of state and drop them.
+        nonlocal live, state, data, max_iter
+        done = live[sel]
+        final[:, done] = np.stack(state)[:, sel]
+        status[done] = code
+        iterations[done] = it
+        keep = ~sel
+        live, max_iter = live[keep], max_iter[keep]
+        state, data = tuple(v[keep] for v in state), tuple(v[keep] for v in data)
+        return keep
+
+    while live.size:
+        phi, m, theta, beta, inv_b, ll, g_a, g_v, h_aa, h_av, h_vv = state
+        g_uv, step_u, step_v, c, det = _newton_step(beta, m, g_a, g_v, h_aa, h_av, h_vv)
+        longest = np.maximum(np.abs(step_u), np.abs(step_v))
+        gain = g_a * step_u + g_uv * step_v  # predicted by the quadratic model
+        # Only a short step, a small predicted gain, a non-finite step or the
+        # iteration limit can end a lane; test the rest where one of them holds.
+        stop = (longest <= _STEP_TOL) | (gain <= gain_tol) | ~(longest < np.inf) | (max_iter == it)
+        if np.count_nonzero(stop):
+            converged = (longest <= _STEP_TOL) & (np.hypot(g_a / theta, g_v / m) <= score_tol)
+            # On a concave model (c < 0 < det), a step in v that follows the
+            # beta-score without shrinking heads for a boundary.
+            boundary = (
+                (gain <= gain_tol)
+                & (c < 0.0)
+                & (det > 0.0)
+                & (np.abs(step_v) >= _STEP_SHRUNK)
+                & (step_v * g_v > 0.0)
+            )
+            failed = ~(longest < np.inf)
+            stop = converged | boundary | failed | (max_iter == it)
+            if np.count_nonzero(stop):
+                code = np.where(boundary, np.where(g_v > 0.0, _BETA_INF, _BETA_ONE), _MAX_ITER)
+                code[converged] = _CONVERGED
+                code[failed] = _FAILED
+                keep = retire(stop, code[stop])
+                if not live.size:
+                    break
+                step_u, step_v, longest = step_u[keep], step_v[keep], longest[keep]
+                phi, m, ll = state[0], state[1], state[5]
+        # Step halving per lane on the log-likelihood it already has.
+        scale = np.minimum(1.0, _MAX_STEP / longest)
+        floor = ll - _LOGLIK_RTOL * np.abs(ll)
+        trying = None  # the entries of state still halving; None for all
+        args = (phi, m, step_u, step_v, floor, *data)
+        for _ in range(_MAX_HALVINGS):
+            ph, mm, su, sv, fl, *lane_data = args
+            c_m = mm * np.exp(scale * sv)
+            c_beta = 1.0 + c_m
+            c_inv_b = 1.0 / c_beta
+            c_phi = ph * np.exp(scale * su)
+            c_theta = c_phi * (1.0 + c_inv_b)
+            cand = (c_phi, c_m, c_theta, c_beta, c_inv_b, *_lane_derivatives(c_theta, c_m, c_inv_b, *lane_data))
+            up = cand[5] >= fl
+            if trying is None and np.count_nonzero(up) == up.size:
+                state = cand
+                break
+            if trying is None:
+                state = tuple(np.array(v) for v in state)
+                trying = np.arange(up.size)
+            for v, new in zip(state, cand):
+                v[trying[up]] = new[up]
+            down = ~up
+            trying = trying[down]
+            if not trying.size:
+                break
+            args = tuple(v[down] for v in args)
+            scale = 0.5 * scale[down]
+        else:
+            # No step keeps these lanes' log-likelihood from falling.
+            stuck = np.zeros(live.size, dtype=bool)
+            stuck[trying] = True
+            retire(stuck, _MAX_ITER)
+        it += 1
+    return final, status, iterations
+
+
+def _fit_lanes(rows, lanes: Sequence[_Lane]) -> list[FitResult | NumericalError]:
+    """Fit every lane by Newton's method, all lanes in lockstep.
+
+    ``rows`` holds the data (each row sorted, as in a ``Sample``) and lane
+    ``i`` fits row ``lanes[i].row``.  Lanes run in chunks of one sample
+    size and one side of the alpha = 1 switch, at most
+    ``CHUNK_ELEMENTS`` observations a chunk (one lane if a row is longer).
+    Returns one result per lane: a ``FitResult``, or the ``NumericalError``
+    of a lane whose Hessian turned non-finite or singular.
+    """
+    groups: dict[tuple[int, bool], list[int]] = {}
+    for i, lane in enumerate(lanes):
+        key = (len(rows[lane.row]), abs(lane.alpha - 1.0) < ALPHA_ONE_TOL)
+        groups.setdefault(key, []).append(i)
+    out: list = [None] * len(lanes)
+    for (n, _), members in groups.items():
+        size = max(1, CHUNK_ELEMENTS // n)
+        for k in range(0, len(members), size):
+            chunk = [lanes[i] for i in members[k : k + size]]
+            alpha, theta, beta, max_iter = (np.array(v) for v in zip(*(lane[1:] for lane in chunk)))
+            x = np.stack([rows[lane.row] for lane in chunk])
+            final, status, iterations = _fit_chunk(x, alpha, theta, beta, max_iter)
+            _, m, theta, beta, _, ll, *derivs = final
+            (s_t, s_b), hess = _theta_beta(theta, m, *derivs)
+            values = zip(theta.tolist(), beta.tolist(), ll.tolist(), s_t.tolist(), s_b.tolist(), *(h.tolist() for h in hess))
+            for i, lane, vals, code, its in zip(members[k : k + size], chunk, values, status.tolist(), iterations.tolist()):
+                if code == _FAILED:
+                    out[i] = NumericalError(_NOT_FINITE)
+                    continue
+                theta_i, beta_i, ll_i, s_t_i, s_b_i, h_tt, h_tb, h_bb = vals
+                cov, se_theta, se_beta = _covariance(h_tt, h_tb, h_bb)
+                out[i] = FitResult(
+                    params=PlAptParams(alpha=lane.alpha, beta=beta_i, theta=theta_i),
+                    loglik=ll_i,
+                    score_norm=math.hypot(s_t_i, s_b_i),
+                    iterations=its,
+                    status=_STATUS[code],
+                    stderr_theta=se_theta,
+                    stderr_beta=se_beta,
+                    covariance=cov,
+                )
+    return out
 
 
 def fit_mle(
@@ -133,7 +418,11 @@ def fit_mle(
 
     Every iterate has theta > 0 and beta > 1.  The shift of log theta keeps
     the likelihood's ridge straight as beta -> inf, where the best theta at
-    fixed beta tends to its limit as 1 + 1/beta.
+    fixed beta tends to its limit as 1 + 1/beta.  Each step takes the
+    closed-form eigen-decomposition of the 2x2 Hessian in (u, v), with
+    every eigenvalue by magnitude: Newton's step where the Hessian is
+    negative definite, a step uphill elsewhere.  The fit is one lane of the
+    lockstep engine that also runs profiles and simulation studies.
 
     Parameters
     ----------
@@ -161,68 +450,9 @@ def fit_mle(
     NumericalError
         If the Hessian of the log-likelihood is not finite or is singular.
     """
-    if data.n < 2:
-        raise DomainError("fitting requires at least two observations")
-    mean = float(np.mean(data.values))
-    if init is None:
-        if mean <= 0.0:
-            raise DomainError("degenerate sample: all observations are zero")
-        theta, beta = 1.0 / mean, 2.0
-    else:
-        theta, beta = float(init[0]), float(init[1])
-    _validate_params(alpha, beta, theta)
-
-    ll, grad, hess = _loglik_derivatives(alpha, theta, beta, data)
-    status = None
-    iterations = 0
-    while True:
-        # Chain rule to (u, v): theta = exp(u)*(1 + 1/beta), beta = 1 + exp(v).
-        m = beta - 1.0
-        t_v = -theta * m / (beta * (beta + 1.0))  # d theta / dv
-        jac = np.array([[theta, t_v], [0.0, m]])
-        g = jac.T @ grad
-        h = jac.T @ hess @ jac + grad[0] * np.array([[theta, t_v], [t_v, t_v * (2.0 - beta) / beta]])
-        h[1, 1] += grad[1] * m
-        # Eigenvalues of h taken by magnitude: Newton's step or a step uphill.
-        w, vecs = np.linalg.eigh(h)
-        step = vecs @ ((vecs.T @ g) / np.abs(w))
-        if not np.all(np.isfinite(step)):
-            raise NumericalError("Hessian of the log-likelihood is not finite or is singular")
-        # On a concave model, a step in v that follows the beta-score without
-        # shrinking heads for a boundary.
-        heads_out = w[1] < 0.0 and abs(step[1]) >= _STEP_SHRUNK and step[1] * grad[1] > 0.0
-        if math.hypot(*grad) <= SCORE_TOL_PER_OBS * data.n and max(abs(step)) <= _STEP_TOL:
-            status = "converged"
-        elif heads_out and g @ step <= _BOUNDARY_GAIN_PER_OBS * data.n:
-            status = "boundary_beta_inf" if grad[1] > 0.0 else "boundary_beta_one"
-        if status is not None or iterations == max_iter:
-            break
-        scale = min(1.0, _MAX_STEP / max(abs(step)))
-        phi = theta * beta / (beta + 1.0)
-        for _ in range(_MAX_HALVINGS):
-            cand_beta = 1.0 + m * math.exp(scale * step[1])
-            cand_theta = phi * math.exp(scale * step[0]) * (1.0 + 1.0 / cand_beta)
-            cand = _loglik_derivatives(alpha, cand_theta, cand_beta, data)
-            if cand[0] >= ll - _LOGLIK_RTOL * abs(ll):
-                break
-            scale *= 0.5
-        else:
-            break  # no step keeps the log-likelihood from falling
-        theta, beta = cand_theta, cand_beta
-        ll, grad, hess = cand
-        iterations += 1
-
-    cov, se_theta, se_beta = _covariance(hess)
-    return FitResult(
-        params=PlAptParams(alpha=alpha, beta=beta, theta=theta),
-        loglik=ll,
-        score_norm=math.hypot(*grad),
-        iterations=iterations,
-        status=status or "max_iter",
-        stderr_theta=se_theta,
-        stderr_beta=se_beta,
-        covariance=cov,
-    )
+    lanes: list[_Lane] = []
+    plan = _plan(lanes, 0, data.values, [alpha], init, max_iter)
+    return _fits(plan, _fit_lanes([data.values], lanes))[0]
 
 
 def fit_mle_profile(
@@ -232,19 +462,14 @@ def fit_mle_profile(
 ) -> tuple[FitResult, list[FitResult]]:
     """Profile the likelihood over a grid of alpha values.
 
-    Fits (theta, beta) at every alpha and returns the best fit by profile
-    log-likelihood (fits that reached a maximum or a boundary preferred)
-    together with all per-alpha results.
+    Fits (theta, beta) at every alpha, one lane each, and returns the best
+    fit by profile log-likelihood (fits that reached a maximum or a boundary
+    preferred) together with all per-alpha results.
     """
-    grid = [float(a) for a in alpha_grid]
-    if not grid:
-        raise DomainError("alpha grid must be nonempty")
-    fits: list[FitResult] = []
-    for a in grid:
-        fits.append(fit_mle(a, data, init=init))
-    finished = [f for f in fits if f.status != "max_iter"]
-    best = max(finished or fits, key=lambda f: f.loglik)
-    return best, fits
+    lanes: list[_Lane] = []
+    plan = _plan(lanes, 0, data.values, alpha_grid, init)
+    fits = _fits(plan, _fit_lanes([data.values], lanes))
+    return _best(fits), fits
 
 
 @dataclass(frozen=True)
@@ -293,19 +518,80 @@ class ModelCompareRow:
     error: str | None = None
 
 
-def _fit_lindley(data: Sample) -> tuple[float, float]:
-    # Stationary point of the one-parameter Lindley likelihood has the
-    # closed form theta = (-(m-1) + sqrt((m-1)^2 + 8m)) / (2m), m = mean.
-    mean = float(np.mean(data.values))
-    if mean <= 0.0:
-        raise DomainError("degenerate sample: all observations are zero")
-    theta = (-(mean - 1.0) + math.sqrt((mean - 1.0) ** 2 + 8.0 * mean)) / (2.0 * mean)
-    return theta, log_likelihood(1.0, theta, 1.0 + theta, data)
+def _lindley_rows(x: np.ndarray, means: np.ndarray) -> list:
+    # Theta and log-likelihood of the one-parameter Lindley fit to every row
+    # (or its error): the stationary point has the closed form
+    # theta = (-(m-1) + sqrt((m-1)^2 + 8m)) / (2m), m = mean.
+    ok = means > 0.0
+    m = means[ok]
+    theta = (-(m - 1.0) + np.sqrt((m - 1.0) ** 2 + 8.0 * m)) / (2.0 * m)
+    xs = x[ok]
+    ll = _lane_derivatives(theta, theta, 1.0 / (1.0 + theta), xs, xs.sum(axis=1))[0]
+    fits = iter(zip(theta.tolist(), ll.tolist()))
+    return [next(fits) if good else DomainError("degenerate sample: all observations are zero") for good in ok.tolist()]
 
 
 def _information_criteria(loglik: float, n_free: int, n: int) -> tuple[float, float]:
     """AIC and BIC of a fit with n_free free parameters to n observations."""
     return 2.0 * n_free - 2.0 * loglik, n_free * math.log(n) - 2.0 * loglik
+
+
+def _compare_row(name: str, n_free: int, n: int, outcome) -> ModelCompareRow:
+    # The table line of one candidate: outcome is a FitResult, a Lindley
+    # (theta, loglik) pair or the exception that stopped the fit.
+    if isinstance(outcome, Exception):
+        nan = math.nan
+        return ModelCompareRow(name, 0, loglik=nan, aic=nan, bic=nan, converged=False, params=None, error=str(outcome))
+    if isinstance(outcome, FitResult):
+        ll, params, conv = outcome.loglik, outcome.params, outcome.converged
+        err = "fit did not converge" if outcome.status == "max_iter" else None
+    else:
+        theta, ll = outcome
+        params, conv, err = PlAptParams(1.0, 1.0 + theta, theta), True, None
+    aic, bic = _information_criteria(ll, n_free, n)
+    return ModelCompareRow(
+        name=name, n_free=n_free, loglik=ll, aic=aic, bic=bic, converged=conv, params=params, error=err
+    )
+
+
+def _model_compare_rows(x: np.ndarray, candidates: Sequence[FamilySpec]) -> list[list[ModelCompareRow]]:
+    """:func:`model_compare` for every row of x, a stack of sorted samples
+    of one size; the fits of all rows and candidates are lanes of one call
+    to the lockstep engine."""
+    n_rows, n = x.shape
+    means = x.mean(axis=1)
+    lanes: list[_Lane] = []
+    plans = []  # per candidate: the free parameters and, per row, a plan or a Lindley fit
+    for fam in candidates:
+        try:
+            if fam.kind == "lindley":
+                plans.append((1, _lindley_rows(x, means)))
+                continue
+            if fam.kind == "pseudo_lindley":
+                n_free, alphas = 2, (1.0,)
+            elif fam.kind != "pl_apt":
+                raise DomainError(f"unknown family kind: {fam.kind!r}")
+            elif fam.alpha_grid is not None:
+                n_free, alphas = 3, fam.alpha_grid
+            else:
+                n_free, alphas = 2, (fam.alpha,)
+            plans.append((n_free, [_plan(lanes, r, x[r], alphas, mean=float(means[r])) for r in range(n_rows)]))
+        except Exception as exc:  # a failed candidate must not take down the table
+            plans.append((0, [exc] * n_rows))
+    results = _fit_lanes(x, lanes)
+    table = []
+    for r in range(n_rows):
+        row = []
+        for fam, (n_free, outcomes) in zip(candidates, plans):
+            outcome = outcomes[r]
+            if isinstance(outcome, list):
+                try:
+                    outcome = _best(_fits(outcome, results))
+                except Exception as exc:
+                    outcome = exc
+            row.append(_compare_row(fam.name, n_free, n, outcome))
+        table.append(row)
+    return table
 
 
 def model_compare(data: Sample, candidates: Sequence[FamilySpec]) -> list[ModelCompareRow]:
@@ -315,48 +601,4 @@ def model_compare(data: Sample, candidates: Sequence[FamilySpec]) -> list[ModelC
     limit, contributes a flagged row instead of aborting the table; a fit on
     a boundary is scored with its last iterate.
     """
-    rows: list[ModelCompareRow] = []
-    for fam in candidates:
-        try:
-            if fam.kind == "lindley":
-                theta, ll = _fit_lindley(data)
-                k, params, conv, err = 1, PlAptParams(1.0, 1.0 + theta, theta), True, None
-            else:
-                if fam.kind == "pseudo_lindley":
-                    fit, k = fit_mle(1.0, data), 2
-                elif fam.kind != "pl_apt":
-                    raise DomainError(f"unknown family kind: {fam.kind!r}")
-                elif fam.alpha_grid is not None:
-                    fit, k = fit_mle_profile(fam.alpha_grid, data)[0], 3
-                else:
-                    fit, k = fit_mle(fam.alpha, data), 2
-                ll, params, conv = fit.loglik, fit.params, fit.converged
-                err = "fit did not converge" if fit.status == "max_iter" else None
-        except Exception as exc:  # a failed candidate must not take down the table
-            rows.append(
-                ModelCompareRow(
-                    name=fam.name,
-                    n_free=0,
-                    loglik=math.nan,
-                    aic=math.nan,
-                    bic=math.nan,
-                    converged=False,
-                    params=None,
-                    error=str(exc),
-                )
-            )
-            continue
-        aic, bic = _information_criteria(ll, k, data.n)
-        rows.append(
-            ModelCompareRow(
-                name=fam.name,
-                n_free=k,
-                loglik=ll,
-                aic=aic,
-                bic=bic,
-                converged=conv,
-                params=params,
-                error=err,
-            )
-        )
-    return rows
+    return _model_compare_rows(data.values[None, :], candidates)[0]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -18,13 +19,16 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .distribution import PlAptParams, Sample, replication_rng, sample
+from .distribution import PlAptParams, Sample, _sorted_rows, quantile, replication_rng, sample
 from .exceptions import DomainError, PlaptError
 from .extremes import WeightSpec, double_hill_components, gumbel_ks_distance, maxima_normalization
 from .inference import (
-    fit_mle,
+    CHUNK_ELEMENTS,
+    _fit_lanes,
+    _fits,
+    _model_compare_rows,
+    _plan,
     lindley_family,
-    model_compare,
     pl_apt_family,
     pseudo_lindley_family,
 )
@@ -155,13 +159,24 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
 _DEFAULT_ALPHA_GRID = (0.5, 1.0, 1.5, 2.0, 4.0)
 
 
-def _recovery_rep(cfg: ExperimentConfig, rep: int) -> dict:
-    rng = replication_rng(cfg.seed, rep)
-    data = sample(cfg.truth, cfg.n, rng)
-    try:
-        fit = fit_mle(cfg.truth.alpha, data)
-    except PlaptError as exc:
-        return {"rep": rep, "ok": False, "error": str(exc)}
+def _replication_rows(cfg: ExperimentConfig, reps: range) -> np.ndarray:
+    """The samples of replications ``reps``, one sorted row each: row i
+    holds ``sample(cfg.truth, cfg.n, replication_rng(cfg.seed, reps[i]))``,
+    drawn with one ``quantile`` call (it is elementwise)."""
+    u = np.stack([replication_rng(cfg.seed, rep).random(cfg.n) for rep in reps])
+    return _sorted_rows(quantile(cfg.truth, u))
+
+
+def _replication_chunks(cfg: ExperimentConfig) -> list[range]:
+    # Replications drawn and fitted together: at most CHUNK_ELEMENTS
+    # observations, so memory does not grow with reps.
+    size = max(1, CHUNK_ELEMENTS // cfg.n)
+    return [range(k, min(k + size, cfg.reps)) for k in range(0, cfg.reps, size)]
+
+
+def _recovery_record(rep: int, fit) -> dict:
+    if isinstance(fit, PlaptError):
+        return {"rep": rep, "ok": False, "error": str(fit)}
     if fit.status == "max_iter":
         return {"rep": rep, "ok": False, "error": "fit did not converge", "status": fit.status}
     return {
@@ -177,12 +192,23 @@ def _recovery_rep(cfg: ExperimentConfig, rep: int) -> dict:
     }
 
 
-def _model_compare_rep(cfg: ExperimentConfig, rep: int) -> dict:
-    rng = replication_rng(cfg.seed, rep)
-    data = sample(cfg.truth, cfg.n, rng)
-    grid = cfg.alpha_grid if cfg.alpha_grid is not None else _DEFAULT_ALPHA_GRID
-    candidates = [lindley_family(), pseudo_lindley_family(), pl_apt_family(alpha_grid=grid)]
-    rows = model_compare(data, candidates)
+def _recovery_records(cfg: ExperimentConfig) -> list[dict]:
+    records = []
+    for reps in _replication_chunks(cfg):
+        x = _replication_rows(cfg, reps)
+        lanes: list = []
+        plans = [_plan(lanes, i, x[i], (cfg.truth.alpha,), mean=mean) for i, mean in enumerate(x.mean(axis=1).tolist())]
+        results = _fit_lanes(x, lanes)
+        for rep, plan in zip(reps, plans):
+            try:
+                fit = _fits(plan, results)[0]
+            except PlaptError as exc:
+                fit = exc
+            records.append(_recovery_record(rep, fit))
+    return records
+
+
+def _model_compare_record(rep: int, rows: list) -> dict:
     rec: dict = {"rep": rep, "ok": all(r.error is None for r in rows)}
     table = {}
     for r in rows:
@@ -195,6 +221,16 @@ def _model_compare_rep(cfg: ExperimentConfig, rep: int) -> dict:
     if not rec["ok"]:
         rec["error"] = "; ".join(f"{r.name}: {r.error}" for r in rows if r.error is not None)
     return rec
+
+
+def _model_compare_records(cfg: ExperimentConfig) -> list[dict]:
+    grid = cfg.alpha_grid if cfg.alpha_grid is not None else _DEFAULT_ALPHA_GRID
+    candidates = [lindley_family(), pseudo_lindley_family(), pl_apt_family(alpha_grid=grid)]
+    records = []
+    for reps in _replication_chunks(cfg):
+        tables = _model_compare_rows(_replication_rows(cfg, reps), candidates)
+        records.extend(_model_compare_record(rep, rows) for rep, rows in zip(reps, tables))
+    return records
 
 
 def _evi_coverage_rep(cfg: ExperimentConfig, rep: int) -> dict:
@@ -224,18 +260,6 @@ def _evi_coverage_rep(cfg: ExperimentConfig, rep: int) -> dict:
     }
 
 
-_REPLICATORS = {
-    ExperimentKind.RECOVERY: _recovery_rep,
-    ExperimentKind.MODEL_COMPARE: _model_compare_rep,
-    ExperimentKind.EVI_COVERAGE: _evi_coverage_rep,
-}
-
-
-def _run_one(args: tuple[ExperimentConfig, int]) -> dict:
-    cfg, rep = args
-    return _REPLICATORS[cfg.kind](cfg, rep)
-
-
 def _mean_sd(values: list[float]) -> tuple[float, float]:
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
@@ -260,6 +284,11 @@ def _summarize(cfg: ExperimentConfig, records: list[dict]) -> dict:
         summary["theta"] = _param_summary(records, "theta_hat", cfg.truth.theta)
         summary["beta"] = _param_summary(records, "beta_hat", cfg.truth.beta)
         summary["status_counts"] = dict(Counter(r["status"] for r in records if "status" in r))
+        its = [r["iterations"] for r in records if "iterations" in r]
+        summary["iterations"] = {
+            name: float(np.percentile(its, q)) if its else math.nan
+            for name, q in (("p50", 50), ("p90", 90), ("max", 100))
+        }
     elif cfg.kind is ExperimentKind.MODEL_COMPARE:
         names = sorted({name for r in ok for name in r["families"]})
         summary["mean_aic"] = {
@@ -289,22 +318,34 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
 
     Per-replication failures (for example a fit that does not converge) are
     recorded in place, never raised; the report's ``failures`` field and
-    summary ``failure_rate`` account for them.  ``workers > 1`` distributes
-    replications over processes without changing the output.
+    summary ``failure_rate`` account for them.  ``recovery`` and
+    ``model_compare`` run in this process, their replications stacked into
+    lockstep fits, and ignore ``workers``; ``evi_coverage`` distributes
+    replications over ``min(workers, reps, cpu count)`` processes, and
+    ``maxima_gumbel`` runs in this process.  No choice of ``workers``
+    changes the output.
     """
+    workers = int(workers)
+    if workers < 1:
+        raise DomainError(f"workers must be >= 1, got {workers}")
     if cfg.kind is ExperimentKind.MAXIMA_GUMBEL:
         result = maxima_normalization(cfg.truth, cfg.n, cfg.reps, cfg.seed)
         records = [
             {"rep": i, "ok": True, "normalized": float(v)}
             for i, v in enumerate(result.normalized)
         ]
+    elif cfg.kind is ExperimentKind.RECOVERY:
+        records = _recovery_records(cfg)
+    elif cfg.kind is ExperimentKind.MODEL_COMPARE:
+        records = _model_compare_records(cfg)
     else:
-        jobs = [(cfg, rep) for rep in range(cfg.reps)]
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                records = list(pool.map(_run_one, jobs, chunksize=max(1, cfg.reps // (4 * workers))))
+        size = min(workers, cfg.reps, os.cpu_count() or 1)
+        if size > 1:
+            with ProcessPoolExecutor(max_workers=size) as pool:
+                chunk = max(1, cfg.reps // (4 * size))
+                records = list(pool.map(_evi_coverage_rep, [cfg] * cfg.reps, range(cfg.reps), chunksize=chunk))
         else:
-            records = [_run_one(job) for job in jobs]
+            records = [_evi_coverage_rep(cfg, rep) for rep in range(cfg.reps)]
     summary = _summarize(cfg, records)
     failures = sum(not r["ok"] for r in records)
     return ExperimentReport(

@@ -319,6 +319,16 @@ class TestExpansionAndExperiment:
             assert out == ""
             assert "k_exponent" in err
 
+    def test_experiment_workers_below_one_rejected(self, capsys):
+        rc, out, err = run_cli(
+            capsys,
+            ["experiment", "--kind", "recovery", "--alpha", "2", "--beta", "2.5", "--theta", "0.6",
+             "--n", "100", "--reps", "2", "--seed", "1", "--workers", "0"],
+        )
+        assert rc == 2
+        assert out == ""
+        assert "workers" in err
+
 
 def test_import_leaves_scipy_unloaded():
     # numpy is the only runtime dependency; scipy serves the tests alone

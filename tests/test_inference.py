@@ -5,6 +5,7 @@ import pytest
 
 from plapt import (
     DomainError,
+    NumericalError,
     PlAptParams,
     Sample,
     fit_mle,
@@ -18,7 +19,7 @@ from plapt import (
     sample,
     score,
 )
-from plapt.inference import FamilySpec, _loglik_derivatives
+from plapt.inference import MAX_ITER, FamilySpec, _fit_lanes, _loglik_derivatives, _plan
 
 
 def _fd_score(alpha, theta, beta, data):
@@ -232,3 +233,53 @@ class TestModelCompare:
             if by_name["lindley"].aic <= by_name["pl_apt"].aic + 2.0:
                 wins += 1
         assert wins >= 0.9 * reps
+
+
+def _same_fit(a, b):
+    # Bitwise equality of two FitResults (NaN standard errors equal NaN).
+    assert a.params == b.params
+    assert (a.loglik, a.score_norm, a.iterations, a.status) == (b.loglik, b.score_norm, b.iterations, b.status)
+    for x, y in ((a.stderr_theta, b.stderr_theta), (a.stderr_beta, b.stderr_beta)):
+        assert x == y or (math.isnan(x) and math.isnan(y))
+    assert (a.covariance is None) == (b.covariance is None)
+    if a.covariance is not None:
+        assert np.array_equal(a.covariance, b.covariance)
+
+
+class TestLockstep:
+    # A lane's result does not depend on the lanes fitted beside it.
+
+    def test_profile_equals_separate_fits(self):
+        data = sample(PlAptParams(2.0, 2.5, 0.6), 700, seed=31)
+        grid = [0.5, 1.0, 1.5, 2.0, 4.0]
+        best, fits = fit_mle_profile(grid, data)
+        for a, fit in zip(grid, fits):
+            _same_fit(fit, fit_mle(a, data))
+        assert any(best is f for f in fits)
+
+    def test_mixed_lanes_equal_separate_calls(self):
+        inf_data = sample(PlAptParams(2.0, 2.5, 1.5), 100_000, seed=9)  # boundary_beta_inf at 4
+        one_data = Sample(np.random.default_rng(0).gamma(3.0, 1.0, 500))  # boundary_beta_one
+        conv_data = sample(PlAptParams(1.5, 1.8, 1.2), 500, seed=8)
+        rows = [inf_data.values, one_data.values, conv_data.values]
+        cases = [(0, 4.0, MAX_ITER), (1, 1.0, MAX_ITER), (2, 1.5, MAX_ITER), (1, 2.0, MAX_ITER), (2, 1.5, 2)]
+        lanes = []
+        for r, a, it in cases:
+            _plan(lanes, r, rows[r], [a], max_iter=it)
+        together = _fit_lanes(rows, lanes)
+        statuses = []
+        for (r, a, it), fit in zip(cases, together):
+            _same_fit(fit, fit_mle(a, Sample(rows[r]), max_iter=it))
+            statuses.append(fit.status)
+        assert statuses == ["boundary_beta_inf", "boundary_beta_one", "converged", "boundary_beta_one", "max_iter"]
+
+    def test_failed_lane_does_not_stop_the_others(self):
+        data = sample(PlAptParams(2.0, 2.5, 0.6), 300, seed=3)
+        rows = [data.values]
+        lanes = []
+        _plan(lanes, 0, rows[0], [2.0])
+        _plan(lanes, 0, rows[0], [2.0], init=(1e-300, 2.0))  # a singular Hessian at the start
+        with np.errstate(divide="ignore", invalid="ignore"):
+            good, bad = _fit_lanes(rows, lanes)
+        assert isinstance(bad, NumericalError)
+        _same_fit(good, fit_mle(2.0, data))

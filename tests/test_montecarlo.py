@@ -8,10 +8,19 @@ from plapt import (
     DomainError,
     ExperimentConfig,
     ExperimentKind,
+    PlaptError,
     PlAptParams,
     WeightSpec,
+    fit_mle,
+    lindley_family,
+    model_compare,
+    pl_apt_family,
+    pseudo_lindley_family,
     run_experiment,
+    sample,
 )
+from plapt import inference, montecarlo
+from plapt.distribution import replication_rng
 
 TRUTH = PlAptParams(2.0, 2.5, 0.6)
 
@@ -161,3 +170,109 @@ class TestOtherKinds:
         assert set(report.summary["win_fraction"]) == {"lindley", "pseudo_lindley", "pl_apt"}
         total = sum(report.summary["win_fraction"].values())
         assert total == pytest.approx(1.0)
+
+
+def _assembled_report(cfg, records):
+    # A report built from records computed one replication at a time.
+    return montecarlo.ExperimentReport(
+        config=montecarlo._config_echo(cfg),
+        seed=cfg.seed,
+        version=montecarlo.__version__,
+        records=tuple(records),
+        summary=montecarlo._summarize(cfg, records),
+        failures=sum(not r["ok"] for r in records),
+    )
+
+
+class TestLockstepStudies:
+    # The studies stack their replications into lockstep fits; every
+    # replication must come out as if it were fitted on its own.
+
+    @pytest.mark.parametrize("n", [50, 1000])
+    @pytest.mark.parametrize("truth", [PlAptParams(0.5, 1.1, 0.6), PlAptParams(1.0, 1.1, 1.5), PlAptParams(2.0, 2.5, 3.0)])
+    def test_recovery_equals_per_replication_fits(self, n, truth):
+        cfg = ExperimentConfig(kind="recovery", n=n, reps=20, seed=4, truth=truth)
+        records = []
+        for rep in range(cfg.reps):
+            try:
+                fit = fit_mle(truth.alpha, sample(truth, n, replication_rng(cfg.seed, rep)))
+            except PlaptError as exc:
+                fit = exc
+            records.append(montecarlo._recovery_record(rep, fit))
+        assert run_experiment(cfg).to_json() == _assembled_report(cfg, records).to_json()
+
+    def test_model_compare_equals_its_row(self):
+        truth = PlAptParams(1.5, 1.5, 1.5)
+        cfg = ExperimentConfig(kind="model_compare", n=400, reps=4, seed=12, truth=truth, alpha_grid=(0.5, 1.0, 2.0))
+        candidates = [lindley_family(), pseudo_lindley_family(), pl_apt_family(alpha_grid=cfg.alpha_grid)]
+        report = run_experiment(cfg)
+        for rep, record in enumerate(report.records):
+            rows = model_compare(sample(truth, cfg.n, replication_rng(cfg.seed, rep)), candidates)
+            assert montecarlo._model_compare_record(rep, rows) == record
+
+    @pytest.mark.parametrize("kind", ["recovery", "model_compare"])
+    def test_chunks_do_not_change_the_report(self, kind, monkeypatch):
+        cfg = ExperimentConfig(kind=kind, n=200, reps=7, seed=21, truth=TRUTH)
+        one_chunk = run_experiment(cfg).to_json()
+        # three replications (recovery) or lanes (the profile) a chunk
+        monkeypatch.setattr(montecarlo, "CHUNK_ELEMENTS", 3 * cfg.n)
+        monkeypatch.setattr(inference, "CHUNK_ELEMENTS", 3 * cfg.n)
+        assert montecarlo._replication_chunks(cfg) == [range(0, 3), range(3, 6), range(6, 7)]
+        assert run_experiment(cfg).to_json() == one_chunk
+
+    def test_iteration_summary(self):
+        cfg = ExperimentConfig(kind="recovery", n=200, reps=9, seed=3, truth=TRUTH)
+        report = run_experiment(cfg)
+        its = [r["iterations"] for r in report.records if "iterations" in r]
+        assert its
+        assert report.summary["iterations"] == {
+            "p50": float(np.percentile(its, 50)),
+            "p90": float(np.percentile(its, 90)),
+            "max": float(max(its)),
+        }
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in
+    this process, so no process is started."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables, chunksize=1):
+        return map(fn, *iterables)
+
+
+class TestWorkers:
+    def test_pool_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+        _RecordingPool.sizes = []
+        cfg = ExperimentConfig(kind="evi_coverage", n=500, reps=3, seed=1, pareto_gamma=0.5)
+        serial = run_experiment(cfg).to_json()
+        assert run_experiment(cfg, workers=5000).to_json() == serial  # min(5000, reps=3, cpus=4)
+        wide = ExperimentConfig(kind="evi_coverage", n=500, reps=10, seed=1, pareto_gamma=0.5)
+        run_experiment(wide, workers=5000)  # min(5000, 10, 4)
+        run_experiment(wide, workers=2)
+        assert _RecordingPool.sizes == [3, 4, 2]
+
+    def test_lockstep_kinds_start_no_pool(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", _RecordingPool)
+        _RecordingPool.sizes = []
+        for kind in ("recovery", "model_compare"):
+            run_experiment(ExperimentConfig(kind=kind, n=100, reps=3, seed=1, truth=TRUTH), workers=8)
+        assert _RecordingPool.sizes == []
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected(self, workers):
+        cfg = ExperimentConfig(kind="recovery", n=100, reps=2, seed=1, truth=TRUTH)
+        with pytest.raises(DomainError):
+            run_experiment(cfg, workers=workers)
