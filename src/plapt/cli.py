@@ -343,8 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="processes for evi-coverage (at most reps and the CPU count); "
-        "recovery and model-compare fit their replications in lockstep in one process",
+        help="accepted for compatibility and changes nothing; must be at least 1",
     )
     exp.add_argument("--output", default=None)
     exp.set_defaults(func=_cmd_experiment)

@@ -7,11 +7,12 @@ converged at an interior maximum, at one of the boundaries beta -> 1 and
 beta -> inf, or at the iteration limit.  Model comparison against the
 nested Lindley and Pseudo-Lindley families reports AIC/BIC per candidate.
 
-Every fit is a lane of one lockstep Newton engine: a lane is one (alpha,
-sample) pair with its own start point, and the engine fits a stack of
-lanes with array operations, one row of data per lane.  ``fit_mle`` is
-one lane, ``fit_mle_profile`` one lane per grid alpha, and
-``model_compare`` and the simulation studies fit the candidates of many
+All fits run through one private entry point, ``_fit_rows``, which fits
+a stack of samples of one size at a list of alphas.  Inside it every
+(sample, alpha) pair is a lane of one lockstep Newton engine that fits
+its lanes with array operations, one row of data per lane.  ``fit_mle``
+fits one sample at one alpha, ``fit_mle_profile`` one sample at a grid,
+and ``model_compare`` and the simulation studies the candidates of many
 samples at once.  A lane's arithmetic is elementwise and its sums are row
 sums, so its result does not depend on the lanes fitted beside it.
 """
@@ -19,12 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .distribution import ALPHA_ONE_TOL, PlAptParams, Sample, _validate_params
-from .exceptions import DomainError, NumericalError
+from .exceptions import DomainError, NumericalError, PlaptError
 
 __all__ = [
     "FitResult",
@@ -178,57 +179,14 @@ def _covariance(h_tt, h_tb, h_bb):
     return cov, math.sqrt(-h_bb / det), math.sqrt(-h_tt / det)
 
 
-class _Lane(NamedTuple):
-    """One fit: the row of data, the fixed alpha, the start point and the
-    iteration limit."""
-
-    row: int
-    alpha: float
-    theta: float
-    beta: float
-    max_iter: int
-
-
-def _plan(lanes: list, row: int, values: np.ndarray, alphas, init=None, max_iter=MAX_ITER, mean=None) -> list:
-    # Appends to lanes one fit of the data row per alpha, with fit_mle's
-    # checks and start point (init, or 1/mean and beta = 2); returns per
-    # alpha the index of its lane or the DomainError that kept it out.
-    alphas = [float(a) for a in alphas]
-    if not alphas:
+def _best(fits: list) -> FitResult:
+    # The highest log-likelihood of a profile's fits, preferring fits that
+    # reached a maximum or a boundary; raises the first error among them.
+    if not fits:
         raise DomainError("alpha grid must be nonempty")
-    if values.size < 2:
-        return [DomainError("fitting requires at least two observations")] * len(alphas)
-    if init is None:
-        mean = float(np.mean(values)) if mean is None else mean
-        if mean <= 0.0:
-            return [DomainError("degenerate sample: all observations are zero")] * len(alphas)
-        theta, beta = 1.0 / mean, 2.0
-    else:
-        theta, beta = float(init[0]), float(init[1])
-    plan: list = []
-    for alpha in alphas:
-        try:
-            _validate_params(alpha, beta, theta)
-        except DomainError as exc:
-            plan.append(exc)
-        else:
-            plan.append(len(lanes))
-            lanes.append(_Lane(row, alpha, theta, beta, int(max_iter)))
-    return plan
-
-
-def _fits(plan: list, results: list) -> list[FitResult]:
-    # The fits of a plan in order; raises the first error among them.
-    fits = [results[step] if isinstance(step, int) else step for step in plan]
     for fit in fits:
-        if isinstance(fit, Exception):
+        if isinstance(fit, PlaptError):
             raise fit
-    return fits
-
-
-def _best(fits: list[FitResult]) -> FitResult:
-    # The highest log-likelihood, preferring fits that reached a maximum or
-    # a boundary.
     finished = [f for f in fits if f.status != "max_iter"]
     return max(finished or fits, key=lambda f: f.loglik)
 
@@ -268,10 +226,11 @@ def _newton_step(beta, m, g_a, g_v, h_aa, h_av, h_vv):
 
 
 def _fit_chunk(x, alpha, theta, beta, max_iter):
-    # Newton's method in lockstep on the lanes of one chunk; x holds one
-    # row of data per lane.  A lane's state is (exp(u), exp(v), theta,
-    # beta, 1/beta) and its scaled derivatives.  Returns the final states
-    # (one column per lane), status codes and iteration counts.
+    # Newton's method in lockstep on the lanes of one chunk, all on one side
+    # of the alpha = 1 switch; x holds one row of data per lane and alpha,
+    # theta and beta one entry per lane.  A lane's state is (exp(u),
+    # exp(v), theta, beta, 1/beta) and its scaled derivatives.  Returns the
+    # final states (one column per lane), status codes and iteration counts.
     n = x.shape[1]
     score_tol, gain_tol = SCORE_TOL_PER_OBS * n, _BOUNDARY_GAIN_PER_OBS * n
     data = (x, x.sum(axis=1), *_alpha_terms(alpha, n))  # per-lane inputs of a pass
@@ -285,13 +244,13 @@ def _fit_chunk(x, alpha, theta, beta, max_iter):
 
     def retire(sel, code):
         # Record the lanes at entries sel of state and drop them.
-        nonlocal live, state, data, max_iter
+        nonlocal live, state, data
         done = live[sel]
         final[:, done] = np.stack(state)[:, sel]
         status[done] = code
         iterations[done] = it
         keep = ~sel
-        live, max_iter = live[keep], max_iter[keep]
+        live = live[keep]
         state, data = tuple(v[keep] for v in state), tuple(v[keep] for v in data)
         return keep
 
@@ -300,31 +259,27 @@ def _fit_chunk(x, alpha, theta, beta, max_iter):
         g_uv, step_u, step_v, c, det = _newton_step(beta, m, g_a, g_v, h_aa, h_av, h_vv)
         longest = np.maximum(np.abs(step_u), np.abs(step_v))
         gain = g_a * step_u + g_uv * step_v  # predicted by the quadratic model
-        # Only a short step, a small predicted gain, a non-finite step or the
-        # iteration limit can end a lane; test the rest where one of them holds.
-        stop = (longest <= _STEP_TOL) | (gain <= gain_tol) | ~(longest < np.inf) | (max_iter == it)
+        converged = (longest <= _STEP_TOL) & (np.hypot(g_a / theta, g_v / m) <= score_tol)
+        # On a concave model (c < 0 < det), a step in v that follows the
+        # beta-score without shrinking heads for a boundary.
+        boundary = (
+            (gain <= gain_tol)
+            & (c < 0.0)
+            & (det > 0.0)
+            & (np.abs(step_v) >= _STEP_SHRUNK)
+            & (step_v * g_v > 0.0)
+        )
+        failed = ~(longest < np.inf)
+        stop = converged | boundary | failed | (it == max_iter)
         if np.count_nonzero(stop):
-            converged = (longest <= _STEP_TOL) & (np.hypot(g_a / theta, g_v / m) <= score_tol)
-            # On a concave model (c < 0 < det), a step in v that follows the
-            # beta-score without shrinking heads for a boundary.
-            boundary = (
-                (gain <= gain_tol)
-                & (c < 0.0)
-                & (det > 0.0)
-                & (np.abs(step_v) >= _STEP_SHRUNK)
-                & (step_v * g_v > 0.0)
-            )
-            failed = ~(longest < np.inf)
-            stop = converged | boundary | failed | (max_iter == it)
-            if np.count_nonzero(stop):
-                code = np.where(boundary, np.where(g_v > 0.0, _BETA_INF, _BETA_ONE), _MAX_ITER)
-                code[converged] = _CONVERGED
-                code[failed] = _FAILED
-                keep = retire(stop, code[stop])
-                if not live.size:
-                    break
-                step_u, step_v, longest = step_u[keep], step_v[keep], longest[keep]
-                phi, m, ll = state[0], state[1], state[5]
+            code = np.where(boundary, np.where(g_v > 0.0, _BETA_INF, _BETA_ONE), _MAX_ITER)
+            code[converged] = _CONVERGED
+            code[failed] = _FAILED
+            keep = retire(stop, code[stop])
+            if not live.size:
+                break
+            step_u, step_v, longest = step_u[keep], step_v[keep], longest[keep]
+            phi, m, ll = state[0], state[1], state[5]
         # Step halving per lane on the log-likelihood it already has.
         scale = np.minimum(1.0, _MAX_STEP / longest)
         floor = ll - _LOGLIK_RTOL * np.abs(ll)
@@ -362,39 +317,68 @@ def _fit_chunk(x, alpha, theta, beta, max_iter):
     return final, status, iterations
 
 
-def _fit_lanes(rows, lanes: Sequence[_Lane]) -> list[FitResult | NumericalError]:
-    """Fit every lane by Newton's method, all lanes in lockstep.
+def _chunks(count: int, n: int) -> list[range]:
+    """Consecutive runs of ``count`` rows of ``n`` observations, at most
+    ``CHUNK_ELEMENTS`` observations a run (one row if a row is longer)."""
+    size = max(1, CHUNK_ELEMENTS // n)
+    return [range(k, min(k + size, count)) for k in range(0, count, size)]
 
-    ``rows`` holds the data (each row sorted, as in a ``Sample``) and lane
-    ``i`` fits row ``lanes[i].row``.  Lanes run in chunks of one sample
-    size and one side of the alpha = 1 switch, at most
-    ``CHUNK_ELEMENTS`` observations a chunk (one lane if a row is longer).
-    Returns one result per lane: a ``FitResult``, or the ``NumericalError``
-    of a lane whose Hessian turned non-finite or singular.
+
+def _params_error(alpha: float, beta: float, theta: float) -> DomainError | None:
+    try:
+        _validate_params(alpha, beta, theta)
+    except DomainError as exc:
+        return exc
+    return None
+
+
+def _fit_rows(x: np.ndarray, alphas: Sequence[float], init=None, max_iter: int = MAX_ITER) -> list[list]:
+    """Fit every row of ``x`` at every alpha, each fit a lane of the
+    lockstep engine.
+
+    ``x`` is a stack of sorted samples of one size.  Entry ``[r][j]`` of
+    the result is the ``FitResult`` of ``fit_mle(alphas[j], Sample(x[r]),
+    init, max_iter=max_iter)``, or the ``PlaptError`` it raises.  Lanes run
+    in chunks (``_chunks``) on one side of the alpha = 1 switch.
     """
-    groups: dict[tuple[int, bool], list[int]] = {}
-    for i, lane in enumerate(lanes):
-        key = (len(rows[lane.row]), abs(lane.alpha - 1.0) < ALPHA_ONE_TOL)
-        groups.setdefault(key, []).append(i)
-    out: list = [None] * len(lanes)
-    for (n, _), members in groups.items():
-        size = max(1, CHUNK_ELEMENTS // n)
-        for k in range(0, len(members), size):
-            chunk = [lanes[i] for i in members[k : k + size]]
-            alpha, theta, beta, max_iter = (np.array(v) for v in zip(*(lane[1:] for lane in chunk)))
-            x = np.stack([rows[lane.row] for lane in chunk])
-            final, status, iterations = _fit_chunk(x, alpha, theta, beta, max_iter)
+    alphas = [float(a) for a in alphas]
+    n = x.shape[1]
+    out: list[list] = [[None] * len(alphas) for _ in x]
+    if not alphas:  # the callers' _best names an empty grid, before init is read
+        return out
+    # fit_mle's checks, each made once, in its order: the row, then alpha,
+    # then the start point.  (beta, theta) = (2, 1) and alpha = 1 are valid.
+    alpha_errors = [_params_error(a, 2.0, 1.0) for a in alphas]
+    lanes: dict[bool, list] = {}  # (row, alpha index, start) by side of alpha = 1
+    for r, mean in enumerate(x.mean(axis=1).tolist()):
+        row_error = start_error = None
+        if n < 2:
+            row_error = DomainError("fitting requires at least two observations")
+        elif init is None and mean <= 0.0:
+            row_error = DomainError("degenerate sample: all observations are zero")
+        else:
+            theta, beta = (1.0 / mean, 2.0) if init is None else (float(init[0]), float(init[1]))
+            start_error = _params_error(1.0, beta, theta)
+        for j, alpha in enumerate(alphas):
+            out[r][j] = row_error or alpha_errors[j] or start_error
+            if out[r][j] is None:
+                lanes.setdefault(abs(alpha - 1.0) < ALPHA_ONE_TOL, []).append((r, j, theta, beta))
+    for group in lanes.values():
+        for chunk in _chunks(len(group), n):
+            rows, cols, theta, beta = zip(*group[chunk.start : chunk.stop])
+            alpha = np.array([alphas[j] for j in cols])
+            final, status, iterations = _fit_chunk(x[list(rows)], alpha, np.array(theta), np.array(beta), int(max_iter))
             _, m, theta, beta, _, ll, *derivs = final
             (s_t, s_b), hess = _theta_beta(theta, m, *derivs)
-            values = zip(theta.tolist(), beta.tolist(), ll.tolist(), s_t.tolist(), s_b.tolist(), *(h.tolist() for h in hess))
-            for i, lane, vals, code, its in zip(members[k : k + size], chunk, values, status.tolist(), iterations.tolist()):
+            values = (theta, beta, ll, s_t, s_b, *hess, status, iterations)
+            for r, j, *vals in zip(rows, cols, *(v.tolist() for v in values)):
+                theta_i, beta_i, ll_i, s_t_i, s_b_i, h_tt, h_tb, h_bb, code, its = vals
                 if code == _FAILED:
-                    out[i] = NumericalError(_NOT_FINITE)
+                    out[r][j] = NumericalError(_NOT_FINITE)
                     continue
-                theta_i, beta_i, ll_i, s_t_i, s_b_i, h_tt, h_tb, h_bb = vals
                 cov, se_theta, se_beta = _covariance(h_tt, h_tb, h_bb)
-                out[i] = FitResult(
-                    params=PlAptParams(alpha=lane.alpha, beta=beta_i, theta=theta_i),
+                out[r][j] = FitResult(
+                    params=PlAptParams(alpha=alphas[j], beta=beta_i, theta=theta_i),
                     loglik=ll_i,
                     score_norm=math.hypot(s_t_i, s_b_i),
                     iterations=its,
@@ -421,8 +405,9 @@ def fit_mle(
     fixed beta tends to its limit as 1 + 1/beta.  Each step takes the
     closed-form eigen-decomposition of the 2x2 Hessian in (u, v), with
     every eigenvalue by magnitude: Newton's step where the Hessian is
-    negative definite, a step uphill elsewhere.  The fit is one lane of the
-    lockstep engine that also runs profiles and simulation studies.
+    negative definite, a step uphill elsewhere.  The fit runs on the
+    lockstep engine of profiles and simulation studies and gives the same
+    result alone as beside other fits.
 
     Parameters
     ----------
@@ -450,9 +435,7 @@ def fit_mle(
     NumericalError
         If the Hessian of the log-likelihood is not finite or is singular.
     """
-    lanes: list[_Lane] = []
-    plan = _plan(lanes, 0, data.values, [alpha], init, max_iter)
-    return _fits(plan, _fit_lanes([data.values], lanes))[0]
+    return _best(_fit_rows(data.values[None, :], [alpha], init, max_iter)[0])
 
 
 def fit_mle_profile(
@@ -462,13 +445,11 @@ def fit_mle_profile(
 ) -> tuple[FitResult, list[FitResult]]:
     """Profile the likelihood over a grid of alpha values.
 
-    Fits (theta, beta) at every alpha, one lane each, and returns the best
-    fit by profile log-likelihood (fits that reached a maximum or a boundary
-    preferred) together with all per-alpha results.
+    Fits (theta, beta) at every alpha and returns the best fit by profile
+    log-likelihood (fits that reached a maximum or a boundary preferred)
+    together with all per-alpha results.
     """
-    lanes: list[_Lane] = []
-    plan = _plan(lanes, 0, data.values, alpha_grid, init)
-    fits = _fits(plan, _fit_lanes([data.values], lanes))
+    fits = _fit_rows(data.values[None, :], alpha_grid, init)[0]
     return _best(fits), fits
 
 
@@ -556,39 +537,40 @@ def _compare_row(name: str, n_free: int, n: int, outcome) -> ModelCompareRow:
 
 def _model_compare_rows(x: np.ndarray, candidates: Sequence[FamilySpec]) -> list[list[ModelCompareRow]]:
     """:func:`model_compare` for every row of x, a stack of sorted samples
-    of one size; the fits of all rows and candidates are lanes of one call
-    to the lockstep engine."""
+    of one size; the alphas of all candidates are fitted in one call."""
     n_rows, n = x.shape
-    means = x.mean(axis=1)
-    lanes: list[_Lane] = []
-    plans = []  # per candidate: the free parameters and, per row, a plan or a Lindley fit
+    alphas: list[float] = []
+    plans = []  # per candidate: the free parameters and its slice of alphas, or an outcome per row
     for fam in candidates:
         try:
             if fam.kind == "lindley":
-                plans.append((1, _lindley_rows(x, means)))
+                plans.append((1, _lindley_rows(x, x.mean(axis=1))))
                 continue
             if fam.kind == "pseudo_lindley":
-                n_free, alphas = 2, (1.0,)
+                n_free, grid = 2, (1.0,)
             elif fam.kind != "pl_apt":
                 raise DomainError(f"unknown family kind: {fam.kind!r}")
             elif fam.alpha_grid is not None:
-                n_free, alphas = 3, fam.alpha_grid
+                n_free, grid = 3, fam.alpha_grid
             else:
-                n_free, alphas = 2, (fam.alpha,)
-            plans.append((n_free, [_plan(lanes, r, x[r], alphas, mean=float(means[r])) for r in range(n_rows)]))
+                n_free, grid = 2, (fam.alpha,)
+            grid = [float(a) for a in grid]
+            plans.append((n_free, slice(len(alphas), len(alphas) + len(grid))))
+            alphas += grid
         except Exception as exc:  # a failed candidate must not take down the table
             plans.append((0, [exc] * n_rows))
-    results = _fit_lanes(x, lanes)
+    fits = _fit_rows(x, alphas)
     table = []
     for r in range(n_rows):
         row = []
         for fam, (n_free, outcomes) in zip(candidates, plans):
-            outcome = outcomes[r]
-            if isinstance(outcome, list):
+            if isinstance(outcomes, slice):
                 try:
-                    outcome = _best(_fits(outcome, results))
-                except Exception as exc:
+                    outcome = _best(fits[r][outcomes])
+                except PlaptError as exc:
                     outcome = exc
+            else:
+                outcome = outcomes[r]
             row.append(_compare_row(fam.name, n_free, n, outcome))
         table.append(row)
     return table

@@ -3,16 +3,15 @@
 Every experiment derives one independent random stream per replication
 from the master seed (``SeedSequence(seed, spawn_key=(rep,))``), so the
 report content is a pure function of the configuration: rerunning, or
-distributing replications over worker processes, changes nothing.
+drawing and fitting the replications in chunks of another size, changes
+nothing.
 """
 from __future__ import annotations
 
 import enum
 import json
 import math
-import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -22,16 +21,7 @@ from . import __version__
 from .distribution import PlAptParams, Sample, _sorted_rows, quantile, replication_rng, sample
 from .exceptions import DomainError, PlaptError
 from .extremes import WeightSpec, double_hill_components, gumbel_ks_distance, maxima_normalization
-from .inference import (
-    CHUNK_ELEMENTS,
-    _fit_lanes,
-    _fits,
-    _model_compare_rows,
-    _plan,
-    lindley_family,
-    pl_apt_family,
-    pseudo_lindley_family,
-)
+from .inference import _chunks, _fit_rows, _model_compare_rows, lindley_family, pl_apt_family, pseudo_lindley_family
 
 __all__ = [
     "ExperimentKind",
@@ -89,7 +79,10 @@ class ExperimentConfig:
         if self.n < 2:
             raise DomainError(f"n must be >= 2, got {self.n}")
         if self.alpha_grid is not None:
-            object.__setattr__(self, "alpha_grid", tuple(float(a) for a in self.alpha_grid))
+            grid = tuple(float(a) for a in self.alpha_grid)
+            if not grid or not all(math.isfinite(a) and a > 0.0 for a in grid):
+                raise DomainError(f"alpha_grid must be nonempty and hold positive reals, got {list(grid)}")
+            object.__setattr__(self, "alpha_grid", grid)
         if self.kind in (ExperimentKind.RECOVERY, ExperimentKind.MODEL_COMPARE, ExperimentKind.MAXIMA_GUMBEL):
             if self.truth is None:
                 raise DomainError(f"{self.kind.value} experiments require truth parameters")
@@ -167,13 +160,6 @@ def _replication_rows(cfg: ExperimentConfig, reps: range) -> np.ndarray:
     return _sorted_rows(quantile(cfg.truth, u))
 
 
-def _replication_chunks(cfg: ExperimentConfig) -> list[range]:
-    # Replications drawn and fitted together: at most CHUNK_ELEMENTS
-    # observations, so memory does not grow with reps.
-    size = max(1, CHUNK_ELEMENTS // cfg.n)
-    return [range(k, min(k + size, cfg.reps)) for k in range(0, cfg.reps, size)]
-
-
 def _recovery_record(rep: int, fit) -> dict:
     if isinstance(fit, PlaptError):
         return {"rep": rep, "ok": False, "error": str(fit)}
@@ -193,18 +179,12 @@ def _recovery_record(rep: int, fit) -> dict:
 
 
 def _recovery_records(cfg: ExperimentConfig) -> list[dict]:
+    # Replications are drawn and fitted a chunk at a time, so memory does
+    # not grow with reps.
     records = []
-    for reps in _replication_chunks(cfg):
-        x = _replication_rows(cfg, reps)
-        lanes: list = []
-        plans = [_plan(lanes, i, x[i], (cfg.truth.alpha,), mean=mean) for i, mean in enumerate(x.mean(axis=1).tolist())]
-        results = _fit_lanes(x, lanes)
-        for rep, plan in zip(reps, plans):
-            try:
-                fit = _fits(plan, results)[0]
-            except PlaptError as exc:
-                fit = exc
-            records.append(_recovery_record(rep, fit))
+    for reps in _chunks(cfg.reps, cfg.n):
+        fits = _fit_rows(_replication_rows(cfg, reps), [cfg.truth.alpha])
+        records.extend(_recovery_record(rep, fit) for rep, (fit,) in zip(reps, fits))
     return records
 
 
@@ -227,7 +207,7 @@ def _model_compare_records(cfg: ExperimentConfig) -> list[dict]:
     grid = cfg.alpha_grid if cfg.alpha_grid is not None else _DEFAULT_ALPHA_GRID
     candidates = [lindley_family(), pseudo_lindley_family(), pl_apt_family(alpha_grid=grid)]
     records = []
-    for reps in _replication_chunks(cfg):
+    for reps in _chunks(cfg.reps, cfg.n):
         tables = _model_compare_rows(_replication_rows(cfg, reps), candidates)
         records.extend(_model_compare_record(rep, rows) for rep, rows in zip(reps, tables))
     return records
@@ -318,12 +298,10 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
 
     Per-replication failures (for example a fit that does not converge) are
     recorded in place, never raised; the report's ``failures`` field and
-    summary ``failure_rate`` account for them.  ``recovery`` and
-    ``model_compare`` run in this process, their replications stacked into
-    lockstep fits, and ignore ``workers``; ``evi_coverage`` distributes
-    replications over ``min(workers, reps, cpu count)`` processes, and
-    ``maxima_gumbel`` runs in this process.  No choice of ``workers``
-    changes the output.
+    summary ``failure_rate`` account for them.  Every kind runs in this
+    process; ``recovery`` and ``model_compare`` stack their replications
+    into lockstep fits.  ``workers`` is accepted for compatibility and
+    changes nothing; a value below 1 is rejected.
     """
     workers = int(workers)
     if workers < 1:
@@ -339,13 +317,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     elif cfg.kind is ExperimentKind.MODEL_COMPARE:
         records = _model_compare_records(cfg)
     else:
-        size = min(workers, cfg.reps, os.cpu_count() or 1)
-        if size > 1:
-            with ProcessPoolExecutor(max_workers=size) as pool:
-                chunk = max(1, cfg.reps // (4 * size))
-                records = list(pool.map(_evi_coverage_rep, [cfg] * cfg.reps, range(cfg.reps), chunksize=chunk))
-        else:
-            records = [_evi_coverage_rep(cfg, rep) for rep in range(cfg.reps)]
+        records = [_evi_coverage_rep(cfg, rep) for rep in range(cfg.reps)]
     summary = _summarize(cfg, records)
     failures = sum(not r["ok"] for r in records)
     return ExperimentReport(

@@ -329,10 +329,28 @@ class TestExpansionAndExperiment:
         assert out == ""
         assert "workers" in err
 
+    def test_experiment_invalid_alpha_grid_rejected(self, capsys):
+        base = ["experiment", "--kind", "model-compare", "--alpha", "2", "--beta", "2.5", "--theta", "1.5",
+                "--n", "100", "--reps", "2", "--seed", "1", "--alpha-grid"]
+        for grid in (["-1", "2"], ["nan"]):
+            rc, out, err = run_cli(capsys, base + grid)
+            assert rc == 2
+            assert out == ""
+            assert "alpha_grid" in err
+
+
+def _assert_import_leaves_out(*modules):
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(plapt.__file__))}
+    code = f"import sys, plapt, plapt.cli; loaded = {set(modules)!r} & set(sys.modules); assert not loaded, loaded"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
 
 def test_import_leaves_scipy_unloaded():
     # numpy is the only runtime dependency; scipy serves the tests alone
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(plapt.__file__))}
-    code = "import sys, plapt, plapt.cli; assert 'scipy' not in sys.modules, sorted(sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+    _assert_import_leaves_out("scipy")
+
+
+def test_import_starts_no_process_machinery():
+    # every experiment runs in the calling process
+    _assert_import_leaves_out("multiprocessing", "concurrent.futures")

@@ -19,7 +19,7 @@ from plapt import (
     sample,
     score,
 )
-from plapt.inference import MAX_ITER, FamilySpec, _fit_lanes, _loglik_derivatives, _plan
+from plapt.inference import _FAILED, _STATUS, MAX_ITER, FamilySpec, _fit_chunk, _fit_rows, _loglik_derivatives
 
 
 def _fd_score(alpha, theta, beta, data):
@@ -258,28 +258,92 @@ class TestLockstep:
         assert any(best is f for f in fits)
 
     def test_mixed_lanes_equal_separate_calls(self):
-        inf_data = sample(PlAptParams(2.0, 2.5, 1.5), 100_000, seed=9)  # boundary_beta_inf at 4
-        one_data = Sample(np.random.default_rng(0).gamma(3.0, 1.0, 500))  # boundary_beta_one
-        conv_data = sample(PlAptParams(1.5, 1.8, 1.2), 500, seed=8)
-        rows = [inf_data.values, one_data.values, conv_data.values]
-        cases = [(0, 4.0, MAX_ITER), (1, 1.0, MAX_ITER), (2, 1.5, MAX_ITER), (1, 2.0, MAX_ITER), (2, 1.5, 2)]
-        lanes = []
-        for r, a, it in cases:
-            _plan(lanes, r, rows[r], [a], max_iter=it)
-        together = _fit_lanes(rows, lanes)
-        statuses = []
-        for (r, a, it), fit in zip(cases, together):
-            _same_fit(fit, fit_mle(a, Sample(rows[r]), max_iter=it))
-            statuses.append(fit.status)
-        assert statuses == ["boundary_beta_inf", "boundary_beta_one", "converged", "boundary_beta_one", "max_iter"]
+        rows = np.stack([
+            sample(PlAptParams(2.0, 2.5, 1.5), 500, seed=2).values,  # boundary_beta_inf at 4
+            Sample(np.random.default_rng(0).gamma(3.0, 1.0, 500)).values,  # boundary_beta_one
+            sample(PlAptParams(1.5, 1.8, 1.2), 500, seed=8).values,  # converges
+        ])
+        alphas = [4.0, 1.0, 1.5, 2.0]
+        together = _fit_rows(rows, alphas)
+        for row, fits in zip(rows, together):
+            for a, fit in zip(alphas, fits):
+                _same_fit(fit, fit_mle(a, Sample(row)))
+        assert [fits[0].status for fits in together] == ["boundary_beta_inf", "boundary_beta_one", "converged"]
+        # An iteration limit between the lanes' counts stops some lanes
+        # beside others that converge.
+        limit = 8
+        limited = _fit_rows(rows, alphas, max_iter=limit)
+        for row, fits in zip(rows, limited):
+            for a, fit in zip(alphas, fits):
+                _same_fit(fit, fit_mle(a, Sample(row), max_iter=limit))
+        statuses = {fit.status for fits in limited for fit in fits}
+        assert {"max_iter", "converged"} <= statuses
 
     def test_failed_lane_does_not_stop_the_others(self):
         data = sample(PlAptParams(2.0, 2.5, 0.6), 300, seed=3)
-        rows = [data.values]
-        lanes = []
-        _plan(lanes, 0, rows[0], [2.0])
-        _plan(lanes, 0, rows[0], [2.0], init=(1e-300, 2.0))  # a singular Hessian at the start
+        x = np.stack([data.values, data.values])
+        theta = np.array([1.0 / np.mean(data.values), 1e-300])  # a singular Hessian at the second start
         with np.errstate(divide="ignore", invalid="ignore"):
-            good, bad = _fit_lanes(rows, lanes)
-        assert isinstance(bad, NumericalError)
-        _same_fit(good, fit_mle(2.0, data))
+            final, status, iterations = _fit_chunk(x, np.array([2.0, 2.0]), theta, np.array([2.0, 2.0]), MAX_ITER)
+        fit = fit_mle(2.0, data)
+        assert status[1] == _FAILED
+        assert (_STATUS[status[0]], iterations[0]) == (fit.status, fit.iterations)
+        assert (final[2, 0], final[3, 0]) == (fit.params.theta, fit.params.beta)
+
+
+_ZEROS = Sample([0.0, 0.0, 0.0])
+_GOOD = sample(PlAptParams(2.0, 2.5, 0.6), 200, seed=5)
+
+
+class TestErrors:
+    # The exception each fitting entry point gives for a bad sample, grid
+    # or start point.
+
+    @pytest.mark.parametrize(
+        "data, alpha, init, message",
+        [
+            (_ZEROS, 2.0, None, "degenerate sample: all observations are zero"),
+            (Sample([1.0]), 2.0, None, "fitting requires at least two observations"),
+            (Sample([1.0]), -1.0, (0.0, 2.0), "fitting requires at least two observations"),
+            (_GOOD, -1.0, None, "alpha must be a positive real, got -1.0"),
+            (_GOOD, 2.0, (0.0, 2.0), "theta must be a positive real, got 0.0"),
+            (_GOOD, 2.0, (1.0, 1.0), "beta must exceed 1, got 1.0"),
+            (_GOOD, -1.0, (1.0, 1.0), "alpha must be a positive real, got -1.0"),
+            (_ZEROS, -1.0, None, "degenerate sample: all observations are zero"),
+        ],
+    )
+    def test_fit_mle(self, data, alpha, init, message):
+        with pytest.raises(DomainError) as info:
+            fit_mle(alpha, data, init)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "data, grid, init, message",
+        [
+            (_ZEROS, [0.5, 2.0], None, "degenerate sample: all observations are zero"),
+            (Sample([1.0]), [0.5, 2.0], None, "fitting requires at least two observations"),
+            (_GOOD, [2.0, -1.0], None, "alpha must be a positive real, got -1.0"),
+            (_GOOD, [], None, "alpha grid must be nonempty"),
+            (Sample([1.0]), [], (0.0, 2.0), "alpha grid must be nonempty"),
+            (_GOOD, [0.5, 2.0], (1.0, 0.5), "beta must exceed 1, got 0.5"),
+            (_GOOD, [0.5, -1.0], (1.0, 0.5), "beta must exceed 1, got 0.5"),
+        ],
+    )
+    def test_fit_mle_profile(self, data, grid, init, message):
+        with pytest.raises(DomainError) as info:
+            fit_mle_profile(grid, data, init)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "data, grid, messages",
+        [
+            (_ZEROS, [0.5, 2.0], ["degenerate sample: all observations are zero"] * 3),
+            (Sample([1.0]), [0.5, 2.0], [None] + ["fitting requires at least two observations"] * 2),
+            (_GOOD, [2.0, -1.0], [None, None, "alpha must be a positive real, got -1.0"]),
+            (_GOOD, [], [None, None, "alpha grid must be nonempty"]),
+        ],
+    )
+    def test_model_compare(self, data, grid, messages):
+        candidates = [lindley_family(), pseudo_lindley_family(), pl_apt_family(alpha_grid=grid)]
+        rows = model_compare(data, candidates)
+        assert [row.error for row in rows] == messages

@@ -52,6 +52,9 @@ class TestConfig:
                 ExperimentConfig(
                     kind="evi_coverage", n=100, reps=2, seed=1, pareto_gamma=0.5, k_exponent=k_exponent
                 )
+        for grid in ((-1.0, 2.0), (math.nan,), (0.0, 1.0), ()):
+            with pytest.raises(DomainError):
+                ExperimentConfig(kind="model_compare", n=100, reps=2, seed=1, truth=TRUTH, alpha_grid=grid)
 
     def test_k_rule(self):
         cfg = ExperimentConfig(
@@ -100,8 +103,9 @@ class TestReportContract:
         cfg = ExperimentConfig(kind="recovery", n=300, reps=4, seed=5, truth=TRUTH)
         assert run_experiment(cfg).to_json() == run_experiment(cfg).to_json()
 
-    def test_worker_count_does_not_change_output(self):
-        cfg = ExperimentConfig(kind="recovery", n=300, reps=4, seed=5, truth=TRUTH)
+    @pytest.mark.parametrize("kind", [k.value for k in ExperimentKind])
+    def test_worker_count_does_not_change_output(self, kind):
+        cfg = ExperimentConfig(kind=kind, n=300, reps=4, seed=5, truth=TRUTH)
         assert run_experiment(cfg, workers=1).to_json() == run_experiment(cfg, workers=2).to_json()
 
     def test_single_rep_summary_equals_record(self):
@@ -214,10 +218,9 @@ class TestLockstepStudies:
     def test_chunks_do_not_change_the_report(self, kind, monkeypatch):
         cfg = ExperimentConfig(kind=kind, n=200, reps=7, seed=21, truth=TRUTH)
         one_chunk = run_experiment(cfg).to_json()
-        # three replications (recovery) or lanes (the profile) a chunk
-        monkeypatch.setattr(montecarlo, "CHUNK_ELEMENTS", 3 * cfg.n)
+        # three replications, and three lanes of the engine, a chunk
         monkeypatch.setattr(inference, "CHUNK_ELEMENTS", 3 * cfg.n)
-        assert montecarlo._replication_chunks(cfg) == [range(0, 3), range(3, 6), range(6, 7)]
+        assert inference._chunks(7, 200) == [range(0, 3), range(3, 6), range(6, 7)]
         assert run_experiment(cfg).to_json() == one_chunk
 
     def test_iteration_summary(self):
@@ -232,45 +235,7 @@ class TestLockstepStudies:
         }
 
 
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and maps in
-    this process, so no process is started."""
-
-    sizes: list = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables, chunksize=1):
-        return map(fn, *iterables)
-
-
 class TestWorkers:
-    def test_pool_is_bounded(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", _RecordingPool)
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
-        _RecordingPool.sizes = []
-        cfg = ExperimentConfig(kind="evi_coverage", n=500, reps=3, seed=1, pareto_gamma=0.5)
-        serial = run_experiment(cfg).to_json()
-        assert run_experiment(cfg, workers=5000).to_json() == serial  # min(5000, reps=3, cpus=4)
-        wide = ExperimentConfig(kind="evi_coverage", n=500, reps=10, seed=1, pareto_gamma=0.5)
-        run_experiment(wide, workers=5000)  # min(5000, 10, 4)
-        run_experiment(wide, workers=2)
-        assert _RecordingPool.sizes == [3, 4, 2]
-
-    def test_lockstep_kinds_start_no_pool(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", _RecordingPool)
-        _RecordingPool.sizes = []
-        for kind in ("recovery", "model_compare"):
-            run_experiment(ExperimentConfig(kind=kind, n=100, reps=3, seed=1, truth=TRUTH), workers=8)
-        assert _RecordingPool.sizes == []
-
     @pytest.mark.parametrize("workers", [0, -1])
     def test_workers_below_one_rejected(self, workers):
         cfg = ExperimentConfig(kind="recovery", n=100, reps=2, seed=1, truth=TRUTH)
