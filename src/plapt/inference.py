@@ -153,7 +153,8 @@ def score(alpha: float, theta: float, beta: float, data: Sample) -> tuple[float,
 
 @dataclass(frozen=True, eq=False)
 class FitResult:
-    """MLE output: estimates, status (see :func:`fit_mle`) and standard errors."""
+    """MLE output: estimates, status (see :func:`fit_mle`) and standard errors;
+    ``iterations`` counts accepted Newton steps, not rejected candidates."""
 
     params: PlAptParams
     loglik: float
@@ -228,34 +229,25 @@ def _newton_step(beta, m, g_a, g_v, h_aa, h_av, h_vv):
 def _fit_chunk(x, alpha, theta, beta, max_iter):
     # Newton's method in lockstep on the lanes of one chunk, all on one side
     # of the alpha = 1 switch; x holds one row of data per lane and alpha,
-    # theta and beta one entry per lane.  A lane's state is (exp(u),
-    # exp(v), theta, beta, 1/beta) and its scaled derivatives.  Returns the
-    # final states (one column per lane), status codes and iteration counts.
+    # theta and beta one entry per lane.  A lane's state is a column of
+    # (exp(u), exp(v), theta, beta, 1/beta) and its scaled derivatives.
+    # Every turn tries one candidate per live lane: Newton's step, at most
+    # _MAX_STEP long, halved once for each candidate the lane has had
+    # rejected since its last accepted step.  Returns the final states (one
+    # column per lane), status codes and accepted-step counts.
     n = x.shape[1]
     score_tol, gain_tol = SCORE_TOL_PER_OBS * n, _BOUNDARY_GAIN_PER_OBS * n
     data = (x, x.sum(axis=1), *_alpha_terms(alpha, n))  # per-lane inputs of a pass
     m, inv_b = beta - 1.0, 1.0 / beta
-    state = (theta / (1.0 + inv_b), m, theta, beta, inv_b, *_lane_derivatives(theta, m, inv_b, *data))
-    final = np.empty((len(state), alpha.size))
+    state = np.array((theta / (1.0 + inv_b), m, theta, beta, inv_b, *_lane_derivatives(theta, m, inv_b, *data)))
+    final = np.empty_like(state)
     status = np.empty(alpha.size, dtype=int)
     iterations = np.empty(alpha.size, dtype=int)
-    live = np.arange(alpha.size)  # the lane of each entry of state
-    it = 0
-
-    def retire(sel, code):
-        # Record the lanes at entries sel of state and drop them.
-        nonlocal live, state, data
-        done = live[sel]
-        final[:, done] = np.stack(state)[:, sel]
-        status[done] = code
-        iterations[done] = it
-        keep = ~sel
-        live = live[keep]
-        state, data = tuple(v[keep] for v in state), tuple(v[keep] for v in data)
-        return keep
-
+    live = np.arange(alpha.size)  # the lane of each column of state
+    counts = np.zeros((2, alpha.size), dtype=int)  # accepted steps, halvings since the last
     while live.size:
-        phi, m, theta, beta, inv_b, ll, g_a, g_v, h_aa, h_av, h_vv = state
+        _, m, theta, beta, _, _, g_a, g_v, h_aa, h_av, h_vv = state
+        accepted, halvings = counts
         g_uv, step_u, step_v, c, det = _newton_step(beta, m, g_a, g_v, h_aa, h_av, h_vv)
         longest = np.maximum(np.abs(step_u), np.abs(step_v))
         gain = g_a * step_u + g_uv * step_v  # predicted by the quadratic model
@@ -270,50 +262,34 @@ def _fit_chunk(x, alpha, theta, beta, max_iter):
             & (step_v * g_v > 0.0)
         )
         failed = ~(longest < np.inf)
-        stop = converged | boundary | failed | (it == max_iter)
+        # After _MAX_HALVINGS rejections no step keeps the log-likelihood
+        # from falling.
+        stop = converged | boundary | failed | (accepted == max_iter) | (halvings == _MAX_HALVINGS)
         if np.count_nonzero(stop):
             code = np.where(boundary, np.where(g_v > 0.0, _BETA_INF, _BETA_ONE), _MAX_ITER)
             code[converged] = _CONVERGED
             code[failed] = _FAILED
-            keep = retire(stop, code[stop])
+            done = live[stop]
+            final[:, done] = state[:, stop]
+            status[done], iterations[done] = code[stop], accepted[stop]
+            keep = ~stop
+            live, state, counts = live[keep], state[:, keep], counts[:, keep]
+            data = tuple(v[keep] for v in data)
             if not live.size:
                 break
             step_u, step_v, longest = step_u[keep], step_v[keep], longest[keep]
-            phi, m, ll = state[0], state[1], state[5]
-        # Step halving per lane on the log-likelihood it already has.
-        scale = np.minimum(1.0, _MAX_STEP / longest)
-        floor = ll - _LOGLIK_RTOL * np.abs(ll)
-        trying = None  # the entries of state still halving; None for all
-        args = (phi, m, step_u, step_v, floor, *data)
-        for _ in range(_MAX_HALVINGS):
-            ph, mm, su, sv, fl, *lane_data = args
-            c_m = mm * np.exp(scale * sv)
-            c_beta = 1.0 + c_m
-            c_inv_b = 1.0 / c_beta
-            c_phi = ph * np.exp(scale * su)
-            c_theta = c_phi * (1.0 + c_inv_b)
-            cand = (c_phi, c_m, c_theta, c_beta, c_inv_b, *_lane_derivatives(c_theta, c_m, c_inv_b, *lane_data))
-            up = cand[5] >= fl
-            if trying is None and np.count_nonzero(up) == up.size:
-                state = cand
-                break
-            if trying is None:
-                state = tuple(np.array(v) for v in state)
-                trying = np.arange(up.size)
-            for v, new in zip(state, cand):
-                v[trying[up]] = new[up]
-            down = ~up
-            trying = trying[down]
-            if not trying.size:
-                break
-            args = tuple(v[down] for v in args)
-            scale = 0.5 * scale[down]
-        else:
-            # No step keeps these lanes' log-likelihood from falling.
-            stuck = np.zeros(live.size, dtype=bool)
-            stuck[trying] = True
-            retire(stuck, _MAX_ITER)
-        it += 1
+        phi, m, ll = state[0], state[1], state[5]
+        scale = np.ldexp(np.minimum(1.0, _MAX_STEP / longest), -counts[1])
+        c_m = m * np.exp(scale * step_v)
+        c_beta = 1.0 + c_m
+        c_inv_b = 1.0 / c_beta
+        c_phi = phi * np.exp(scale * step_u)
+        c_theta = c_phi * (1.0 + c_inv_b)
+        cand = np.array((c_phi, c_m, c_theta, c_beta, c_inv_b, *_lane_derivatives(c_theta, c_m, c_inv_b, *data)))
+        up = cand[5] >= ll - _LOGLIK_RTOL * np.abs(ll)
+        np.copyto(state, cand, where=up)
+        counts[0] += up
+        counts[1] = np.where(up, 0, counts[1] + 1)
     return final, status, iterations
 
 
@@ -354,11 +330,13 @@ def _fit_rows(x: np.ndarray, alphas: Sequence[float], init=None, max_iter: int =
         row_error = start_error = None
         if n < 2:
             row_error = DomainError("fitting requires at least two observations")
-        elif init is None and mean <= 0.0:
+        elif mean <= 0.0:
             row_error = DomainError("degenerate sample: all observations are zero")
         else:
             theta, beta = (1.0 / mean, 2.0) if init is None else (float(init[0]), float(init[1]))
             start_error = _params_error(1.0, beta, theta)
+            if init is None and theta == math.inf:
+                start_error = DomainError(f"sample mean {mean!r} is too small to start a fit from")
         for j, alpha in enumerate(alphas):
             out[r][j] = row_error or alpha_errors[j] or start_error
             if out[r][j] is None:
@@ -427,7 +405,7 @@ def fit_mle(
         "boundary_beta_inf" (the beta-score keeps its sign as beta -> 1 or
         beta -> inf, the alpha-power exponential limit: Newton's step in v
         follows it without shrinking and predicts a gain below 1e-10 * n),
-        or "max_iter" (neither within ``max_iter`` iterations, or no step
+        or "max_iter" (neither within ``max_iter`` accepted steps, or no step
         kept the log-likelihood from falling).  None of these raises.
 
     Raises

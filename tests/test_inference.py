@@ -19,6 +19,7 @@ from plapt import (
     sample,
     score,
 )
+from plapt import inference
 from plapt.inference import _FAILED, _STATUS, MAX_ITER, FamilySpec, _fit_chunk, _fit_rows, _loglik_derivatives
 
 
@@ -246,6 +247,15 @@ def _same_fit(a, b):
         assert np.array_equal(a.covariance, b.covariance)
 
 
+def _mixed_rows():
+    # Three n = 500 samples whose fits at alpha 4 end in different ways.
+    return np.stack([
+        sample(PlAptParams(2.0, 2.5, 1.5), 500, seed=2).values,  # boundary_beta_inf at 4
+        Sample(np.random.default_rng(0).gamma(3.0, 1.0, 500)).values,  # boundary_beta_one
+        sample(PlAptParams(1.5, 1.8, 1.2), 500, seed=8).values,  # converges
+    ])
+
+
 class TestLockstep:
     # A lane's result does not depend on the lanes fitted beside it.
 
@@ -258,11 +268,7 @@ class TestLockstep:
         assert any(best is f for f in fits)
 
     def test_mixed_lanes_equal_separate_calls(self):
-        rows = np.stack([
-            sample(PlAptParams(2.0, 2.5, 1.5), 500, seed=2).values,  # boundary_beta_inf at 4
-            Sample(np.random.default_rng(0).gamma(3.0, 1.0, 500)).values,  # boundary_beta_one
-            sample(PlAptParams(1.5, 1.8, 1.2), 500, seed=8).values,  # converges
-        ])
+        rows = _mixed_rows()
         alphas = [4.0, 1.0, 1.5, 2.0]
         together = _fit_rows(rows, alphas)
         for row, fits in zip(rows, together):
@@ -279,6 +285,22 @@ class TestLockstep:
         statuses = {fit.status for fits in limited for fit in fits}
         assert {"max_iter", "converged"} <= statuses
 
+    @pytest.mark.parametrize("init", [None, (0.05, 30.0)])
+    def test_no_ascent_exit(self, monkeypatch, init):
+        # A tolerance that asks every step to gain 0.1 % of |loglik| soon
+        # rejects all the halvings of a step; each lane then stops at
+        # max_iter after its own number of accepted steps.
+        monkeypatch.setattr(inference, "_LOGLIK_RTOL", -1e-3)
+        rows = _mixed_rows()
+        alphas = [4.0, 1.0, 2.0]
+        together = _fit_rows(rows, alphas, init)
+        for row, fits in zip(rows, together):
+            for a, fit in zip(alphas, fits):
+                _same_fit(fit, fit_mle(a, Sample(row), init))
+        fits = [fit for fits in together for fit in fits]
+        assert {fit.status for fit in fits} == {"max_iter"}
+        assert len({fit.iterations for fit in fits}) > 1
+
     def test_failed_lane_does_not_stop_the_others(self):
         data = sample(PlAptParams(2.0, 2.5, 0.6), 300, seed=3)
         x = np.stack([data.values, data.values])
@@ -293,6 +315,7 @@ class TestLockstep:
 
 _ZEROS = Sample([0.0, 0.0, 0.0])
 _GOOD = sample(PlAptParams(2.0, 2.5, 0.6), 200, seed=5)
+_SUBNORMAL = Sample([5e-324, 5e-324, 1e-323])  # the default start 1/mean overflows
 
 
 class TestErrors:
@@ -310,6 +333,9 @@ class TestErrors:
             (_GOOD, 2.0, (1.0, 1.0), "beta must exceed 1, got 1.0"),
             (_GOOD, -1.0, (1.0, 1.0), "alpha must be a positive real, got -1.0"),
             (_ZEROS, -1.0, None, "degenerate sample: all observations are zero"),
+            (_ZEROS, 2.0, (1.0, 2.0), "degenerate sample: all observations are zero"),
+            (_SUBNORMAL, 2.0, None, "sample mean 5e-324 is too small to start a fit from"),
+            (_SUBNORMAL, -1.0, None, "alpha must be a positive real, got -1.0"),
         ],
     )
     def test_fit_mle(self, data, alpha, init, message):
@@ -327,6 +353,7 @@ class TestErrors:
             (Sample([1.0]), [], (0.0, 2.0), "alpha grid must be nonempty"),
             (_GOOD, [0.5, 2.0], (1.0, 0.5), "beta must exceed 1, got 0.5"),
             (_GOOD, [0.5, -1.0], (1.0, 0.5), "beta must exceed 1, got 0.5"),
+            (_ZEROS, [0.5, 2.0], (1.0, 2.0), "degenerate sample: all observations are zero"),
         ],
     )
     def test_fit_mle_profile(self, data, grid, init, message):
