@@ -45,13 +45,10 @@ ALPHA_ONE_TOL = 1e-8
 _BRANCH_SLACK = 1e-14
 
 
-def _validate_params(alpha: float, beta: float, theta: float) -> None:
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise DomainError(f"alpha must be a positive real, got {alpha}")
-    if not (math.isfinite(beta) and beta > 1.0):
-        raise DomainError(f"beta must exceed 1, got {beta}")
-    if not (math.isfinite(theta) and theta > 0.0):
-        raise DomainError(f"theta must be a positive real, got {theta}")
+def _param_error(name: str, value: float) -> DomainError | None:
+    # The error of one parameter value, or None: beta > 1, alpha and theta > 0.
+    low, rule = (1.0, "exceed 1") if name == "beta" else (0.0, "be a positive real")
+    return None if math.isfinite(value) and value > low else DomainError(f"{name} must {rule}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -69,7 +66,9 @@ class PlAptParams:
     def __post_init__(self):
         for name in ("alpha", "beta", "theta"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        _validate_params(self.alpha, self.beta, self.theta)
+            error = _param_error(name, getattr(self, name))
+            if error:
+                raise error
 
     @property
     def is_alpha_one(self) -> bool:

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distribution import ALPHA_ONE_TOL, PlAptParams, Sample, _validate_params
+from .distribution import ALPHA_ONE_TOL, PlAptParams, Sample, _param_error
 from .exceptions import DomainError, NumericalError, PlaptError
 
 __all__ = [
@@ -124,9 +124,9 @@ def _theta_beta(theta, m, g_a, g_v, h_aa, h_av, h_vv):
 
 def _loglik_derivatives(alpha, theta, beta, data):
     # One lane of _lane_derivatives: log-likelihood, score and Hessian in
-    # (theta, beta).
-    x = data.values[None, :]
-    alpha, theta, beta = (np.array([v], dtype=float) for v in (alpha, theta, beta))
+    # (theta, beta), at parameters that PlAptParams validates.
+    p, x = PlAptParams(alpha, beta, theta), data.values[None, :]
+    alpha, theta, beta = (np.array([v]) for v in (p.alpha, p.theta, p.beta))
     m = beta - 1.0
     ll, *derivs = _lane_derivatives(theta, m, 1.0 / beta, x, x.sum(axis=1), *_alpha_terms(alpha, x.shape[1]))
     (s_t, s_b), (h_tt, h_tb, h_bb) = _theta_beta(theta, m, *derivs)
@@ -140,13 +140,11 @@ def log_likelihood(alpha: float, theta: float, beta: float, data: Sample) -> flo
     evaluated jointly as log(log(alpha)/(alpha - 1)), which is real and
     finite on both sides of alpha = 1.
     """
-    _validate_params(alpha, beta, theta)
     return _loglik_derivatives(alpha, theta, beta, data)[0]
 
 
 def score(alpha: float, theta: float, beta: float, data: Sample) -> tuple[float, float]:
     """Partial derivatives of :func:`log_likelihood` in (theta, beta)."""
-    _validate_params(alpha, beta, theta)
     d_theta, d_beta = _loglik_derivatives(alpha, theta, beta, data)[1]
     return float(d_theta), float(d_beta)
 
@@ -300,12 +298,24 @@ def _chunks(count: int, n: int) -> list[range]:
     return [range(k, min(k + size, count)) for k in range(0, count, size)]
 
 
-def _params_error(alpha: float, beta: float, theta: float) -> DomainError | None:
-    try:
-        _validate_params(alpha, beta, theta)
-    except DomainError as exc:
-        return exc
-    return None
+def _row_errors(x: np.ndarray, newton: bool = True) -> tuple[np.ndarray, list]:
+    # The mean of every row of x, a stack of sorted samples of one size, and
+    # the DomainError that stops every fit to the row, or None.  One rule for
+    # every fit and start point: the mean and its reciprocal are positive and
+    # finite, as a fitted theta scales as 1/mean.  Newton fits need n >= 2.
+    with np.errstate(over="ignore"):
+        means = x.mean(axis=1)
+    errors: list = [None] * len(means)
+    for r, mean in enumerate(means.tolist()):
+        if newton and x.shape[1] < 2:
+            errors[r] = DomainError("fitting requires at least two observations")
+        elif mean == 0.0:
+            errors[r] = DomainError("degenerate sample: all observations are zero")
+        elif mean == math.inf:
+            errors[r] = DomainError("sample mean overflows to inf, too large to start a fit from")
+        elif 1.0 / mean == math.inf:
+            errors[r] = DomainError(f"sample mean {mean!r} is too small to start a fit from")
+    return means, errors
 
 
 def _fit_rows(x: np.ndarray, alphas: Sequence[float], init=None, max_iter: int = MAX_ITER) -> list[list]:
@@ -320,27 +330,19 @@ def _fit_rows(x: np.ndarray, alphas: Sequence[float], init=None, max_iter: int =
     alphas = [float(a) for a in alphas]
     n = x.shape[1]
     out: list[list] = [[None] * len(alphas) for _ in x]
-    if not alphas:  # the callers' _best names an empty grid, before init is read
-        return out
-    # fit_mle's checks, each made once, in its order: the row, then alpha,
-    # then the start point.  (beta, theta) = (2, 1) and alpha = 1 are valid.
-    alpha_errors = [_params_error(a, 2.0, 1.0) for a in alphas]
+    # fit_mle's checks, each made once, in its order: too few or all-zero
+    # observations, alpha, a mean out of range (_row_errors), the start point.
+    alpha_errors = [_param_error("alpha", a) for a in alphas]
+    init = None if init is None else (float(init[0]), float(init[1]))
+    start_error = init and (_param_error("beta", init[1]) or _param_error("theta", init[0]))
     lanes: dict[bool, list] = {}  # (row, alpha index, start) by side of alpha = 1
-    for r, mean in enumerate(x.mean(axis=1).tolist()):
-        row_error = start_error = None
-        if n < 2:
-            row_error = DomainError("fitting requires at least two observations")
-        elif mean <= 0.0:
-            row_error = DomainError("degenerate sample: all observations are zero")
-        else:
-            theta, beta = (1.0 / mean, 2.0) if init is None else (float(init[0]), float(init[1]))
-            start_error = _params_error(1.0, beta, theta)
-            if init is None and theta == math.inf:
-                start_error = DomainError(f"sample mean {mean!r} is too small to start a fit from")
+    means, row_errors = _row_errors(x)
+    for r, (mean, row_error) in enumerate(zip(means.tolist(), row_errors)):
+        first = row_error if n < 2 or mean == 0.0 else None
         for j, alpha in enumerate(alphas):
-            out[r][j] = row_error or alpha_errors[j] or start_error
+            out[r][j] = first or alpha_errors[j] or row_error or start_error
             if out[r][j] is None:
-                lanes.setdefault(abs(alpha - 1.0) < ALPHA_ONE_TOL, []).append((r, j, theta, beta))
+                lanes.setdefault(abs(alpha - 1.0) < ALPHA_ONE_TOL, []).append((r, j, *(init or (1.0 / mean, 2.0))))
     for group in lanes.values():
         for chunk in _chunks(len(group), n):
             rows, cols, theta, beta = zip(*group[chunk.start : chunk.stop])
@@ -393,7 +395,7 @@ def fit_mle(
         Held fixed during the fit (profile over a grid with
         :func:`fit_mle_profile` to estimate it).
     data : Sample
-        At least two observations with positive mean.
+        At least two observations, with mean and 1/mean positive and finite.
     init : (theta0, beta0), optional
         Defaults to the exponential-rate heuristic 1/mean(data) and beta0=2.
 
@@ -439,12 +441,26 @@ class FamilySpec:
     beta = 1 + theta, alpha = 1), "pseudo_lindley" frees (theta, beta) at
     alpha = 1, and "pl_apt" frees (theta, beta) at a fixed alpha or over an
     alpha grid (profile likelihood, counted as a third free parameter).
+    Any other kind raises ``DomainError``.
     """
 
     name: str
     kind: str
     alpha: float = 1.0
     alpha_grid: tuple[float, ...] | None = None
+
+    def __post_init__(self):
+        if self.kind not in ("lindley", "pseudo_lindley", "pl_apt"):
+            raise DomainError(f"unknown family kind: {self.kind!r}")
+
+    def _alphas(self) -> tuple:
+        # The alphas of the family's Newton fits (the Lindley fit has a closed form).
+        if self.kind != "pl_apt":
+            return () if self.kind == "lindley" else (1.0,)
+        return self.alpha_grid if self.alpha_grid is not None else (self.alpha,)
+
+    def _n_free(self) -> int:
+        return 1 if self.kind == "lindley" else 2 + (self.kind == "pl_apt" and self.alpha_grid is not None)
 
 
 def lindley_family() -> FamilySpec:
@@ -477,17 +493,22 @@ class ModelCompareRow:
     error: str | None = None
 
 
-def _lindley_rows(x: np.ndarray, means: np.ndarray) -> list:
+def _lindley_rows(x: np.ndarray) -> list:
     # Theta and log-likelihood of the one-parameter Lindley fit to every row
     # (or its error): the stationary point has the closed form
-    # theta = (-(m-1) + sqrt((m-1)^2 + 8m)) / (2m), m = mean.
-    ok = means > 0.0
-    m = means[ok]
-    theta = (-(m - 1.0) + np.sqrt((m - 1.0) ** 2 + 8.0 * m)) / (2.0 * m)
-    xs = x[ok]
-    ll = _lane_derivatives(theta, theta, 1.0 / (1.0 + theta), xs, xs.sum(axis=1))[0]
-    fits = iter(zip(theta.tolist(), ll.tolist()))
-    return [next(fits) if good else DomainError("degenerate sample: all observations are zero") for good in ok.tolist()]
+    # theta = (-(m-1) + sqrt((m-1)^2 + 8m)) / (2m), m = mean.  A theta that
+    # leaves beta = 1 + theta outside (1, inf), as from m = 2e16 up, is flagged.
+    means, outcomes = _row_errors(x, newton=False)
+    rows = np.flatnonzero([error is None for error in outcomes])
+    m = means[rows]
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = (-(m - 1.0) + np.sqrt((m - 1.0) ** 2 + 8.0 * m)) / (2.0 * m)
+    good = (1.0 + theta > 1.0) & (theta < math.inf)
+    t, xs = theta[good], x[rows[good]]
+    ll = iter(_lane_derivatives(t, t, 1.0 / (1.0 + t), xs, xs.sum(axis=1))[0].tolist())
+    for r, th, mean, ok in zip(rows.tolist(), theta.tolist(), m.tolist(), good.tolist()):
+        outcomes[r] = (th, next(ll)) if ok else DomainError(f"Lindley theta {th!r} at mean {mean!r} is out of range")
+    return outcomes
 
 
 def _information_criteria(loglik: float, n_free: int, n: int) -> tuple[float, float]:
@@ -499,8 +520,7 @@ def _compare_row(name: str, n_free: int, n: int, outcome) -> ModelCompareRow:
     # The table line of one candidate: outcome is a FitResult, a Lindley
     # (theta, loglik) pair or the exception that stopped the fit.
     if isinstance(outcome, Exception):
-        nan = math.nan
-        return ModelCompareRow(name, 0, loglik=nan, aic=nan, bic=nan, converged=False, params=None, error=str(outcome))
+        return ModelCompareRow(name, 0, math.nan, math.nan, math.nan, False, None, error=str(outcome))
     if isinstance(outcome, FitResult):
         ll, params, conv = outcome.loglik, outcome.params, outcome.converged
         err = "fit did not converge" if outcome.status == "max_iter" else None
@@ -508,48 +528,28 @@ def _compare_row(name: str, n_free: int, n: int, outcome) -> ModelCompareRow:
         theta, ll = outcome
         params, conv, err = PlAptParams(1.0, 1.0 + theta, theta), True, None
     aic, bic = _information_criteria(ll, n_free, n)
-    return ModelCompareRow(
-        name=name, n_free=n_free, loglik=ll, aic=aic, bic=bic, converged=conv, params=params, error=err
-    )
+    return ModelCompareRow(name, n_free, ll, aic, bic, converged=conv, params=params, error=err)
 
 
 def _model_compare_rows(x: np.ndarray, candidates: Sequence[FamilySpec]) -> list[list[ModelCompareRow]]:
     """:func:`model_compare` for every row of x, a stack of sorted samples
     of one size; the alphas of all candidates are fitted in one call."""
-    n_rows, n = x.shape
-    alphas: list[float] = []
-    plans = []  # per candidate: the free parameters and its slice of alphas, or an outcome per row
-    for fam in candidates:
-        try:
-            if fam.kind == "lindley":
-                plans.append((1, _lindley_rows(x, x.mean(axis=1))))
-                continue
-            if fam.kind == "pseudo_lindley":
-                n_free, grid = 2, (1.0,)
-            elif fam.kind != "pl_apt":
-                raise DomainError(f"unknown family kind: {fam.kind!r}")
-            elif fam.alpha_grid is not None:
-                n_free, grid = 3, fam.alpha_grid
-            else:
-                n_free, grid = 2, (fam.alpha,)
-            grid = [float(a) for a in grid]
-            plans.append((n_free, slice(len(alphas), len(alphas) + len(grid))))
-            alphas += grid
-        except Exception as exc:  # a failed candidate must not take down the table
-            plans.append((0, [exc] * n_rows))
-    fits = _fit_rows(x, alphas)
+    n = x.shape[1]
+    grids = [fam._alphas() for fam in candidates]
+    fits = _fit_rows(x, [a for grid in grids for a in grid])
+    lindley = _lindley_rows(x) if any(fam.kind == "lindley" for fam in candidates) else None
     table = []
-    for r in range(n_rows):
-        row = []
-        for fam, (n_free, outcomes) in zip(candidates, plans):
-            if isinstance(outcomes, slice):
+    for r, row_fits in enumerate(fits):
+        row, row_fits = [], iter(row_fits)
+        for fam, grid in zip(candidates, grids):
+            if fam.kind == "lindley":
+                outcome = lindley[r]
+            else:
                 try:
-                    outcome = _best(fits[r][outcomes])
+                    outcome = _best([next(row_fits) for _ in grid])
                 except PlaptError as exc:
                     outcome = exc
-            else:
-                outcome = outcomes[r]
-            row.append(_compare_row(fam.name, n_free, n, outcome))
+            row.append(_compare_row(fam.name, fam._n_free(), n, outcome))
         table.append(row)
     return table
 

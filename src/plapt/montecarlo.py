@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .distribution import PlAptParams, Sample, _sorted_rows, quantile, replication_rng, sample
+from .distribution import PlAptParams, Sample, _param_error, _sorted_rows, quantile, replication_rng, sample
 from .exceptions import DomainError, PlaptError
 from .extremes import WeightSpec, double_hill_components, gumbel_ks_distance, maxima_normalization
 from .inference import _chunks, _fit_rows, _model_compare_rows, lindley_family, pl_apt_family, pseudo_lindley_family
@@ -80,7 +80,7 @@ class ExperimentConfig:
             raise DomainError(f"n must be >= 2, got {self.n}")
         if self.alpha_grid is not None:
             grid = tuple(float(a) for a in self.alpha_grid)
-            if not grid or not all(math.isfinite(a) and a > 0.0 for a in grid):
+            if not grid or any(_param_error("alpha", a) for a in grid):
                 raise DomainError(f"alpha_grid must be nonempty and hold positive reals, got {list(grid)}")
             object.__setattr__(self, "alpha_grid", grid)
         if self.kind in (ExperimentKind.RECOVERY, ExperimentKind.MODEL_COMPARE, ExperimentKind.MAXIMA_GUMBEL):

@@ -7,6 +7,9 @@ against reference quartiles computed independently of ``plapt`` (see
 pin the exact 1/theta scale law and the cdf round trip.
 """
 import math
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -69,6 +72,14 @@ def test_criterion_01_quantile_golden_tables():
         f"{n_bad} of {len(deviations)} tabulated quartiles deviate by more than {tol:g} "
         f"(worst {worst:.3g}); quantile disagrees with the quartiles solved from the cdf"
     )
+
+
+def test_reference_tables_match_their_script():
+    """``reference_tables.py`` is byte for byte what its script writes."""
+    pytest.importorskip("mpmath")
+    tests = pathlib.Path(__file__).parent
+    run = subprocess.run([sys.executable, str(tests / "make_reference_tables.py")], capture_output=True, check=True)
+    assert run.stdout == (tests / "reference_tables.py").read_bytes()
 
 
 def test_criterion_02_scale_law_substitute():

@@ -204,6 +204,14 @@ class TestFit:
         assert payload["alpha"] in (0.5, 1.0, 2.0)
         assert payload["aic"] == pytest.approx(6.0 - 2.0 * payload["loglik"])
 
+    @pytest.mark.parametrize("start", [[], ["--theta0", "1", "--beta0", "2"]])
+    def test_overflowing_mean_rejected(self, tmp_path, capsys, start):
+        path = tmp_path / "big.csv"
+        path.write_text("x\n1e308\n1e308\n")
+        rc, out, err = run_cli(capsys, ["fit", "--input", str(path), "--alpha", "2", *start])
+        assert (rc, out) == (2, "")
+        assert err.splitlines() == ["error: sample mean overflows to inf, too large to start a fit from"]
+
 
 class TestEvi:
     def _write_pareto(self, tmp_path, gamma=0.5, n=2000, seed=1):

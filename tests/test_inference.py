@@ -202,12 +202,10 @@ class TestModelCompare:
         assert by_name["pl_apt"].loglik >= by_name["pseudo_lindley"].loglik - 1e-6
 
     def test_failed_candidate_flagged_others_intact(self):
-        data = sample(PlAptParams(1.0, 2.0, 1.0), 500, seed=4)
-        rows = model_compare(
-            data, [lindley_family(), FamilySpec(name="broken", kind="not_a_kind")]
-        )
-        assert rows[0].error is None and math.isfinite(rows[0].aic)
-        assert rows[1].error is not None and math.isnan(rows[1].aic)
+        # An unknown kind fails when the family is built; a candidate whose
+        # fit fails is flagged beside intact rows (TestErrors.test_model_compare).
+        with pytest.raises(DomainError, match="unknown family kind: 'not_a_kind'"):
+            FamilySpec(name="broken", kind="not_a_kind")
 
     def test_aic_bic_definitions(self):
         data = sample(PlAptParams(1.0, 2.0, 1.0), 400, seed=6)
@@ -316,6 +314,8 @@ class TestLockstep:
 _ZEROS = Sample([0.0, 0.0, 0.0])
 _GOOD = sample(PlAptParams(2.0, 2.5, 0.6), 200, seed=5)
 _SUBNORMAL = Sample([5e-324, 5e-324, 1e-323])  # the default start 1/mean overflows
+_HUGE = Sample([1e308, 1e308])  # the mean overflows
+_OVERFLOW = "sample mean overflows to inf, too large to start a fit from"
 
 
 class TestErrors:
@@ -336,6 +336,9 @@ class TestErrors:
             (_ZEROS, 2.0, (1.0, 2.0), "degenerate sample: all observations are zero"),
             (_SUBNORMAL, 2.0, None, "sample mean 5e-324 is too small to start a fit from"),
             (_SUBNORMAL, -1.0, None, "alpha must be a positive real, got -1.0"),
+            (_SUBNORMAL, 2.0, (1.0, 2.0), "sample mean 5e-324 is too small to start a fit from"),
+            (_HUGE, 2.0, None, _OVERFLOW),
+            (_HUGE, 2.0, (1.0, 2.0), _OVERFLOW),
         ],
     )
     def test_fit_mle(self, data, alpha, init, message):
@@ -354,6 +357,8 @@ class TestErrors:
             (_GOOD, [0.5, 2.0], (1.0, 0.5), "beta must exceed 1, got 0.5"),
             (_GOOD, [0.5, -1.0], (1.0, 0.5), "beta must exceed 1, got 0.5"),
             (_ZEROS, [0.5, 2.0], (1.0, 2.0), "degenerate sample: all observations are zero"),
+            (_HUGE, [0.5, 2.0], None, _OVERFLOW),
+            (_HUGE, [0.5, 2.0], (1.0, 2.0), _OVERFLOW),
         ],
     )
     def test_fit_mle_profile(self, data, grid, init, message):
@@ -368,6 +373,14 @@ class TestErrors:
             (Sample([1.0]), [0.5, 2.0], [None] + ["fitting requires at least two observations"] * 2),
             (_GOOD, [2.0, -1.0], [None, None, "alpha must be a positive real, got -1.0"]),
             (_GOOD, [], [None, None, "alpha grid must be nonempty"]),
+            (_SUBNORMAL, [0.5, 2.0], ["sample mean 5e-324 is too small to start a fit from"] * 3),
+            (_HUGE, [0.5, 2.0], [_OVERFLOW] * 3),
+            # The Lindley closed form cancels to theta = 0; the Newton fits are scored.
+            (
+                Sample(np.random.default_rng(3).exponential(1.0, 50) * 1e18),
+                [0.5, 2.0],
+                ["Lindley theta 0.0 at mean 1.0302702829527578e+18 is out of range", None, None],
+            ),
         ],
     )
     def test_model_compare(self, data, grid, messages):
