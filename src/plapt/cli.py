@@ -8,6 +8,7 @@ CSV -> JSON -> CSV round trips preserve values bit-for-bit.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -195,17 +196,9 @@ def _cmd_evi(args) -> int:
     report = double_hill_components(data, w, args.k) if test is None else test.report
     payload = {
         "n": data.n,
-        "k": report.k,
         "weight": {"kind": w.kind, "s": w.s, "tau": w.tau},
-        "t_n": report.t_n,
-        "a_n": report.a_n,
-        "s_n": report.s_n,
-        "b_n": report.b_n,
-        "m_n": report.m_n,
         "an_sn_ratio": report.an_sn_ratio,
-        "z_stat": report.z_stat,
-        "ci_low": report.ci_low,
-        "ci_high": report.ci_high,
+        **dataclasses.asdict(report),  # k, t_n, a_n, s_n, b_n, m_n, z_stat, ci_low, ci_high
     }
     if test is not None:
         payload["test"] = {
@@ -246,7 +239,7 @@ def _cmd_experiment(args) -> int:
         pareto_gamma=args.pareto_gamma,
         alpha_grid=tuple(args.alpha_grid) if args.alpha_grid is not None else None,
     )
-    report = run_experiment(cfg, workers=args.workers)
+    report = run_experiment(cfg)
     _emit(report.to_json(), args.output)
     return _EXIT_OK
 
@@ -339,12 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--tau", type=float, default=None)
     exp.add_argument("--pareto-gamma", type=float, default=None)
     exp.add_argument("--alpha-grid", type=float, nargs="+", default=None)
-    exp.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="accepted for compatibility and changes nothing; must be at least 1",
-    )
     exp.add_argument("--output", default=None)
     exp.set_defaults(func=_cmd_experiment)
 

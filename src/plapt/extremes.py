@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .distribution import PlAptParams, Sample, _w_argument, _wrap, replication_rng, tail_quantile
-from .exceptions import DomainError, NumericalError
+from .exceptions import DomainError, NumericalError, PlaptError
 from .special_functions import LambertBranch, lambert_w
 
 __all__ = [
@@ -238,6 +238,56 @@ class EviReport:
         return self.a_n / self.s_n
 
 
+def _hill_weights(w: WeightSpec, k: int) -> tuple:
+    """(s, f(1..k), a_n, s_n, b_n): the weights w at k and the data-free constants
+    of T_n; a DomainError unless f(1..k), a_n and s_n are positive and finite."""
+    s = w.s
+    with np.errstate(over="ignore"):
+        f_j = w.weights(k)
+        g_j = f_j * np.arange(1, k + 1, dtype=float) ** -s
+        g_sq = g_j * g_j
+    if not np.all((f_j > 0.0) & (f_j < math.inf)):
+        raise DomainError(f"weights must be positive and finite on 1..{k}")
+    try:
+        a_n = math.gamma(s + 1.0) * math.fsum(g_j)
+        s_n = math.sqrt((math.gamma(2.0 * s + 1.0) - math.gamma(s + 1.0) ** 2) * math.fsum(g_sq))
+    except (OverflowError, ValueError):  # gamma or fsum overflows, or the variance is negative
+        a_n = s_n = math.nan
+    if not (0.0 < a_n < math.inf and 0.0 < s_n < math.inf):
+        raise DomainError(f"weights with s = {s} give no positive finite a_n and s_n at k = {k}")
+    return s, f_j, a_n, s_n, float(np.max(g_j)) / s_n
+
+
+def _double_hill_rows(top: np.ndarray, weights: tuple, target: float | None = None) -> list:
+    """The EviReport of each row of ``top``, a (rows, k+1) stack of top
+    order statistics sorted ascending, or the PlaptError that stops it;
+    ``weights`` is ``_hill_weights(w, k)``."""
+    s, f_j, a_n, s_n, b_n = weights
+    k = top.shape[1] - 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # Column i is the log-spacing of rank j = k - i, log X_{n-j+1,n} -
+        # log X_{n-j,n}, weighted by f(j).  numpy powers a reversed view in
+        # another loop than contiguous data, which can differ in the last
+        # bit; seeded reports pin the reversed loop's bits, so it is used.
+        spacings = np.diff(np.log(top), axis=1)
+        terms = f_j[::-1] * (spacings.ravel()[::-1] ** s)[::-1].reshape(spacings.shape)
+    out: list = []
+    rows = zip(top[:, 0].tolist(), top[:, -1].tolist(), np.any(spacings > 0.0, axis=1).tolist(), terms)
+    for lowest, highest, spaced, row_terms in rows:
+        if not (lowest > 0.0 and highest < math.inf):
+            out.append(DomainError("the top k+1 order statistics must be positive and finite"))
+        elif not spaced:
+            out.append(NumericalError("all top log-spacings are zero (tied observations)"))
+        else:
+            t_n = math.fsum(row_terms)
+            ratio = t_n / a_n
+            half = _Z975 * (s_n / a_n) * ratio
+            z_stat = 0.0 if target is None else (a_n / s_n) * (ratio / target**s - 1.0)
+            ci_low, ci_high = (max(ratio + d, 0.0) ** (1.0 / s) for d in (-half, half))
+            out.append(EviReport(k, t_n, a_n, s_n, b_n, ratio ** (1.0 / s), z_stat, ci_low, ci_high))
+    return out
+
+
 def double_hill_components(
     data: Sample, w: WeightSpec, k: int, target: float | None = None
 ) -> EviReport:
@@ -261,8 +311,9 @@ def double_hill_components(
     Raises
     ------
     DomainError
-        On k out of range, nonpositive top order statistics or a target
-        that is not a positive real.
+        On k out of range, weights that do not give positive finite f(1..k),
+        a_n and s_n, nonpositive top order statistics or a target that is
+        not a positive real.
     NumericalError
         When every top spacing is zero (tied observations).
     """
@@ -272,44 +323,10 @@ def double_hill_components(
         raise DomainError(f"k must lie in [1, {n - 1}], got {k}")
     if target is not None and not (math.isfinite(target) and target > 0.0):
         raise DomainError(f"target must be a positive real, got {target}")
-    top = data.values[n - k - 1 :]
-    if top[0] <= 0.0:
-        raise DomainError("the top k+1 order statistics must be strictly positive")
-    # spacings[j-1] = log X_{n-j+1,n} - log X_{n-j,n}, j = 1..k
-    spacings = np.diff(np.log(top))[::-1]
-    if not np.any(spacings > 0.0):
-        raise NumericalError("all top log-spacings are zero (tied observations)")
-
-    s = w.s
-    f_j = w.weights(k)
-    if np.any(f_j <= 0.0):
-        raise DomainError("weights must be positive on 1..k")
-    j = np.arange(1, k + 1, dtype=float)
-    g_j = f_j * j**-s
-
-    t_n = math.fsum(f_j * spacings**s)
-    a_n = math.gamma(s + 1.0) * math.fsum(g_j)
-    s_n2 = (math.gamma(2.0 * s + 1.0) - math.gamma(s + 1.0) ** 2) * math.fsum(g_j * g_j)
-    s_n = math.sqrt(s_n2)
-    b_n = float(np.max(g_j)) / s_n
-
-    ratio = t_n / a_n
-    m_n = ratio ** (1.0 / s)
-    z_stat = 0.0 if target is None else (a_n / s_n) * (ratio / target**s - 1.0)
-    half = _Z975 * (s_n / a_n) * ratio
-    ci_low = max(ratio - half, 0.0) ** (1.0 / s)
-    ci_high = max(ratio + half, 0.0) ** (1.0 / s)
-    return EviReport(
-        k=k,
-        t_n=t_n,
-        a_n=a_n,
-        s_n=s_n,
-        b_n=b_n,
-        m_n=m_n,
-        z_stat=z_stat,
-        ci_low=ci_low,
-        ci_high=ci_high,
-    )
+    (report,) = _double_hill_rows(data.values[None, n - k - 1 :], _hill_weights(w, k), target)
+    if isinstance(report, PlaptError):
+        raise report
+    return report
 
 
 @dataclass(frozen=True)
@@ -373,9 +390,10 @@ class MaximaResult:
 def maxima_normalization(p: PlAptParams, n: int, reps: int, seed) -> MaximaResult:
     """Simulate maxima of size-n samples and normalize toward the Gumbel law.
 
-    Each replication draws its uniforms from an independent child stream of
-    the master seed, so results are reproducible and independent of any
-    parallel execution order.  The normalization theta * (X_max - Q(1-1/n))
+    Replication i draws its uniforms from ``replication_rng(seed, i)``, the
+    stream every seeded study uses, so results are reproducible and each
+    replication's maximum depends on nothing but its own stream.  All maxima
+    go through one W_{-1} call.  The normalization theta * (X_max - Q(1-1/n))
     is computed in Lambert space, making it exactly independent of theta.
     """
     if p.is_alpha_one:

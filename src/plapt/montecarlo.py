@@ -2,9 +2,10 @@
 
 Every experiment derives one independent random stream per replication
 from the master seed (``SeedSequence(seed, spawn_key=(rep,))``), so the
-report content is a pure function of the configuration: rerunning, or
-drawing and fitting the replications in chunks of another size, changes
-nothing.
+report content is a pure function of the configuration.  Studies that
+draw samples take their replications a chunk at a time, one row of
+uniforms each, and reduce the stack with the kind's row function:
+rerunning, or chunks of another size, change nothing.
 """
 from __future__ import annotations
 
@@ -13,14 +14,13 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from . import __version__
-from .distribution import PlAptParams, Sample, _param_error, _sorted_rows, quantile, replication_rng, sample
+from .distribution import PlAptParams, _param_error, _sorted_rows, quantile, replication_rng, tail_quantile
 from .exceptions import DomainError, PlaptError
-from .extremes import WeightSpec, double_hill_components, gumbel_ks_distance, maxima_normalization
+from .extremes import WeightSpec, _double_hill_rows, _hill_weights, gumbel_ks_distance, maxima_normalization
 from .inference import _chunks, _fit_rows, _model_compare_rows, lindley_family, pl_apt_family, pseudo_lindley_family
 
 __all__ = [
@@ -56,7 +56,9 @@ class ExperimentConfig:
     truth supplies the data-generating parameters (required except for
     Pareto-based EVI coverage, where pareto_gamma > 0 selects exact Pareto
     tails with known extreme value index instead).  k_exponent sets the
-    top-order-statistics count k = floor(n**k_exponent) for EVI studies.
+    top-order-statistics count k = floor(n**k_exponent) for EVI studies,
+    whose weights must serve that k.  alpha_grid (model_compare) and
+    pareto_gamma (evi_coverage) are rejected for the other kinds.
     """
 
     kind: ExperimentKind
@@ -68,6 +70,7 @@ class ExperimentConfig:
     k_exponent: float = 0.6
     pareto_gamma: float | None = None
     alpha_grid: tuple[float, ...] | None = None
+    _weights: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "kind", ExperimentKind(self.kind))
@@ -78,14 +81,17 @@ class ExperimentConfig:
             raise DomainError(f"reps must be >= 1, got {self.reps}")
         if self.n < 2:
             raise DomainError(f"n must be >= 2, got {self.n}")
+        if self.alpha_grid is not None and self.kind is not ExperimentKind.MODEL_COMPARE:
+            raise DomainError(f"alpha_grid applies to model_compare experiments, not {self.kind.value}")
+        if self.pareto_gamma is not None and self.kind is not ExperimentKind.EVI_COVERAGE:
+            raise DomainError(f"pareto_gamma applies to evi_coverage experiments, not {self.kind.value}")
         if self.alpha_grid is not None:
             grid = tuple(float(a) for a in self.alpha_grid)
             if not grid or any(_param_error("alpha", a) for a in grid):
                 raise DomainError(f"alpha_grid must be nonempty and hold positive reals, got {list(grid)}")
             object.__setattr__(self, "alpha_grid", grid)
-        if self.kind in (ExperimentKind.RECOVERY, ExperimentKind.MODEL_COMPARE, ExperimentKind.MAXIMA_GUMBEL):
-            if self.truth is None:
-                raise DomainError(f"{self.kind.value} experiments require truth parameters")
+        if self.truth is None and self.kind is not ExperimentKind.EVI_COVERAGE:
+            raise DomainError(f"{self.kind.value} experiments require truth parameters")
         if self.kind is ExperimentKind.MAXIMA_GUMBEL:
             if self.truth.is_alpha_one:
                 raise DomainError("maxima_gumbel requires alpha != 1")
@@ -102,6 +108,7 @@ class ExperimentConfig:
                 raise DomainError(
                     f"k_exponent = {self.k_exponent} does not give k = floor(n**k_exponent) in [1, n-1]"
                 )
+            object.__setattr__(self, "_weights", _hill_weights(self.weight, self.k_value()))  # formed once
 
     def k_value(self) -> int:
         return int(self.n**self.k_exponent)
@@ -152,12 +159,9 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
 _DEFAULT_ALPHA_GRID = (0.5, 1.0, 1.5, 2.0, 4.0)
 
 
-def _replication_rows(cfg: ExperimentConfig, reps: range) -> np.ndarray:
-    """The samples of replications ``reps``, one sorted row each: row i
-    holds ``sample(cfg.truth, cfg.n, replication_rng(cfg.seed, reps[i]))``,
-    drawn with one ``quantile`` call (it is elementwise)."""
-    u = np.stack([replication_rng(cfg.seed, rep).random(cfg.n) for rep in reps])
-    return _sorted_rows(quantile(cfg.truth, u))
+def _recovery_records(cfg: ExperimentConfig, reps: range, u: np.ndarray) -> list[dict]:
+    fits = _fit_rows(_sorted_rows(quantile(cfg.truth, u)), [cfg.truth.alpha])
+    return [_recovery_record(rep, fit) for rep, (fit,) in zip(reps, fits)]
 
 
 def _recovery_record(rep: int, fit) -> dict:
@@ -178,14 +182,11 @@ def _recovery_record(rep: int, fit) -> dict:
     }
 
 
-def _recovery_records(cfg: ExperimentConfig) -> list[dict]:
-    # Replications are drawn and fitted a chunk at a time, so memory does
-    # not grow with reps.
-    records = []
-    for reps in _chunks(cfg.reps, cfg.n):
-        fits = _fit_rows(_replication_rows(cfg, reps), [cfg.truth.alpha])
-        records.extend(_recovery_record(rep, fit) for rep, (fit,) in zip(reps, fits))
-    return records
+def _model_compare_records(cfg: ExperimentConfig, reps: range, u: np.ndarray) -> list[dict]:
+    grid = cfg.alpha_grid if cfg.alpha_grid is not None else _DEFAULT_ALPHA_GRID
+    candidates = [lindley_family(), pseudo_lindley_family(), pl_apt_family(alpha_grid=grid)]
+    tables = _model_compare_rows(_sorted_rows(quantile(cfg.truth, u)), candidates)
+    return [_model_compare_record(rep, rows) for rep, rows in zip(reps, tables)]
 
 
 def _model_compare_record(rep: int, rows: list) -> dict:
@@ -203,41 +204,42 @@ def _model_compare_record(rep: int, rows: list) -> dict:
     return rec
 
 
-def _model_compare_records(cfg: ExperimentConfig) -> list[dict]:
-    grid = cfg.alpha_grid if cfg.alpha_grid is not None else _DEFAULT_ALPHA_GRID
-    candidates = [lindley_family(), pseudo_lindley_family(), pl_apt_family(alpha_grid=grid)]
-    records = []
-    for reps in _chunks(cfg.reps, cfg.n):
-        tables = _model_compare_rows(_replication_rows(cfg, reps), candidates)
-        records.extend(_model_compare_record(rep, rows) for rep, rows in zip(reps, tables))
-    return records
-
-
-def _evi_coverage_rep(cfg: ExperimentConfig, rep: int) -> dict:
-    rng = replication_rng(cfg.seed, rep)
+def _evi_coverage_records(cfg: ExperimentConfig, reps: range, u: np.ndarray) -> list[dict]:
+    # The top k+1 order statistics are the images of the k+1 smallest tail
+    # masses, so only those are transformed: u**-gamma, exact Pareto tails of
+    # EVI gamma, or quantile(u) = tail_quantile(1 - u), centred at 1/theta,
+    # the scale of the top spacings (the family's own EVI is 0).
+    k = cfg.k_value()
     if cfg.pareto_gamma is not None:
-        # Exact Pareto tails: P(X > x) = x**(-1/gamma), known EVI gamma.
-        data = Sample(rng.random(cfg.n) ** (-cfg.pareto_gamma))
-        target = cfg.pareto_gamma
+        top, target = np.partition(u, k, axis=1)[:, : k + 1] ** -cfg.pareto_gamma, cfg.pareto_gamma
     else:
-        # Exploratory centering at 1/theta (the scale of the top spacings);
-        # the family itself has extreme value index 0.
-        data = sample(cfg.truth, cfg.n, rng)
+        top = tail_quantile(cfg.truth, np.partition(1.0 - u, k, axis=1)[:, : k + 1])
         target = 1.0 / cfg.truth.theta
-    try:
-        rep_out = double_hill_components(data, cfg.weight, cfg.k_value())
-    except PlaptError as exc:
-        return {"rep": rep, "ok": False, "error": str(exc)}
+    reports = _double_hill_rows(np.sort(top, axis=1), cfg._weights)
+    return [_evi_coverage_record(rep, report, target) for rep, report in zip(reps, reports)]
+
+
+def _evi_coverage_record(rep: int, report, target: float) -> dict:
+    if isinstance(report, PlaptError):
+        return {"rep": rep, "ok": False, "error": str(report)}
     return {
         "rep": rep,
         "ok": True,
-        "m_n": rep_out.m_n,
-        "ci_low": rep_out.ci_low,
-        "ci_high": rep_out.ci_high,
-        "b_n": rep_out.b_n,
+        "m_n": report.m_n,
+        "ci_low": report.ci_low,
+        "ci_high": report.ci_high,
+        "b_n": report.b_n,
         "target": target,
-        "covered": bool(rep_out.ci_low <= target <= rep_out.ci_high),
+        "covered": bool(report.ci_low <= target <= report.ci_high),
     }
+
+
+# The row function of each kind: a chunk's replications and uniforms to records.
+_ROW_RECORDS = {
+    ExperimentKind.RECOVERY: _recovery_records,
+    ExperimentKind.MODEL_COMPARE: _model_compare_records,
+    ExperimentKind.EVI_COVERAGE: _evi_coverage_records,
+}
 
 
 def _mean_sd(values: list[float]) -> tuple[float, float]:
@@ -293,38 +295,30 @@ def _summarize(cfg: ExperimentConfig, records: list[dict]) -> dict:
     return summary
 
 
-def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
-    """Run every replication of the configured experiment.
+def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
+    """Run every replication of the configured experiment in this process.
 
-    Per-replication failures (for example a fit that does not converge) are
-    recorded in place, never raised; the report's ``failures`` field and
-    summary ``failure_rate`` account for them.  Every kind runs in this
-    process; ``recovery`` and ``model_compare`` stack their replications
-    into lockstep fits.  ``workers`` is accepted for compatibility and
-    changes nothing; a value below 1 is rejected.
+    Replication ``rep`` draws its n uniforms from ``replication_rng(cfg.seed,
+    rep)``, a chunk of replications (``inference._chunks``) at a time, and
+    the kind's row function turns the chunk's stack of uniforms into its
+    records; ``maxima_gumbel`` takes all maxima in one
+    ``maxima_normalization`` call.  Per-replication failures (for example a
+    fit that does not converge) are recorded in place, never raised; the
+    report's ``failures`` field and summary ``failure_rate`` count them.
     """
-    workers = int(workers)
-    if workers < 1:
-        raise DomainError(f"workers must be >= 1, got {workers}")
     if cfg.kind is ExperimentKind.MAXIMA_GUMBEL:
-        result = maxima_normalization(cfg.truth, cfg.n, cfg.reps, cfg.seed)
-        records = [
-            {"rep": i, "ok": True, "normalized": float(v)}
-            for i, v in enumerate(result.normalized)
-        ]
-    elif cfg.kind is ExperimentKind.RECOVERY:
-        records = _recovery_records(cfg)
-    elif cfg.kind is ExperimentKind.MODEL_COMPARE:
-        records = _model_compare_records(cfg)
+        normalized = maxima_normalization(cfg.truth, cfg.n, cfg.reps, cfg.seed).normalized
+        records = [{"rep": i, "ok": True, "normalized": float(v)} for i, v in enumerate(normalized)]
     else:
-        records = [_evi_coverage_rep(cfg, rep) for rep in range(cfg.reps)]
-    summary = _summarize(cfg, records)
-    failures = sum(not r["ok"] for r in records)
+        records = []
+        for reps in _chunks(cfg.reps, cfg.n):
+            u = np.stack([replication_rng(cfg.seed, rep).random(cfg.n) for rep in reps])
+            records.extend(_ROW_RECORDS[cfg.kind](cfg, reps, u))
     return ExperimentReport(
         config=_config_echo(cfg),
         seed=cfg.seed,
         version=__version__,
         records=tuple(records),
-        summary=summary,
-        failures=failures,
+        summary=_summarize(cfg, records),
+        failures=sum(not r["ok"] for r in records),
     )

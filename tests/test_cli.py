@@ -256,6 +256,11 @@ class TestEvi:
         assert rc == 2
         assert out == ""
         assert "tau" in err
+        # j**400 overflows from j = 6 on
+        rc, out, err = run_cli(capsys, ["evi", "--input", str(path), "--k", "50", "--tau", "400"])
+        assert rc == 2
+        assert out == ""
+        assert "weights must be positive and finite" in err
 
     def test_target_adds_test_block(self, tmp_path, capsys):
         path, _ = self._write_pareto(tmp_path, seed=3)
@@ -327,15 +332,16 @@ class TestExpansionAndExperiment:
             assert out == ""
             assert "k_exponent" in err
 
-    def test_experiment_workers_below_one_rejected(self, capsys):
+    def test_experiment_unusable_weights_rejected(self, capsys):
+        # j**1000 overflows at k = floor(500**0.6) = 41
         rc, out, err = run_cli(
             capsys,
-            ["experiment", "--kind", "recovery", "--alpha", "2", "--beta", "2.5", "--theta", "0.6",
-             "--n", "100", "--reps", "2", "--seed", "1", "--workers", "0"],
+            ["experiment", "--kind", "evi-coverage", "--pareto-gamma", "0.5",
+             "--n", "500", "--reps", "2", "--tau", "1000"],
         )
         assert rc == 2
         assert out == ""
-        assert "workers" in err
+        assert "weights must be positive and finite" in err
 
     def test_experiment_invalid_alpha_grid_rejected(self, capsys):
         base = ["experiment", "--kind", "model-compare", "--alpha", "2", "--beta", "2.5", "--theta", "1.5",

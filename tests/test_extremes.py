@@ -6,6 +6,7 @@ import pytest
 from plapt import (
     DomainError,
     NumericalError,
+    PlaptError,
     PlAptParams,
     Sample,
     WeightSpec,
@@ -21,6 +22,7 @@ from plapt import (
     tail_constant,
     tail_quantile,
 )
+from plapt import extremes
 from plapt.montecarlo import replication_rng
 
 P = PlAptParams(2.0, 2.5, 0.6)
@@ -215,6 +217,29 @@ class TestDoubleHill:
         with_zeros = Sample(np.concatenate([[0.0] * 5, rng.random(10) + 0.5]))
         with pytest.raises(DomainError):
             double_hill_components(with_zeros, WeightSpec.hill(), k=14)
+        # weights without positive finite f(1..k), a_n and s_n: j**400
+        # overflows, j**-1000 underflows to 0, gamma(2s + 1) overflows at
+        # s = 100, and gamma(2s + 1) - gamma(s + 1)**2 is 0 at s = 1e-300
+        for w in (WeightSpec.power(400.0), WeightSpec.power(-1000.0), WeightSpec.hill(s=100.0), WeightSpec.hill(s=1e-300)):
+            with pytest.raises(DomainError):
+                double_hill_components(data, w, k=50)
+
+    def test_rows_equal_the_one_row_statistic(self):
+        rng = np.random.default_rng(20)
+        k = 30
+        top = np.sort(rng.random((5, k + 1)) ** -0.6, axis=1)
+        top[1] = 2.0  # tied top values
+        top[3, 0] = 0.0  # a nonpositive top value
+        w = WeightSpec.power(0.5, s=0.7)
+        rows = extremes._double_hill_rows(top, extremes._hill_weights(w, k), target=0.6)
+        assert isinstance(rows[1], NumericalError) and isinstance(rows[3], DomainError)
+        for row, got in zip(top, rows):
+            try:
+                want = double_hill_components(Sample(row), w, k, target=0.6)
+            except PlaptError as exc:
+                assert type(got) is type(exc) and str(got) == str(exc)
+            else:
+                assert got == want
 
     def test_ties_degenerate(self):
         data = Sample(np.ones(50))

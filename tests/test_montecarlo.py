@@ -10,7 +10,9 @@ from plapt import (
     ExperimentKind,
     PlaptError,
     PlAptParams,
+    Sample,
     WeightSpec,
+    double_hill_components,
     fit_mle,
     lindley_family,
     model_compare,
@@ -55,6 +57,16 @@ class TestConfig:
         for grid in ((-1.0, 2.0), (math.nan,), (0.0, 1.0), ()):
             with pytest.raises(DomainError):
                 ExperimentConfig(kind="model_compare", n=100, reps=2, seed=1, truth=TRUTH, alpha_grid=grid)
+        # fields the kind never reads
+        with pytest.raises(DomainError, match="alpha_grid"):
+            ExperimentConfig(kind="recovery", n=100, reps=2, seed=1, truth=TRUTH, alpha_grid=(0.5, 3.0))
+        with pytest.raises(DomainError, match="pareto_gamma"):
+            ExperimentConfig(kind="recovery", n=100, reps=2, seed=1, truth=TRUTH, pareto_gamma=-3)
+        # EVI weights that cannot serve k = floor(500**0.6) = 41: a table of
+        # 3 ranks, and power weights j**1000 that overflow
+        for weight in (WeightSpec.custom([1.0, 2.0, 3.0]), WeightSpec.power(1000.0)):
+            with pytest.raises(DomainError):
+                ExperimentConfig(kind="evi_coverage", n=500, reps=2, seed=1, pareto_gamma=0.5, weight=weight)
 
     def test_k_rule(self):
         cfg = ExperimentConfig(
@@ -104,9 +116,9 @@ class TestReportContract:
         assert run_experiment(cfg).to_json() == run_experiment(cfg).to_json()
 
     @pytest.mark.parametrize("kind", [k.value for k in ExperimentKind])
-    def test_worker_count_does_not_change_output(self, kind):
+    def test_reruns_are_identical(self, kind):
         cfg = ExperimentConfig(kind=kind, n=300, reps=4, seed=5, truth=TRUTH)
-        assert run_experiment(cfg, workers=1).to_json() == run_experiment(cfg, workers=2).to_json()
+        assert run_experiment(cfg).to_json() == run_experiment(cfg).to_json()
 
     def test_single_rep_summary_equals_record(self):
         cfg = ExperimentConfig(kind="recovery", n=400, reps=1, seed=9, truth=TRUTH)
@@ -214,7 +226,34 @@ class TestLockstepStudies:
             rows = model_compare(sample(truth, cfg.n, replication_rng(cfg.seed, rep)), candidates)
             assert montecarlo._model_compare_record(rep, rows) == record
 
-    @pytest.mark.parametrize("kind", ["recovery", "model_compare"])
+    @pytest.mark.parametrize(
+        "truth,pareto_gamma,weight",
+        [
+            (PlAptParams(2.0, 2.5, 0.6), None, WeightSpec.power(0.5, s=0.7)),
+            (PlAptParams(1.0, 1.5, 3.0), None, WeightSpec.hill()),
+            (None, 0.5, WeightSpec.hill(s=2.0)),
+        ],
+        ids=["family", "alpha-one", "pareto"],
+    )
+    def test_evi_coverage_equals_per_replication_statistic(self, truth, pareto_gamma, weight):
+        cfg = ExperimentConfig(
+            kind="evi_coverage", n=1000, reps=20, seed=8, truth=truth, pareto_gamma=pareto_gamma, weight=weight, k_exponent=0.8
+        )
+        records = []
+        for rep in range(cfg.reps):
+            rng = replication_rng(cfg.seed, rep)
+            if pareto_gamma is None:
+                data, target = sample(truth, cfg.n, rng), 1.0 / truth.theta
+            else:
+                data, target = Sample(rng.random(cfg.n) ** -pareto_gamma), pareto_gamma
+            try:
+                report = double_hill_components(data, weight, cfg.k_value())
+            except PlaptError as exc:
+                report = exc
+            records.append(montecarlo._evi_coverage_record(rep, report, target))
+        assert run_experiment(cfg).to_json() == _assembled_report(cfg, records).to_json()
+
+    @pytest.mark.parametrize("kind", ["recovery", "model_compare", "evi_coverage"])
     def test_chunks_do_not_change_the_report(self, kind, monkeypatch):
         cfg = ExperimentConfig(kind=kind, n=200, reps=7, seed=21, truth=TRUTH)
         one_chunk = run_experiment(cfg).to_json()
@@ -233,11 +272,3 @@ class TestLockstepStudies:
             "p90": float(np.percentile(its, 90)),
             "max": float(max(its)),
         }
-
-
-class TestWorkers:
-    @pytest.mark.parametrize("workers", [0, -1])
-    def test_workers_below_one_rejected(self, workers):
-        cfg = ExperimentConfig(kind="recovery", n=100, reps=2, seed=1, truth=TRUTH)
-        with pytest.raises(DomainError):
-            run_experiment(cfg, workers=workers)
