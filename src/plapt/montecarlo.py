@@ -57,8 +57,10 @@ class ExperimentConfig:
     Pareto-based EVI coverage, where pareto_gamma > 0 selects exact Pareto
     tails with known extreme value index instead).  k_exponent sets the
     top-order-statistics count k = floor(n**k_exponent) for EVI studies,
-    whose weights must serve that k.  alpha_grid (model_compare) and
-    pareto_gamma (evi_coverage) are rejected for the other kinds.
+    whose weights must serve that k.  A field one kind reads is rejected for
+    the others: alpha_grid (model_compare), pareto_gamma and any weight but
+    plain Hill (evi_coverage).  evi_coverage takes truth or pareto_gamma, not
+    both.
     """
 
     kind: ExperimentKind
@@ -85,6 +87,10 @@ class ExperimentConfig:
             raise DomainError(f"alpha_grid applies to model_compare experiments, not {self.kind.value}")
         if self.pareto_gamma is not None and self.kind is not ExperimentKind.EVI_COVERAGE:
             raise DomainError(f"pareto_gamma applies to evi_coverage experiments, not {self.kind.value}")
+        if self.weight != WeightSpec.hill() and self.kind is not ExperimentKind.EVI_COVERAGE:
+            raise DomainError(f"weight applies to evi_coverage experiments, not {self.kind.value}")
+        if self.truth is not None and self.pareto_gamma is not None:
+            raise DomainError("evi_coverage takes truth parameters or pareto_gamma, not both")
         if self.alpha_grid is not None:
             grid = tuple(float(a) for a in self.alpha_grid)
             if not grid or any(_param_error("alpha", a) for a in grid):

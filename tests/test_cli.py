@@ -343,6 +343,20 @@ class TestExpansionAndExperiment:
         assert out == ""
         assert "weights must be positive and finite" in err
 
+    def test_experiment_unread_fields_rejected(self, capsys):
+        truth = ["--alpha", "2", "--beta", "2.5", "--theta", "1.5"]
+        for kind, extra, message in (
+            ("evi-coverage", truth + ["--pareto-gamma", "0.5"], "not both"),
+            ("recovery", truth + ["--tau", "0.5"], "weight"),
+            ("maxima-gumbel", truth + ["--s", "2"], "weight"),
+        ):
+            rc, out, err = run_cli(
+                capsys, ["experiment", "--kind", kind, "--n", "200", "--reps", "2", "--seed", "1"] + extra
+            )
+            assert rc == 2
+            assert out == ""
+            assert message in err
+
     def test_experiment_invalid_alpha_grid_rejected(self, capsys):
         base = ["experiment", "--kind", "model-compare", "--alpha", "2", "--beta", "2.5", "--theta", "1.5",
                 "--n", "100", "--reps", "2", "--seed", "1", "--alpha-grid"]

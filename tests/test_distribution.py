@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from plapt import distribution
 from plapt import (
     DomainError,
     NumericalError,
@@ -223,6 +225,63 @@ class TestQuantile:
         # below v ~ 2e-323 the Lambert argument rounds to 0
         with pytest.raises(NumericalError, match="underflowed"):
             tail_quantile(p, 1e-323)
+
+
+class TestBlockwise:
+    """quantile, tail_quantile and cdf run in blocks of _BLOCK points, with
+    bitwise the result of one block; _BLOCK = 7 splits small inputs."""
+
+    @pytest.mark.parametrize("p", [P_APT, P_ONE], ids=["apt", "alpha-one"])
+    @pytest.mark.parametrize("shape", [(1,), (6,), (7,), (8,), (50,), (3, 5)])
+    def test_blocks_match_one_block(self, monkeypatch, p, shape):
+        rng = np.random.default_rng(11)
+        u = rng.random(shape)
+        v = np.exp(-700.0 * rng.random(shape))  # tail masses down to 1e-304
+        x = 3.0 * rng.random(shape) - 0.5  # negatives take cdf's x <= 0 branch
+        assert u.size <= distribution._BLOCK
+        one_block = (quantile(p, u), tail_quantile(p, v), cdf(p, x))
+        monkeypatch.setattr(distribution, "_BLOCK", 7)
+        for got, want in zip((quantile(p, u), tail_quantile(p, v), cdf(p, x)), one_block):
+            assert got.shape == shape
+            assert np.all(got == want)
+
+    def test_zero_in_later_block(self, monkeypatch):
+        u = np.linspace(0.05, 0.95, 20)
+        u[15] = 0.0
+        want = quantile(P_APT, u)
+        monkeypatch.setattr(distribution, "_BLOCK", 7)
+        got = quantile(P_APT, u)
+        assert got[15] == 0.0
+        assert np.all(got == want)
+
+    def test_scalar_in_float_out(self, monkeypatch):
+        monkeypatch.setattr(distribution, "_BLOCK", 7)
+        for fn, arg in ((quantile, 0.3), (tail_quantile, 0.3), (cdf, 2.0)):
+            assert isinstance(fn(P_APT, arg), float)
+
+    def test_errors_in_last_block(self, monkeypatch):
+        monkeypatch.setattr(distribution, "_BLOCK", 7)
+        u = np.full(15, 0.5)
+        u[-1] = 1.0
+        with pytest.raises(DomainError):
+            quantile(P_APT, u)
+        v = np.full(15, 0.5)
+        v[-1] = 5e-324  # the Lambert argument underflows to 0
+        with pytest.raises(NumericalError, match="underflowed"):
+            tail_quantile(PlAptParams(2.0, 2.5, 1.5), v)
+
+    @pytest.mark.parametrize("fn", [quantile, tail_quantile, cdf])
+    def test_peak_memory_about_the_output(self, fn):
+        # Only one block's temporaries live beside the output; one pass over
+        # all the points would hold several full-size temporaries at once.
+        a = np.random.default_rng(5).uniform(1e-3, 0.999, 2**18)
+        tracemalloc.start()
+        try:
+            fn(P_APT, a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * a.nbytes
 
 
 class TestSample:

@@ -62,6 +62,13 @@ class TestConfig:
             ExperimentConfig(kind="recovery", n=100, reps=2, seed=1, truth=TRUTH, alpha_grid=(0.5, 3.0))
         with pytest.raises(DomainError, match="pareto_gamma"):
             ExperimentConfig(kind="recovery", n=100, reps=2, seed=1, truth=TRUTH, pareto_gamma=-3)
+        with pytest.raises(DomainError, match="not both"):
+            ExperimentConfig(kind="evi_coverage", n=100, reps=2, seed=1, truth=TRUTH, pareto_gamma=0.5)
+        for kind in ("recovery", "model_compare", "maxima_gumbel"):
+            for weight in (WeightSpec.hill(s=2.0), WeightSpec.power(0.5)):
+                with pytest.raises(DomainError, match="weight"):
+                    ExperimentConfig(kind=kind, n=100, reps=2, seed=1, truth=TRUTH, weight=weight)
+            ExperimentConfig(kind=kind, n=100, reps=2, seed=1, truth=TRUTH, weight=WeightSpec.hill())
         # EVI weights that cannot serve k = floor(500**0.6) = 41: a table of
         # 3 ranks, and power weights j**1000 that overflow
         for weight in (WeightSpec.custom([1.0, 2.0, 3.0]), WeightSpec.power(1000.0)):
