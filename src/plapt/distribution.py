@@ -145,7 +145,10 @@ def _wrap(x, out):
 def _blockwise(f, a):
     # f applied to contiguous runs of _BLOCK points of a, written into one
     # output of a's shape; every element sees the same operations in the same
-    # order as f(a), so the result is bitwise that of f(a).
+    # order as f(a), so the result is bitwise that of f(a).  A 0-d a goes to f
+    # whole, as ufuncs cost about twice as much on a 1-element array.
+    if a.ndim == 0:
+        return f(a)
     flat = a.ravel()
     out = np.empty(flat.shape)
     for i in range(0, flat.size, _BLOCK):

@@ -14,7 +14,9 @@ its lanes with array operations, one row of data per lane.  ``fit_mle``
 fits one sample at one alpha, ``fit_mle_profile`` one sample at a grid,
 and ``model_compare`` and the simulation studies the candidates of many
 samples at once.  A lane's arithmetic is elementwise and its sums are row
-sums, so its result does not depend on the lanes fitted beside it.
+sums, so its result does not depend on the lanes fitted beside it.  Each
+distinct (sample, alpha) pair is one lane; the lanes off alpha = 1 lead,
+and only those evaluate the alpha-power term.
 """
 from __future__ import annotations
 
@@ -56,27 +58,29 @@ CHUNK_ELEMENTS = 1 << 16
 
 def _alpha_terms(alpha, n: int) -> tuple:
     # log(alpha) and the log-likelihood constant
-    # n*log(log(alpha)/(alpha - 1)) + n*log(alpha) of every lane, or () for
-    # lanes at alpha = 1, which skip the alpha-power term (the lanes agree
-    # on which side of ALPHA_ONE_TOL they are).
-    if abs(alpha[0] - 1.0) < ALPHA_ONE_TOL:
-        return ()
+    # n*log(log(alpha)/(alpha - 1)) + n*log(alpha) of every lane, both 0 at
+    # lanes within ALPHA_ONE_TOL of alpha = 1, which skip the alpha-power term.
     log_a = np.log(alpha)
-    return log_a, n * np.log(log_a / (alpha - 1.0)) + n * log_a
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ll_a = n * np.log(log_a / (alpha - 1.0)) + n * log_a
+    seam = np.abs(alpha - 1.0) < ALPHA_ONE_TOL
+    return np.where(seam, 0.0, log_a), np.where(seam, 0.0, ll_a)
 
 
-def _lane_derivatives(theta, m, inv_b, x, x_sum, log_a=None, ll_a=None):
+def _lane_derivatives(theta, m, inv_b, x, x_sum, log_a, ll_a):
     # Log-likelihood, score and Hessian of every lane from one pass over its
     # row of x, with m = beta - 1, inv_b = 1/beta and the alpha-power terms
-    # of _alpha_terms, if any.  The derivatives come scaled to the log
+    # log_a, ll_a of _alpha_terms.  The derivatives come scaled to the log
     # coordinates a = log(theta), v = log(beta - 1): (ll, theta*s_theta,
     # m*s_beta, theta**2*h_theta_theta, theta*m*h_theta_beta,
     # m**2*h_beta_beta), one entry per lane.  With t = theta*x, d = m + t,
     # y = t/d and z = m/d (so y + z = 1), the Pseudo-Lindley part needs the
     # sums of log(d), y, z, y*z and z*z; the alpha-power term
     # log(alpha) * (n - sum((1 + t/beta)*e)), e = exp(-t), and its
-    # derivatives need the sums of t**k * e, k = 0..3.  Every sum is a row
-    # sum of a reduction over the stack w.
+    # derivatives need the sums of t**j * e, j = 0..3.  Every sum is a row
+    # sum of a reduction over the stack w.  Lanes off alpha = 1 must lead:
+    # the alpha-power part runs, through views, on the first
+    # k = count_nonzero(log_a) lanes only, and lanes at alpha = 1 skip it.
     lanes, n = x.shape
     w = np.empty((6, lanes, n))
     log_d, y, z, yz, zz, t = w
@@ -98,22 +102,23 @@ def _lane_derivatives(theta, m, inv_b, x, x_sum, log_a=None, ll_a=None):
     h_aa = (s_yz - s_y) - n
     h_av = -s_yz
     h_vv = n_mb * mb - s_zz
-    if log_a is not None:
-        e, te, t2e, t3e = w[:4]
+    if k := np.count_nonzero(log_a):
+        e, te, t2e, t3e = w[:4, :k]
+        t, log_a, ll_a, inv_b, m, mb = t[:k], log_a[:k], ll_a[:k], inv_b[:k], m[:k], mb[:k]
         np.exp(np.negative(t, out=e), out=e)
         np.multiply(t, e, out=te)
         np.multiply(te, t, out=t2e)
         np.multiply(t2e, t, out=t3e)
-        e_sums = np.add.reduce(w[:4], axis=2)
-        # log(alpha)/beta times the sums of t**k * e, k = 1..3.
+        e_sums = np.add.reduce(w[:4, :k], axis=2)
+        # log(alpha)/beta times the sums of t**j * e, j = 1..3.
         a1, a2, a3 = (log_a * inv_b) * e_sums[1:]
         mb_a1 = mb * a1
-        ll += ll_a - (log_a * e_sums[0] + a1)
-        g_a += m * a1 + a2
-        g_v += mb_a1
-        h_aa += (1.0 - m) * a2 - a3
-        h_av += mb * (a1 - a2)
-        h_vv -= 2.0 * mb * mb_a1
+        ll[:k] += ll_a - (log_a * e_sums[0] + a1)
+        g_a[:k] += m * a1 + a2
+        g_v[:k] += mb_a1
+        h_aa[:k] += (1.0 - m) * a2 - a3
+        h_av[:k] += mb * (a1 - a2)
+        h_vv[:k] -= 2.0 * mb * mb_a1
     return ll, g_a, g_v, h_aa, h_av, h_vv
 
 
@@ -225,14 +230,14 @@ def _newton_step(beta, m, g_a, g_v, h_aa, h_av, h_vv):
 
 
 def _fit_chunk(x, alpha, theta, beta, max_iter):
-    # Newton's method in lockstep on the lanes of one chunk, all on one side
-    # of the alpha = 1 switch; x holds one row of data per lane and alpha,
-    # theta and beta one entry per lane.  A lane's state is a column of
-    # (exp(u), exp(v), theta, beta, 1/beta) and its scaled derivatives.
-    # Every turn tries one candidate per live lane: Newton's step, at most
-    # _MAX_STEP long, halved once for each candidate the lane has had
-    # rejected since its last accepted step.  Returns the final states (one
-    # column per lane), status codes and accepted-step counts.
+    # Newton's method in lockstep on the lanes of one chunk, those off
+    # alpha = 1 first (dropping finished lanes keeps that order); x holds one
+    # row of data per lane, alpha, theta and beta one entry per lane.  A
+    # lane's state is a column of (exp(u), exp(v), theta, beta, 1/beta) and
+    # its scaled derivatives.  Every turn tries one candidate per live lane:
+    # Newton's step, at most _MAX_STEP long, halved once for each candidate
+    # the lane has had rejected since its last accepted step.  Returns the
+    # final states (one column per lane), status codes and accepted steps.
     n = x.shape[1]
     score_tol, gain_tol = SCORE_TOL_PER_OBS * n, _BOUNDARY_GAIN_PER_OBS * n
     data = (x, x.sum(axis=1), *_alpha_terms(alpha, n))  # per-lane inputs of a pass
@@ -324,8 +329,9 @@ def _fit_rows(x: np.ndarray, alphas: Sequence[float], init=None, max_iter: int =
 
     ``x`` is a stack of sorted samples of one size.  Entry ``[r][j]`` of
     the result is the ``FitResult`` of ``fit_mle(alphas[j], Sample(x[r]),
-    init, max_iter=max_iter)``, or the ``PlaptError`` it raises.  Lanes run
-    in chunks (``_chunks``) on one side of the alpha = 1 switch.
+    init, max_iter=max_iter)``, or the ``PlaptError`` it raises; a repeated
+    alpha is fitted once and gets that same result.  All lanes run in one
+    run of chunks (``_chunks``), those off alpha = 1 first.
     """
     alphas = [float(a) for a in alphas]
     n = x.shape[1]
@@ -335,39 +341,40 @@ def _fit_rows(x: np.ndarray, alphas: Sequence[float], init=None, max_iter: int =
     alpha_errors = [_param_error("alpha", a) for a in alphas]
     init = None if init is None else (float(init[0]), float(init[1]))
     start_error = init and (_param_error("beta", init[1]) or _param_error("theta", init[0]))
-    lanes: dict[bool, list] = {}  # (row, alpha index, start) by side of alpha = 1
+    lanes: dict[tuple, object] = {}  # (row, alpha): the start point, then the fit
     means, row_errors = _row_errors(x)
     for r, (mean, row_error) in enumerate(zip(means.tolist(), row_errors)):
         first = row_error if n < 2 or mean == 0.0 else None
         for j, alpha in enumerate(alphas):
             out[r][j] = first or alpha_errors[j] or row_error or start_error
             if out[r][j] is None:
-                lanes.setdefault(abs(alpha - 1.0) < ALPHA_ONE_TOL, []).append((r, j, *(init or (1.0 / mean, 2.0))))
-    for group in lanes.values():
-        for chunk in _chunks(len(group), n):
-            rows, cols, theta, beta = zip(*group[chunk.start : chunk.stop])
-            alpha = np.array([alphas[j] for j in cols])
-            final, status, iterations = _fit_chunk(x[list(rows)], alpha, np.array(theta), np.array(beta), int(max_iter))
-            _, m, theta, beta, _, ll, *derivs = final
-            (s_t, s_b), hess = _theta_beta(theta, m, *derivs)
-            values = (theta, beta, ll, s_t, s_b, *hess, status, iterations)
-            for r, j, *vals in zip(rows, cols, *(v.tolist() for v in values)):
-                theta_i, beta_i, ll_i, s_t_i, s_b_i, h_tt, h_tb, h_bb, code, its = vals
-                if code == _FAILED:
-                    out[r][j] = NumericalError(_NOT_FINITE)
-                    continue
-                cov, se_theta, se_beta = _covariance(h_tt, h_tb, h_bb)
-                out[r][j] = FitResult(
-                    params=PlAptParams(alpha=alphas[j], beta=beta_i, theta=theta_i),
-                    loglik=ll_i,
-                    score_norm=math.hypot(s_t_i, s_b_i),
-                    iterations=its,
-                    status=_STATUS[code],
-                    stderr_theta=se_theta,
-                    stderr_beta=se_beta,
-                    covariance=cov,
-                )
-    return out
+                lanes[r, alpha] = init or (1.0 / mean, 2.0)
+    order = sorted(lanes, key=lambda lane: abs(lane[1] - 1.0) < ALPHA_ONE_TOL)
+    for chunk in _chunks(len(order), n):
+        keys = order[chunk.start : chunk.stop]
+        rows, alpha = zip(*keys)
+        theta, beta = (np.array(v) for v in zip(*map(lanes.get, keys)))
+        final, status, iterations = _fit_chunk(x[list(rows)], np.array(alpha), theta, beta, int(max_iter))
+        _, m, theta, beta, _, ll, *derivs = final
+        (s_t, s_b), hess = _theta_beta(theta, m, *derivs)
+        values = (theta, beta, ll, s_t, s_b, *hess, status, iterations)
+        for r, a, *vals in zip(rows, alpha, *(v.tolist() for v in values)):
+            theta_i, beta_i, ll_i, s_t_i, s_b_i, h_tt, h_tb, h_bb, code, its = vals
+            if code == _FAILED:
+                lanes[r, a] = NumericalError(_NOT_FINITE)
+                continue
+            cov, se_theta, se_beta = _covariance(h_tt, h_tb, h_bb)
+            lanes[r, a] = FitResult(
+                params=PlAptParams(alpha=a, beta=beta_i, theta=theta_i),
+                loglik=ll_i,
+                score_norm=math.hypot(s_t_i, s_b_i),
+                iterations=its,
+                status=_STATUS[code],
+                stderr_theta=se_theta,
+                stderr_beta=se_beta,
+                covariance=cov,
+            )
+    return [[fit or lanes[r, a] for a, fit in zip(alphas, row)] for r, row in enumerate(out)]
 
 
 def fit_mle(
@@ -427,7 +434,8 @@ def fit_mle_profile(
 
     Fits (theta, beta) at every alpha and returns the best fit by profile
     log-likelihood (fits that reached a maximum or a boundary preferred)
-    together with all per-alpha results.
+    together with all per-alpha results.  An alpha repeated in the grid is
+    fitted once, and each of its entries is that same ``FitResult``.
     """
     fits = _fit_rows(data.values[None, :], alpha_grid, init)[0]
     return _best(fits), fits
@@ -505,7 +513,8 @@ def _lindley_rows(x: np.ndarray) -> list:
         theta = (-(m - 1.0) + np.sqrt((m - 1.0) ** 2 + 8.0 * m)) / (2.0 * m)
     good = (1.0 + theta > 1.0) & (theta < math.inf)
     t, xs = theta[good], x[rows[good]]
-    ll = iter(_lane_derivatives(t, t, 1.0 / (1.0 + t), xs, xs.sum(axis=1))[0].tolist())
+    at_one = _alpha_terms(np.ones_like(t), x.shape[1])
+    ll = iter(_lane_derivatives(t, t, 1.0 / (1.0 + t), xs, xs.sum(axis=1), *at_one)[0].tolist())
     for r, th, mean, ok in zip(rows.tolist(), theta.tolist(), m.tolist(), good.tolist()):
         outcomes[r] = (th, next(ll)) if ok else DomainError(f"Lindley theta {th!r} at mean {mean!r} is out of range")
     return outcomes

@@ -273,14 +273,12 @@ def _summarize(cfg: ExperimentConfig, records: list[dict]) -> dict:
         summary["beta"] = _param_summary(records, "beta_hat", cfg.truth.beta)
         summary["status_counts"] = dict(Counter(r["status"] for r in records if "status" in r))
         its = [r["iterations"] for r in records if "iterations" in r]
-        summary["iterations"] = {
-            name: float(np.percentile(its, q)) if its else math.nan
-            for name, q in (("p50", 50), ("p90", 90), ("max", 100))
-        }
+        pcts = np.percentile(its, (50, 90, 100)).tolist() if its else [math.nan] * 3
+        summary["iterations"] = dict(zip(("p50", "p90", "max"), pcts))
     elif cfg.kind is ExperimentKind.MODEL_COMPARE:
         names = sorted({name for r in ok for name in r["families"]})
         summary["mean_aic"] = {
-            name: _mean_sd([r["families"][name]["aic"] for r in ok])[0] for name in names
+            name: float(np.mean([r["families"][name]["aic"] for r in ok])) for name in names
         }
         summary["win_fraction"] = {
             name: sum(r["winner"] == name for r in ok) / len(ok) if ok else math.nan

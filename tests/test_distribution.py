@@ -255,9 +255,15 @@ class TestBlockwise:
         assert np.all(got == want)
 
     def test_scalar_in_float_out(self, monkeypatch):
+        # A scalar skips the blocks and gives the one-element array's value.
         monkeypatch.setattr(distribution, "_BLOCK", 7)
-        for fn, arg in ((quantile, 0.3), (tail_quantile, 0.3), (cdf, 2.0)):
-            assert isinstance(fn(P_APT, arg), float)
+        cases = ((quantile, (0.0, 0.3, 0.999)), (tail_quantile, (1.0, 0.3, 1e-300)), (cdf, (-0.5, 0.0, 2.0)))
+        for p in (PlAptParams(2.0, 2.5, 1.5), PlAptParams(0.5, 1.1, 0.6), PlAptParams(1.0, 1.5, 3.0)):
+            for fn, args in cases:
+                for arg in args:
+                    got = fn(p, arg)
+                    assert isinstance(got, float)
+                    assert got == fn(p, np.array([arg]))[0]
 
     def test_errors_in_last_block(self, monkeypatch):
         monkeypatch.setattr(distribution, "_BLOCK", 7)

@@ -20,7 +20,19 @@ from plapt import (
     score,
 )
 from plapt import inference
-from plapt.inference import _FAILED, _STATUS, MAX_ITER, FamilySpec, _fit_chunk, _fit_rows, _loglik_derivatives
+from plapt.inference import (
+    _FAILED,
+    _STATUS,
+    MAX_ITER,
+    FamilySpec,
+    _alpha_terms,
+    _fit_chunk,
+    _fit_rows,
+    _lane_derivatives,
+    _loglik_derivatives,
+    _model_compare_rows,
+)
+from plapt.montecarlo import _DEFAULT_ALPHA_GRID
 
 
 def _fd_score(alpha, theta, beta, data):
@@ -282,6 +294,51 @@ class TestLockstep:
                 _same_fit(fit, fit_mle(a, Sample(row), max_iter=limit))
         statuses = {fit.status for fits in limited for fit in fits}
         assert {"max_iter", "converged"} <= statuses
+
+    def test_seam_and_repeated_alphas_in_one_call(self):
+        # Lanes on both sides of alpha = 1 share the chunks; a repeated
+        # alpha is fitted once and gives the same result.
+        rows = _mixed_rows()
+        alphas = [2.0, 1.0, 1.0 + 5e-9, 2.0, 0.5, 1.0 - 5e-9]
+        together = _fit_rows(rows, alphas)
+        for row, fits in zip(rows, together):
+            for a, fit in zip(alphas, fits):
+                _same_fit(fit, fit_mle(a, Sample(row)))
+            assert fits[0] is fits[3]
+
+    def test_model_compare_fits_each_alpha_once(self, monkeypatch):
+        # The Pseudo-Lindley fit is the grid's alpha = 1 lane, and all the
+        # lanes of the rows run in one chunk.
+        calls = []
+
+        def fit_chunk(x, alpha, *args):
+            calls.append(alpha.size)
+            return _fit_chunk(x, alpha, *args)
+
+        monkeypatch.setattr(inference, "_fit_chunk", fit_chunk)
+        rows = _mixed_rows()
+        grid = pl_apt_family(alpha_grid=_DEFAULT_ALPHA_GRID)
+        table = _model_compare_rows(rows, [lindley_family(), pseudo_lindley_family(), grid])
+        assert calls == [len(_DEFAULT_ALPHA_GRID) * len(rows)]
+        for row, (_, pseudo, _) in zip(rows, table):
+            assert pseudo.params == fit_mle(1.0, Sample(row)).params
+
+    def test_derivatives_of_mixed_lanes_equal_one_lane_calls(self):
+        # Lanes off alpha = 1 first, as _fit_rows orders them.
+        rows = _mixed_rows()
+        x = rows[[0, 1, 2, 0, 1]]
+        alpha = np.array([4.0, 0.5, 1.0 - 2e-8, 1.0, 1.0 + 5e-9])
+        theta = np.array([1.2, 0.4, 0.9, 2.0, 0.3])
+        beta = np.array([2.5, 1.1, 30.0, 1.7, 4.0])
+        m, inv_b = beta - 1.0, 1.0 / beta
+        terms = _alpha_terms(alpha, x.shape[1])
+        together = _lane_derivatives(theta, m, inv_b, x, x.sum(axis=1), *terms)
+        for i in range(alpha.size):
+            lane = slice(i, i + 1)
+            alone = _lane_derivatives(
+                theta[lane], m[lane], inv_b[lane], x[lane], x[lane].sum(axis=1), *(v[lane] for v in terms)
+            )
+            assert [v[i] for v in together] == [v[0] for v in alone]
 
     @pytest.mark.parametrize("init", [None, (0.05, 30.0)])
     def test_no_ascent_exit(self, monkeypatch, init):
