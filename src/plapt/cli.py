@@ -343,13 +343,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_VALIDATION
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return _EXIT_NUMERICAL
-    except PlaptError as exc:
+    except PlaptError as exc:  # a DomainError or any other package error
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_VALIDATION
     except OSError as exc:

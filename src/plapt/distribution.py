@@ -36,9 +36,10 @@ __all__ = [
     "median_order_stat_pdf",
 ]
 
-# |alpha - 1| below this switches to the limiting alpha=1 formulas; nearer
-# than that the generic branch loses all precision to cancellation in
-# (1 - alpha**F) / (1 - alpha).
+# |alpha - 1| below this switches to the limiting alpha=1 formulas, which keeps
+# the seam's values bit for bit; the generic formulas do not cancel there (as
+# accurate down to |alpha - 1| = 1.1e-16, save the W_{-1} argument where
+# v*|1 - alpha| is subnormal).
 ALPHA_ONE_TOL = 1e-8
 # Rounding slack tolerated past -1/e before a Lambert argument is treated
 # as corrupted rather than clamped to the branch point.
@@ -133,22 +134,13 @@ def _pl_sf(beta: float, t):
     return np.exp(_survival_log(beta, t))
 
 
-def _pl_cdf(beta: float, t):
-    # 1 - survival, computed with full relative accuracy near t = 0
-    return -np.expm1(_survival_log(beta, t))
-
-
-def _wrap(x, out):
-    return float(out[()]) if np.ndim(x) == 0 else out
-
-
-def _blockwise(f, a):
-    # f applied to contiguous runs of _BLOCK points of a, written into one
-    # output of a's shape; every element sees the same operations in the same
-    # order as f(a), so the result is bitwise that of f(a).  A 0-d a goes to f
-    # whole, as ufuncs cost about twice as much on a 1-element array.
+def _blockwise(f, x):
+    # f on x as floats: a scalar goes to f whole and comes back a float, an
+    # array in runs of _BLOCK points written into one output of its shape,
+    # bitwise f(x) with only one block's temporaries beside the output.
+    a = np.asarray(x, dtype=float)
     if a.ndim == 0:
-        return f(a)
+        return float(f(a))
     flat = a.ravel()
     out = np.empty(flat.shape)
     for i in range(0, flat.size, _BLOCK):
@@ -169,14 +161,12 @@ def _reliability_arr(p: PlAptParams, xa):
 
 def reliability(p: PlAptParams, x):
     """Survival probability 1 - cdf; exactly complementary to :func:`cdf`."""
-    xa = np.asarray(x, dtype=float)
-    return _wrap(x, _blockwise(lambda b: _reliability_arr(p, b), xa))
+    return _blockwise(lambda b: _reliability_arr(p, b), x)
 
 
 def cdf(p: PlAptParams, x):
     """Distribution function; 0 for x <= 0, increasing to 1."""
-    xa = np.asarray(x, dtype=float)
-    return _wrap(x, _blockwise(lambda b: np.where(b <= 0.0, 0.0, 1.0 - _reliability_arr(p, b)), xa))
+    return _blockwise(lambda b: np.where(b <= 0.0, 0.0, 1.0 - _reliability_arr(p, b)), x)
 
 
 def _pdf_arr(p: PlAptParams, xa):
@@ -184,36 +174,34 @@ def _pdf_arr(p: PlAptParams, xa):
     base = p.theta * (p.beta - 1.0 + t) * np.exp(-t) / p.beta
     if not p.is_alpha_one:
         log_a = math.log(p.alpha)
-        # log(a)/(a-1) > 0 on both sides of a = 1; alpha**(1-S) = exp(log(a)*(1-S))
-        base = base * (log_a / (p.alpha - 1.0)) * np.exp(log_a * _pl_cdf(p.beta, t))
+        # log(a)/(a-1) > 0 on both sides of a = 1; alpha**(1-S) = exp(log(a)*(1-S)),
+        # with 1 - S = -expm1(log S) to full relative accuracy near t = 0
+        base = base * (log_a / (p.alpha - 1.0)) * np.exp(log_a * -np.expm1(_survival_log(p.beta, t)))
     return np.where(xa < 0.0, 0.0, base)
 
 
 def pdf(p: PlAptParams, x):
     """Density; 0 for x < 0 and positive on the support [0, inf)."""
-    xa = np.asarray(x, dtype=float)
-    return _wrap(x, _blockwise(lambda b: _pdf_arr(p, b), xa))
+    return _blockwise(lambda b: _pdf_arr(p, b), x)
 
 
 def hazard(p: PlAptParams, x):
-    """Failure rate pdf / reliability.
-
-    For alpha=1 the ratio collapses to theta*(beta-1+theta*x)/(beta+theta*x),
-    which stays finite arbitrarily far into the tail.  Otherwise the ratio
-    is formed directly and a NumericalError signals survival underflow.
+    """Failure rate pdf / reliability, one closed form for every alpha:
+    h_PL(t) * y/expm1(y) at t = theta*x, with the Pseudo-Lindley hazard
+    h_PL(t) = theta*(beta-1+t)/(beta+t), y = log(alpha) * S_PL(t) and the
+    factor 1 where y = 0 (alpha = 1, or S_PL underflowed), so the hazard
+    stays finite arbitrarily far into the tail and tends to theta.
     """
-    xa = np.asarray(x, dtype=float)
-    if np.any(xa < 0.0):
-        raise DomainError("hazard is defined on x >= 0")
-    if p.is_alpha_one:
-        t = p.theta * xa
-        out = p.theta * (p.beta - 1.0 + t) / (p.beta + t)
-    else:
-        r = _reliability_arr(p, xa)
-        if np.any(r == 0.0):
-            raise NumericalError("survival underflowed to zero in the far tail")
-        out = _pdf_arr(p, xa) / r
-    return _wrap(x, out)
+
+    def block(b):
+        if np.any(b < 0.0):
+            raise DomainError("hazard is defined on x >= 0")
+        t = p.theta * b
+        y = math.log(p.alpha) * _pl_sf(p.beta, t)
+        ratio = np.divide(y, np.expm1(y), out=np.ones_like(y), where=y != 0.0)
+        return p.theta * (p.beta - 1.0 + t) / (p.beta + t) * ratio
+
+    return _blockwise(block, x)
 
 
 def _w_argument(p: PlAptParams, v):
@@ -228,15 +216,12 @@ def _w_argument(p: PlAptParams, v):
 
 
 def _quantile_from_arg(p: PlAptParams, arg):
-    arg = np.asarray(arg, dtype=float)
-    below = arg < BRANCH_POINT
-    if below.any():
-        if np.any(arg < BRANCH_POINT - _BRANCH_SLACK):
-            raise NumericalError(
-                "Lambert argument left (-1/e, 0) by more than rounding slack; "
-                "parameters are inconsistent"
-            )
-        arg = np.where(below, BRANCH_POINT, arg)
+    if np.any(arg < BRANCH_POINT - _BRANCH_SLACK):
+        raise NumericalError(
+            "Lambert argument left (-1/e, 0) by more than rounding slack; "
+            "parameters are inconsistent"
+        )
+    arg = np.maximum(arg, BRANCH_POINT)
     if np.any(arg >= 0.0):  # the argument is negative, so only underflow reaches 0
         raise NumericalError(
             "Lambert argument underflowed to 0; the tail mass or exp(-beta) is too small"
@@ -251,14 +236,13 @@ def quantile(p: PlAptParams, u):
     Satisfies ``cdf(p, quantile(p, u)) == u`` to roundoff and
     ``quantile(p, 0) == 0`` exactly.
     """
-    ua = np.asarray(u, dtype=float)
-    if not np.all(np.isfinite(ua)) or np.any(ua < 0.0) or np.any(ua >= 1.0):
-        raise DomainError("quantile requires 0 <= u < 1")
 
     def block(b):
+        if not np.all((b >= 0.0) & (b < 1.0)):  # nan fails too
+            raise DomainError("quantile requires 0 <= u < 1")
         return np.where(b == 0.0, 0.0, _quantile_from_arg(p, _w_argument(p, 1.0 - b)))
 
-    return _wrap(u, _blockwise(block, ua))
+    return _blockwise(block, u)
 
 
 def tail_quantile(p: PlAptParams, v):
@@ -268,10 +252,13 @@ def tail_quantile(p: PlAptParams, v):
     tail masses (v down to the underflow threshold) lose no precision to
     forming 1 - v.
     """
-    va = np.asarray(v, dtype=float)
-    if not np.all(np.isfinite(va)) or np.any(va <= 0.0) or np.any(va > 1.0):
-        raise DomainError("tail_quantile requires 0 < v <= 1")
-    return _wrap(v, _blockwise(lambda b: _quantile_from_arg(p, _w_argument(p, b)), va))
+
+    def block(b):
+        if not np.all((b > 0.0) & (b <= 1.0)):
+            raise DomainError("tail_quantile requires 0 < v <= 1")
+        return _quantile_from_arg(p, _w_argument(p, b))
+
+    return _blockwise(block, v)
 
 
 def replication_rng(seed: int, rep: int) -> np.random.Generator:
@@ -295,24 +282,25 @@ def sample(p: PlAptParams, n: int, seed) -> Sample:
 
 def order_stat_pdf(p: PlAptParams, spec: OrderStatSpec, x):
     """Density of the k-th order statistic of an i.i.d. sample of size n."""
-    xa = np.asarray(x, dtype=float)
-    r = _reliability_arr(p, xa)
-    g = _pdf_arr(p, xa)
-    cdf_val = 1.0 - r
     log_coef = (
         math.lgamma(spec.n + 1.0)
         - math.lgamma(spec.n - spec.k + 1.0)
         - math.lgamma(spec.k)
     )
-    # A term whose exponent is 0 is skipped, not formed as 0 * log(0) = nan,
-    # so the density stays finite where the cdf or the reliability is 0.
-    log_out = log_coef
-    with np.errstate(divide="ignore"):
-        if spec.k > 1:
-            log_out = log_out + (spec.k - 1) * np.log(cdf_val)
-        if spec.n > spec.k:
-            log_out = log_out + (spec.n - spec.k) * np.log(r)
-    return _wrap(x, np.exp(log_out) * g)
+
+    def block(b):
+        r = _reliability_arr(p, b)
+        # A term whose exponent is 0 is skipped, not formed as 0 * log(0) =
+        # nan, so the density stays finite where the cdf or the reliability is 0.
+        log_out = log_coef
+        with np.errstate(divide="ignore"):
+            if spec.k > 1:
+                log_out = log_out + (spec.k - 1) * np.log(1.0 - r)
+            if spec.n > spec.k:
+                log_out = log_out + (spec.n - spec.k) * np.log(r)
+        return np.exp(log_out) * _pdf_arr(p, b)
+
+    return _blockwise(block, x)
 
 
 def median_order_stat_pdf(p: PlAptParams, m: int, x):

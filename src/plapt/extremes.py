@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distribution import PlAptParams, Sample, _w_argument, _wrap, replication_rng, tail_quantile
+from .distribution import PlAptParams, Sample, _blockwise, _w_argument, replication_rng, tail_quantile
 from .exceptions import DomainError, NumericalError, PlaptError
 from .special_functions import LambertBranch, lambert_w
 
@@ -57,10 +57,13 @@ def a_function(p: PlAptParams, u):
     """
     if p.is_alpha_one:
         raise DomainError("a_function is defined for alpha != 1")
-    ua = np.asarray(u, dtype=float)
-    if not np.all(np.isfinite(ua)) or np.any(ua <= 0.0) or np.any(ua > 1.0):
-        raise DomainError("a_function requires 0 < u <= 1")
-    return _wrap(u, _w_argument(p, ua))
+
+    def block(b):
+        if not np.all((b > 0.0) & (b <= 1.0)):
+            raise DomainError("a_function requires 0 < u <= 1")
+        return _w_argument(p, b)
+
+    return _blockwise(block, u)
 
 
 @dataclass(frozen=True)
@@ -163,6 +166,7 @@ class WeightSpec:
     kind "hill" sets f(j) = j (the classical Hill estimator at s = 1),
     "power" sets f(j) = j**tau, and "custom" takes an explicit positive
     table f(1), f(2), ...  The exponent s > 0 powers the log-spacings.
+    tau is rejected unless power, table unless custom.
     """
 
     kind: str
@@ -174,6 +178,10 @@ class WeightSpec:
         object.__setattr__(self, "s", float(self.s))
         if not (math.isfinite(self.s) and self.s > 0.0):
             raise DomainError(f"s must be a positive real, got {self.s}")
+        if self.tau is not None and self.kind != "power":
+            raise DomainError(f"tau applies to power weights, not {self.kind!r}")
+        if self.table is not None and self.kind != "custom":
+            raise DomainError(f"table applies to custom weights, not {self.kind!r}")
         if self.kind == "power":
             if self.tau is None or not math.isfinite(float(self.tau)):
                 raise DomainError(f"power weights require a finite tau, got {self.tau}")
@@ -383,8 +391,7 @@ class MaximaResult:
     def ecdf(self, x):
         """Empirical cdf of the normalized maxima."""
         z = np.sort(self.normalized)
-        out = np.searchsorted(z, np.asarray(x, dtype=float), side="right") / z.size
-        return float(out[()]) if np.ndim(x) == 0 else out
+        return _blockwise(lambda b: np.searchsorted(z, b, side="right") / z.size, x)
 
 
 def maxima_normalization(p: PlAptParams, n: int, reps: int, seed) -> MaximaResult:

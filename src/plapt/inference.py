@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -229,6 +230,8 @@ def _newton_step(beta, m, g_a, g_v, h_aa, h_av, h_vv):
     return g_v, step.real, step.imag, c, det
 
 
+# A lane whose step is not finite fails and a non-finite candidate is rejected: no flag warns.
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _fit_chunk(x, alpha, theta, beta, max_iter):
     # Newton's method in lockstep on the lanes of one chunk, those off
     # alpha = 1 first (dropping finished lanes keeps that order); x holds one
@@ -355,14 +358,14 @@ def _fit_rows(x: np.ndarray, alphas: Sequence[float], init=None, max_iter: int =
         rows, alpha = zip(*keys)
         theta, beta = (np.array(v) for v in zip(*map(lanes.get, keys)))
         final, status, iterations = _fit_chunk(x[list(rows)], np.array(alpha), theta, beta, int(max_iter))
-        _, m, theta, beta, _, ll, *derivs = final
+        failed = status == _FAILED
+        for key in compress(keys, failed):
+            lanes[key] = NumericalError(_NOT_FINITE)
+        _, m, theta, beta, _, ll, *derivs = final[:, ~failed]
         (s_t, s_b), hess = _theta_beta(theta, m, *derivs)
-        values = (theta, beta, ll, s_t, s_b, *hess, status, iterations)
-        for r, a, *vals in zip(rows, alpha, *(v.tolist() for v in values)):
+        values = (theta, beta, ll, s_t, s_b, *hess, status[~failed], iterations[~failed])
+        for (r, a), *vals in zip(compress(keys, ~failed), *(v.tolist() for v in values)):
             theta_i, beta_i, ll_i, s_t_i, s_b_i, h_tt, h_tb, h_bb, code, its = vals
-            if code == _FAILED:
-                lanes[r, a] = NumericalError(_NOT_FINITE)
-                continue
             cov, se_theta, se_beta = _covariance(h_tt, h_tb, h_bb)
             lanes[r, a] = FitResult(
                 params=PlAptParams(alpha=a, beta=beta_i, theta=theta_i),
@@ -449,7 +452,7 @@ class FamilySpec:
     beta = 1 + theta, alpha = 1), "pseudo_lindley" frees (theta, beta) at
     alpha = 1, and "pl_apt" frees (theta, beta) at a fixed alpha or over an
     alpha grid (profile likelihood, counted as a third free parameter).
-    Any other kind raises ``DomainError``.
+    Any other kind, or a field the kind does not read, raises ``DomainError``.
     """
 
     name: str
@@ -460,6 +463,10 @@ class FamilySpec:
     def __post_init__(self):
         if self.kind not in ("lindley", "pseudo_lindley", "pl_apt"):
             raise DomainError(f"unknown family kind: {self.kind!r}")
+        if self.alpha_grid is not None and self.kind != "pl_apt":
+            raise DomainError(f"alpha_grid applies to pl_apt families, not {self.kind!r}")
+        if self.alpha != 1.0 and (self.kind != "pl_apt" or self.alpha_grid is not None):
+            raise DomainError(f"a fixed alpha applies to pl_apt families without an alpha_grid, got {self.alpha}")
 
     def _alphas(self) -> tuple:
         # The alphas of the family's Newton fits (the Lindley fit has a closed form).

@@ -58,9 +58,9 @@ class ExperimentConfig:
     tails with known extreme value index instead).  k_exponent sets the
     top-order-statistics count k = floor(n**k_exponent) for EVI studies,
     whose weights must serve that k.  A field one kind reads is rejected for
-    the others: alpha_grid (model_compare), pareto_gamma and any weight but
-    plain Hill (evi_coverage).  evi_coverage takes truth or pareto_gamma, not
-    both.
+    the others: alpha_grid (model_compare), pareto_gamma, any weight but
+    plain Hill and any k_exponent but its default (evi_coverage).
+    evi_coverage takes truth or pareto_gamma, not both.
     """
 
     kind: ExperimentKind
@@ -89,6 +89,8 @@ class ExperimentConfig:
             raise DomainError(f"pareto_gamma applies to evi_coverage experiments, not {self.kind.value}")
         if self.weight != WeightSpec.hill() and self.kind is not ExperimentKind.EVI_COVERAGE:
             raise DomainError(f"weight applies to evi_coverage experiments, not {self.kind.value}")
+        if self.k_exponent != type(self).k_exponent and self.kind is not ExperimentKind.EVI_COVERAGE:
+            raise DomainError(f"k_exponent applies to evi_coverage experiments, not {self.kind.value}")
         if self.truth is not None and self.pareto_gamma is not None:
             raise DomainError("evi_coverage takes truth parameters or pareto_gamma, not both")
         if self.alpha_grid is not None:
@@ -155,6 +157,8 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
         echo["truth"] = {"alpha": cfg.truth.alpha, "beta": cfg.truth.beta, "theta": cfg.truth.theta}
     if cfg.kind is ExperimentKind.EVI_COVERAGE:
         echo["weight"] = {"kind": cfg.weight.kind, "s": cfg.weight.s, "tau": cfg.weight.tau}
+        if cfg.weight.kind == "custom":
+            echo["weight"]["table"] = list(cfg.weight.table)
         echo["pareto_gamma"] = cfg.pareto_gamma
         echo["k"] = cfg.k_value()
     if cfg.alpha_grid is not None:

@@ -88,11 +88,7 @@ def lambert_w(branch: LambertBranch, z):
     """
     if branch is not LambertBranch.NEGATIVE_ONE:
         raise DomainError(f"unknown Lambert branch: {branch!r}")
-    arr = np.asarray(z, dtype=float)
-    zz = np.atleast_1d(arr)
-    if not np.all(np.isfinite(zz)):
-        raise DomainError("lambert_w requires finite arguments")
-    if np.any(zz < BRANCH_POINT) or np.any(zz >= 0.0):
+    z = np.asarray(z, dtype=float)
+    if not np.all((z >= BRANCH_POINT) & (z < 0.0)):  # nan fails too
         raise DomainError("W_{-1} branch requires -1/e <= z < 0")
-    out = _wm1(zz)
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+    return _wm1(z)[()]  # a 0-d result as a float

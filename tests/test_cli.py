@@ -212,6 +212,16 @@ class TestFit:
         assert (rc, out) == (2, "")
         assert err.splitlines() == ["error: sample mean overflows to inf, too large to start a fit from"]
 
+    def test_failed_fit_exit_code(self, tmp_path, capsys):
+        data_path = tmp_path / "data.csv"
+        sample_argv = ["--alpha", "2", "--beta", "2.5", "--theta", "0.6", "--n", "300", "--seed", "3"]
+        assert main(["sample", *sample_argv, "--output", str(data_path)]) == 0
+        rc, out, err = run_cli(
+            capsys, ["fit", "--input", str(data_path), "--alpha", "2", "--theta0", "1e-300", "--beta0", "2"]
+        )
+        assert (rc, out) == (3, "")
+        assert err.splitlines() == ["numerical error: Hessian of the log-likelihood is not finite or is singular"]
+
 
 class TestEvi:
     def _write_pareto(self, tmp_path, gamma=0.5, n=2000, seed=1):
@@ -349,6 +359,7 @@ class TestExpansionAndExperiment:
             ("evi-coverage", truth + ["--pareto-gamma", "0.5"], "not both"),
             ("recovery", truth + ["--tau", "0.5"], "weight"),
             ("maxima-gumbel", truth + ["--s", "2"], "weight"),
+            ("model-compare", truth + ["--k-exponent", "nan"], "k_exponent"),
         ):
             rc, out, err = run_cli(
                 capsys, ["experiment", "--kind", kind, "--n", "200", "--reps", "2", "--seed", "1"] + extra

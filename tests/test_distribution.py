@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -12,6 +13,7 @@ from plapt import (
     OrderStatSpec,
     PlAptParams,
     Sample,
+    a_function,
     cdf,
     hazard,
     median_order_stat_pdf,
@@ -158,6 +160,33 @@ class TestHazard:
         with pytest.raises(DomainError):
             hazard(P_APT, -0.5)
 
+    @pytest.mark.parametrize(
+        "p",
+        [
+            PlAptParams(2.0, 2.5, 1.5),
+            PlAptParams(0.5, 1.1, 0.6),
+            PlAptParams(1.0, 1.5, 3.0),
+            PlAptParams(1.0 + 5e-9, 2.5, 1.5),  # inside the alpha = 1 seam of the other functions
+            PlAptParams(50.0, 30.0, 1e-3),
+            PlAptParams(0.01, 1.0001, 5.0),
+        ],
+        ids=str,
+    )
+    def test_mpmath_oracle_into_the_far_tail(self, p):
+        # pdf/reliability at 60 digits, past the underflow of the survival
+        # (x = 700 and 1e4 at theta = 1.5), where the hazard tends to theta.
+        with mpmath.workdps(60):
+            a, b, th = (mpmath.mpf(v) for v in (p.alpha, p.beta, p.theta))
+            for x in (0.0, 1e-300, 1e-8, 0.3, 1.0, 5.0, 30.0, 200.0, 700.0, 1e4):
+                t = th * mpmath.mpf(x)
+                surv = (1 + t / b) * mpmath.exp(-t)
+                dens = th * (b - 1 + t) * mpmath.exp(-t) / b
+                if a != 1:
+                    dens *= mpmath.log(a) / (a - 1) * a ** (1 - surv)
+                    surv = a / (1 - a) * mpmath.expm1(-mpmath.log(a) * surv)
+                got = hazard(p, x)
+                assert abs(got - dens / surv) <= 1e-15 * (dens / surv), x
+
 
 class TestQuantile:
     def test_zero_at_zero(self):
@@ -217,6 +246,15 @@ class TestQuantile:
         with pytest.raises(DomainError):
             tail_quantile(P_APT, 1.5)
 
+    def test_branch_point_clamp(self):
+        # At v = 1 the Lambert argument rounds to 5.6e-17 below -1/e; it is
+        # clamped to the branch point, where W = -1 and Q = (1 - beta)/theta < 0
+        # by one ulp of beta, so the quantile is 0.
+        p = PlAptParams(0.01, math.nextafter(1.0, 2.0), 1.0)
+        assert distribution._w_argument(p, 1.0) < distribution.BRANCH_POINT
+        assert tail_quantile(p, 1.0) == 0.0
+        assert quantile(p, 5e-324) == 0.0
+
     def test_tail_quantile_down_to_underflow(self):
         p = PlAptParams(2.0, 2.5, 1.5)
         # The Lambert argument at v = 1e-320 is the subnormal -1.48e-321, with
@@ -227,23 +265,48 @@ class TestQuantile:
             tail_quantile(p, 1e-323)
 
 
+_SPEC = OrderStatSpec(n=7, k=3)
+
+
+def order_stat_pdf_3_of_7(p, x):
+    return order_stat_pdf(p, _SPEC, x)
+
+
+# Every elementwise function and a draw of its domain of a given shape:
+# negatives take the x <= 0 and x < 0 branches, tail masses reach 1e-304.
+_DRAWS = {
+    quantile: lambda rng, shape: rng.random(shape),
+    tail_quantile: lambda rng, shape: np.exp(-700.0 * rng.random(shape)),
+    cdf: lambda rng, shape: 3.0 * rng.random(shape) - 0.5,
+    pdf: lambda rng, shape: 3.0 * rng.random(shape) - 0.5,
+    reliability: lambda rng, shape: 3.0 * rng.random(shape) - 0.5,
+    hazard: lambda rng, shape: 800.0 * rng.random(shape) ** 3,
+    order_stat_pdf_3_of_7: lambda rng, shape: 3.0 * rng.random(shape) - 0.5,
+    a_function: lambda rng, shape: np.exp(-700.0 * rng.random(shape)),
+}
+
+
+def _elementwise(p):
+    # a_function is defined for alpha != 1 only
+    return [fn for fn in _DRAWS if not (fn is a_function and p.is_alpha_one)]
+
+
 class TestBlockwise:
-    """quantile, tail_quantile and cdf run in blocks of _BLOCK points, with
+    """Every elementwise function runs in blocks of _BLOCK points, with
     bitwise the result of one block; _BLOCK = 7 splits small inputs."""
 
     @pytest.mark.parametrize("p", [P_APT, P_ONE], ids=["apt", "alpha-one"])
     @pytest.mark.parametrize("shape", [(1,), (6,), (7,), (8,), (50,), (3, 5)])
     def test_blocks_match_one_block(self, monkeypatch, p, shape):
         rng = np.random.default_rng(11)
-        u = rng.random(shape)
-        v = np.exp(-700.0 * rng.random(shape))  # tail masses down to 1e-304
-        x = 3.0 * rng.random(shape) - 0.5  # negatives take cdf's x <= 0 branch
-        assert u.size <= distribution._BLOCK
-        one_block = (quantile(p, u), tail_quantile(p, v), cdf(p, x))
+        inputs = [(fn, _DRAWS[fn](rng, shape)) for fn in _elementwise(p)]
+        assert np.prod(shape) <= distribution._BLOCK
+        one_block = [fn(p, a) for fn, a in inputs]
         monkeypatch.setattr(distribution, "_BLOCK", 7)
-        for got, want in zip((quantile(p, u), tail_quantile(p, v), cdf(p, x)), one_block):
+        for (fn, a), want in zip(inputs, one_block):
+            got = fn(p, a)
             assert got.shape == shape
-            assert np.all(got == want)
+            assert np.all(got == want), fn.__name__
 
     def test_zero_in_later_block(self, monkeypatch):
         u = np.linspace(0.05, 0.95, 20)
@@ -257,10 +320,11 @@ class TestBlockwise:
     def test_scalar_in_float_out(self, monkeypatch):
         # A scalar skips the blocks and gives the one-element array's value.
         monkeypatch.setattr(distribution, "_BLOCK", 7)
-        cases = ((quantile, (0.0, 0.3, 0.999)), (tail_quantile, (1.0, 0.3, 1e-300)), (cdf, (-0.5, 0.0, 2.0)))
+        rng = np.random.default_rng(13)
+        edges = {quantile: [0.0], tail_quantile: [1.0, 1e-300], cdf: [-0.5, 0.0], hazard: [0.0, 1e4]}
         for p in (PlAptParams(2.0, 2.5, 1.5), PlAptParams(0.5, 1.1, 0.6), PlAptParams(1.0, 1.5, 3.0)):
-            for fn, args in cases:
-                for arg in args:
+            for fn in _elementwise(p):
+                for arg in _DRAWS[fn](rng, 3).tolist() + edges.get(fn, []):
                     got = fn(p, arg)
                     assert isinstance(got, float)
                     assert got == fn(p, np.array([arg]))[0]
@@ -275,8 +339,12 @@ class TestBlockwise:
         v[-1] = 5e-324  # the Lambert argument underflows to 0
         with pytest.raises(NumericalError, match="underflowed"):
             tail_quantile(PlAptParams(2.0, 2.5, 1.5), v)
+        x = np.full(15, 0.5)
+        x[-1] = -0.5
+        with pytest.raises(DomainError):
+            hazard(P_APT, x)
 
-    @pytest.mark.parametrize("fn", [quantile, tail_quantile, cdf])
+    @pytest.mark.parametrize("fn", list(_DRAWS))
     def test_peak_memory_about_the_output(self, fn):
         # Only one block's temporaries live beside the output; one pass over
         # all the points would hold several full-size temporaries at once.

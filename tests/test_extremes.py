@@ -267,6 +267,13 @@ class TestDoubleHill:
             WeightSpec(kind="bogus")
         with pytest.raises(DomainError):
             WeightSpec.power(tau=math.nan)
+        # fields the kind never reads
+        for kwargs in (dict(kind="hill", tau=0.5), dict(kind="custom", tau=0.5, table=(1.0,))):
+            with pytest.raises(DomainError, match="tau applies to power weights"):
+                WeightSpec(**kwargs)
+        for kwargs in (dict(kind="hill", table=(1.0,)), dict(kind="power", tau=0.5, table=(1.0,))):
+            with pytest.raises(DomainError, match="table applies to custom weights"):
+                WeightSpec(**kwargs)
 
 
 class TestEviTest:

@@ -219,6 +219,17 @@ class TestModelCompare:
         with pytest.raises(DomainError, match="unknown family kind: 'not_a_kind'"):
             FamilySpec(name="broken", kind="not_a_kind")
 
+    def test_family_spec_rejects_unread_fields(self):
+        for kind in ("lindley", "pseudo_lindley"):
+            with pytest.raises(DomainError, match="fixed alpha"):
+                FamilySpec(name=kind, kind=kind, alpha=2.0)
+            with pytest.raises(DomainError, match="alpha_grid"):
+                FamilySpec(name=kind, kind=kind, alpha_grid=(0.5, 2.0))
+        with pytest.raises(DomainError, match="fixed alpha"):
+            FamilySpec(name="pl_apt", kind="pl_apt", alpha=2.0, alpha_grid=(0.5, 2.0))
+        with pytest.raises(DomainError, match="fixed alpha"):
+            FamilySpec(name="pl_apt", kind="pl_apt", alpha=math.nan, alpha_grid=())
+
     def test_aic_bic_definitions(self):
         data = sample(PlAptParams(1.0, 2.0, 1.0), 400, seed=6)
         row = model_compare(data, [pseudo_lindley_family()])[0]
@@ -360,8 +371,7 @@ class TestLockstep:
         data = sample(PlAptParams(2.0, 2.5, 0.6), 300, seed=3)
         x = np.stack([data.values, data.values])
         theta = np.array([1.0 / np.mean(data.values), 1e-300])  # a singular Hessian at the second start
-        with np.errstate(divide="ignore", invalid="ignore"):
-            final, status, iterations = _fit_chunk(x, np.array([2.0, 2.0]), theta, np.array([2.0, 2.0]), MAX_ITER)
+        final, status, iterations = _fit_chunk(x, np.array([2.0, 2.0]), theta, np.array([2.0, 2.0]), MAX_ITER)
         fit = fit_mle(2.0, data)
         assert status[1] == _FAILED
         assert (_STATUS[status[0]], iterations[0]) == (fit.status, fit.iterations)
@@ -402,6 +412,15 @@ class TestErrors:
         with pytest.raises(DomainError) as info:
             fit_mle(alpha, data, init)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("init", [(1e-300, 2.0), (1e300, 2.0), (1.0, 1e300)])
+    def test_fit_mle_failed_lane(self, init):
+        # The Hessian at each start is not finite or is singular; the suite
+        # turns RuntimeWarnings into errors, so the fit must warn of nothing.
+        data = sample(PlAptParams(2.0, 2.5, 0.6), 300, seed=3)
+        with pytest.raises(NumericalError) as info:
+            fit_mle(2.0, data, init)
+        assert str(info.value) == "Hessian of the log-likelihood is not finite or is singular"
 
     @pytest.mark.parametrize(
         "data, grid, init, message",

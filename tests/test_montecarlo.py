@@ -69,6 +69,10 @@ class TestConfig:
                 with pytest.raises(DomainError, match="weight"):
                     ExperimentConfig(kind=kind, n=100, reps=2, seed=1, truth=TRUTH, weight=weight)
             ExperimentConfig(kind=kind, n=100, reps=2, seed=1, truth=TRUTH, weight=WeightSpec.hill())
+            for k_exponent in (0.5, math.nan):
+                with pytest.raises(DomainError, match="k_exponent"):
+                    ExperimentConfig(kind=kind, n=100, reps=2, seed=1, truth=TRUTH, k_exponent=k_exponent)
+            ExperimentConfig(kind=kind, n=100, reps=2, seed=1, truth=TRUTH, k_exponent=0.6)
         # EVI weights that cannot serve k = floor(500**0.6) = 41: a table of
         # 3 ranks, and power weights j**1000 that overflow
         for weight in (WeightSpec.custom([1.0, 2.0, 3.0]), WeightSpec.power(1000.0)):
@@ -167,6 +171,16 @@ class TestOtherKinds:
         assert 0.7 <= report.summary["coverage"] <= 1.0
         assert report.summary["k"] == int(2000**0.6)
         assert all(r["target"] == 0.5 for r in report.records)
+
+    def test_custom_weights_rerun_from_their_echo(self):
+        weight = WeightSpec.custom([1.0 + 0.5 * j for j in range(30)], s=1.5)
+        cfg = ExperimentConfig(kind="evi_coverage", n=200, reps=4, seed=6, pareto_gamma=0.5, weight=weight)
+        report = run_experiment(cfg)
+        echo = json.loads(report.to_json())["config"]
+        assert echo["weight"] == {"kind": "custom", "s": 1.5, "tau": None, "table": list(weight.table)}
+        fields = {key: value for key, value in echo.items() if key != "k"}
+        rebuilt = ExperimentConfig(**{**fields, "weight": WeightSpec(**echo["weight"])})
+        assert run_experiment(rebuilt).to_json() == report.to_json()
 
     def test_evi_coverage_family_truth_uses_rate_scale(self):
         cfg = ExperimentConfig(kind="evi_coverage", n=1000, reps=5, seed=4, truth=TRUTH)
