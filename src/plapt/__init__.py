@@ -9,7 +9,6 @@ simulation experiments.
 __version__ = "0.1.0"
 
 from .distribution import (
-    ALPHA_ONE_TOL,
     OrderStatSpec,
     PlAptParams,
     Sample,
@@ -64,7 +63,6 @@ from .special_functions import BRANCH_POINT, LambertBranch, lambert_w
 
 __all__ = [
     "__version__",
-    "ALPHA_ONE_TOL",
     "BRANCH_POINT",
     "DomainError",
     "EviReport",

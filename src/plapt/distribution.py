@@ -21,7 +21,6 @@ from .exceptions import DomainError, NumericalError
 from .special_functions import BRANCH_POINT, LambertBranch, lambert_w
 
 __all__ = [
-    "ALPHA_ONE_TOL",
     "PlAptParams",
     "OrderStatSpec",
     "Sample",
@@ -36,14 +35,10 @@ __all__ = [
     "median_order_stat_pdf",
 ]
 
-# |alpha - 1| below this switches to the limiting alpha=1 formulas, which keeps
-# the seam's values bit for bit; the generic formulas do not cancel there (as
-# accurate down to |alpha - 1| = 1.1e-16, save the W_{-1} argument where
-# v*|1 - alpha| is subnormal).
-ALPHA_ONE_TOL = 1e-8
-# Rounding slack tolerated past -1/e before a Lambert argument is treated
-# as corrupted rather than clamped to the branch point.
-_BRANCH_SLACK = 1e-14
+# t = theta*x is clipped to [0, _T_CAP], where exp(-t) and the Pseudo-Lindley
+# survival are 0 and (beta - 1 + t)/(beta + t) is 1 (beta < 2**459): every
+# function is at its limit, and theta*(beta - 1 + t) is finite for theta < 2**511.
+_T_CAP = 2.0**512
 # Points per block of the elementwise pipelines: 128 KiB temporaries stay in L2
 # and below glibc's mmap threshold, so no call page-faults fresh scratch memory
 # (2**13 to 2**15 tie on the draws benchmark; 2**16 faults and is slower).
@@ -77,8 +72,8 @@ class PlAptParams:
 
     @property
     def is_alpha_one(self) -> bool:
-        """True when the alpha=1 (Pseudo-Lindley) branch applies."""
-        return abs(self.alpha - 1.0) < ALPHA_ONE_TOL
+        """True at alpha == 1, the Pseudo-Lindley law."""
+        return self.alpha == 1.0
 
 
 @dataclass(frozen=True)
@@ -134,6 +129,13 @@ def _pl_sf(beta: float, t):
     return np.exp(_survival_log(beta, t))
 
 
+def _log_ratio(alpha):
+    # log(alpha)/(alpha - 1) at alpha > 0 (a scalar or an array), positive on
+    # both sides of alpha = 1 and filled with its limit 1 there
+    alpha = np.asarray(alpha, dtype=float)
+    return np.divide(np.log(alpha), alpha - 1.0, out=np.ones_like(alpha), where=alpha != 1.0)
+
+
 def _blockwise(f, x):
     # f on x as floats: a scalar goes to f whole and comes back a float, an
     # array in runs of _BLOCK points written into one output of its shape,
@@ -149,8 +151,7 @@ def _blockwise(f, x):
 
 
 def _reliability_arr(p: PlAptParams, xa):
-    t = p.theta * np.maximum(xa, 0.0)
-    s = _pl_sf(p.beta, t)
+    s = _pl_sf(p.beta, np.clip(p.theta * xa, 0.0, _T_CAP))
     if p.is_alpha_one:
         out = s
     else:
@@ -170,13 +171,12 @@ def cdf(p: PlAptParams, x):
 
 
 def _pdf_arr(p: PlAptParams, xa):
-    t = p.theta * np.maximum(xa, 0.0)
+    t = np.clip(p.theta * xa, 0.0, _T_CAP)
     base = p.theta * (p.beta - 1.0 + t) * np.exp(-t) / p.beta
-    if not p.is_alpha_one:
-        log_a = math.log(p.alpha)
-        # log(a)/(a-1) > 0 on both sides of a = 1; alpha**(1-S) = exp(log(a)*(1-S)),
-        # with 1 - S = -expm1(log S) to full relative accuracy near t = 0
-        base = base * (log_a / (p.alpha - 1.0)) * np.exp(log_a * -np.expm1(_survival_log(p.beta, t)))
+    # alpha**(1-S) = exp(log(a)*(1-S)), with 1 - S = -expm1(log S) to full
+    # relative accuracy near t = 0; both alpha factors are 1 at alpha = 1
+    log_a = math.log(p.alpha)
+    base = base * _log_ratio(p.alpha) * np.exp(log_a * -np.expm1(_survival_log(p.beta, t)))
     return np.where(xa < 0.0, 0.0, base)
 
 
@@ -196,7 +196,7 @@ def hazard(p: PlAptParams, x):
     def block(b):
         if np.any(b < 0.0):
             raise DomainError("hazard is defined on x >= 0")
-        t = p.theta * b
+        t = np.clip(p.theta * b, 0.0, _T_CAP)
         y = math.log(p.alpha) * _pl_sf(p.beta, t)
         ratio = np.divide(y, np.expm1(y), out=np.ones_like(y), where=y != 0.0)
         return p.theta * (p.beta - 1.0 + t) / (p.beta + t) * ratio
@@ -212,15 +212,14 @@ def _w_argument(p: PlAptParams, v):
     if p.is_alpha_one:
         return -b_exp * v
     log_a = math.log(p.alpha)
-    return (b_exp / log_a) * np.log1p(v * (1.0 - p.alpha) / p.alpha)
+    with np.errstate(divide="ignore"):  # log1p(-1): see _quantile_from_arg
+        return (b_exp / log_a) * np.log1p(v * (1.0 - p.alpha) / p.alpha)
 
 
 def _quantile_from_arg(p: PlAptParams, arg):
-    if np.any(arg < BRANCH_POINT - _BRANCH_SLACK):
-        raise NumericalError(
-            "Lambert argument left (-1/e, 0) by more than rounding slack; "
-            "parameters are inconsistent"
-        )
+    # Exact arguments lie in [-beta*exp(-beta), 0), where W_{-1} >= -beta; one
+    # rounded below -1/e (beta near 1, or -inf where v*(1 - alpha)/alpha rounds
+    # to -1 at alpha >~ 2**53) is clamped to the branch point: W = -1, Q = 0.
     arg = np.maximum(arg, BRANCH_POINT)
     if np.any(arg >= 0.0):  # the argument is negative, so only underflow reaches 0
         raise NumericalError(

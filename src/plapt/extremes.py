@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distribution import PlAptParams, Sample, _blockwise, _w_argument, replication_rng, tail_quantile
+from .distribution import PlAptParams, Sample, _blockwise, _log_ratio, _w_argument, replication_rng, tail_quantile
 from .exceptions import DomainError, NumericalError, PlaptError
 from .special_functions import LambertBranch, lambert_w
 
@@ -42,26 +42,26 @@ def tail_constant(alpha: float, beta: float) -> float:
 
     The W-argument of the upper-tail quantile behaves as u * C + O(u^2);
     C = (1 - alpha) * beta * exp(-beta) / (alpha * log(alpha)) is negative
-    for every alpha > 0 (alpha != 1) and beta > 0.
+    for every alpha > 0 and beta > 0, and C(1, beta) = -beta * exp(-beta),
+    its limit at the Pseudo-Lindley law.
     """
-    if not (math.isfinite(alpha) and math.isfinite(beta)) or alpha <= 0.0 or alpha == 1.0:
-        raise DomainError("tail_constant requires finite alpha > 0, alpha != 1 and finite beta")
-    return (1.0 - alpha) * beta * math.exp(-beta) / (alpha * math.log(alpha))
+    if not (math.isfinite(alpha) and math.isfinite(beta)) or alpha <= 0.0:
+        raise DomainError("tail_constant requires finite alpha > 0 and finite beta")
+    return float(-beta * math.exp(-beta) / (alpha * _log_ratio(alpha)))
 
 
 def a_function(p: PlAptParams, u):
     """W-argument A(alpha, beta, u) of the upper-tail quantile Q(1 - u).
 
-    Always lies in (-1/e, 0) for u in (0, 1] and behaves as u * C(alpha,
-    beta) as u -> 0.
+    Lies in [-beta * exp(-beta), 0), inside (-1/e, 0), for u in (0, 1]
+    (rounding below, or -inf at alpha >~ 2**53, is clamped) and behaves as
+    u * C(alpha, beta) as u -> 0; at alpha = 1 it is exactly u * C.
     """
-    if p.is_alpha_one:
-        raise DomainError("a_function is defined for alpha != 1")
 
     def block(b):
         if not np.all((b > 0.0) & (b <= 1.0)):
             raise DomainError("a_function requires 0 < u <= 1")
-        return _w_argument(p, b)
+        return np.maximum(_w_argument(p, b), -p.beta * math.exp(-p.beta))
 
     return _blockwise(block, u)
 
@@ -92,10 +92,8 @@ def extremal_quantile(p: PlAptParams, u: float) -> ExtremalExpansion:
     Applies the four-term logarithmic series of W_{-1} to the exact
     argument A(alpha, beta, u), so the error decreases monotonically as
     u -> 0 (within 1e-2 of the exact quantile already at u = 1e-10 across
-    the tested parameter range).
+    the tested parameter range, alpha = 1 included).
     """
-    if p.is_alpha_one:
-        raise DomainError("extremal_quantile is defined for alpha != 1")
     u = float(u)
     if not 0.0 < u <= 0.1:
         raise DomainError(f"extremal_quantile requires 0 < u <= 0.1, got {u}")
@@ -135,10 +133,9 @@ def pi_variation_check(
     The limit of (Q(1-lambda*u) - Q(1-u)) / s(u) as u -> 0 is -log(lambda),
     so the reported residual r(u) must shrink toward 0 down the grid.  The
     auxiliary scale s(u) is evaluated by central finite differences of the
-    exact quantile with relative step u/100.
+    exact quantile with relative step u/100.  Every alpha, alpha = 1
+    included, lies in the Gumbel domain.
     """
-    if p.is_alpha_one:
-        raise DomainError("pi_variation_check is defined for alpha != 1")
     lam = float(lam)
     if not lam > 0.0:
         raise DomainError(f"lambda must be positive, got {lam}")
@@ -402,9 +399,8 @@ def maxima_normalization(p: PlAptParams, n: int, reps: int, seed) -> MaximaResul
     replication's maximum depends on nothing but its own stream.  All maxima
     go through one W_{-1} call.  The normalization theta * (X_max - Q(1-1/n))
     is computed in Lambert space, making it exactly independent of theta.
+    Every alpha, alpha = 1 included, is in the Gumbel domain.
     """
-    if p.is_alpha_one:
-        raise DomainError("maxima_normalization is defined for alpha != 1")
     n = int(n)
     reps = int(reps)
     if n < 100:

@@ -15,8 +15,8 @@ fits one sample at one alpha, ``fit_mle_profile`` one sample at a grid,
 and ``model_compare`` and the simulation studies the candidates of many
 samples at once.  A lane's arithmetic is elementwise and its sums are row
 sums, so its result does not depend on the lanes fitted beside it.  Each
-distinct (sample, alpha) pair is one lane; the lanes off alpha = 1 lead,
-and only those evaluate the alpha-power term.
+distinct (sample, alpha) pair is one lane; the lanes at alpha = 1 trail,
+so that the others alone evaluate the alpha-power term.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distribution import ALPHA_ONE_TOL, PlAptParams, Sample, _param_error
+from .distribution import PlAptParams, Sample, _log_ratio, _param_error
 from .exceptions import DomainError, NumericalError, PlaptError
 
 __all__ = [
@@ -59,13 +59,9 @@ CHUNK_ELEMENTS = 1 << 16
 
 def _alpha_terms(alpha, n: int) -> tuple:
     # log(alpha) and the log-likelihood constant
-    # n*log(log(alpha)/(alpha - 1)) + n*log(alpha) of every lane, both 0 at
-    # lanes within ALPHA_ONE_TOL of alpha = 1, which skip the alpha-power term.
+    # n*log(log(alpha)/(alpha - 1)) + n*log(alpha) of every lane, both 0 at alpha = 1.
     log_a = np.log(alpha)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ll_a = n * np.log(log_a / (alpha - 1.0)) + n * log_a
-    seam = np.abs(alpha - 1.0) < ALPHA_ONE_TOL
-    return np.where(seam, 0.0, log_a), np.where(seam, 0.0, ll_a)
+    return log_a, n * np.log(_log_ratio(alpha)) + n * log_a
 
 
 def _lane_derivatives(theta, m, inv_b, x, x_sum, log_a, ll_a):
@@ -79,9 +75,10 @@ def _lane_derivatives(theta, m, inv_b, x, x_sum, log_a, ll_a):
     # sums of log(d), y, z, y*z and z*z; the alpha-power term
     # log(alpha) * (n - sum((1 + t/beta)*e)), e = exp(-t), and its
     # derivatives need the sums of t**j * e, j = 0..3.  Every sum is a row
-    # sum of a reduction over the stack w.  Lanes off alpha = 1 must lead:
-    # the alpha-power part runs, through views, on the first
-    # k = count_nonzero(log_a) lanes only, and lanes at alpha = 1 skip it.
+    # sum of a reduction over the stack w.  The alpha-power part runs, through
+    # views, on the lanes up to the last one off alpha = 1 only: a lane at
+    # alpha = 1 (log_a = ll_a = 0) among them adds exact zeros, and those
+    # after it skip the part.
     lanes, n = x.shape
     w = np.empty((6, lanes, n))
     log_d, y, z, yz, zz, t = w
@@ -103,7 +100,8 @@ def _lane_derivatives(theta, m, inv_b, x, x_sum, log_a, ll_a):
     h_aa = (s_yz - s_y) - n
     h_av = -s_yz
     h_vv = n_mb * mb - s_zz
-    if k := np.count_nonzero(log_a):
+    if (off_one := log_a.nonzero()[0]).size:
+        k = int(off_one[-1]) + 1
         e, te, t2e, t3e = w[:4, :k]
         t, log_a, ll_a, inv_b, m, mb = t[:k], log_a[:k], ll_a[:k], inv_b[:k], m[:k], mb[:k]
         np.exp(np.negative(t, out=e), out=e)
@@ -142,9 +140,9 @@ def _loglik_derivatives(alpha, theta, beta, data):
 def log_likelihood(alpha: float, theta: float, beta: float, data: Sample) -> float:
     """Log-likelihood of the data under parameters (alpha, theta, beta).
 
-    For alpha away from 1 the constant log(log(alpha)) - log(alpha - 1) is
-    evaluated jointly as log(log(alpha)/(alpha - 1)), which is real and
-    finite on both sides of alpha = 1.
+    The constant log(log(alpha)) - log(alpha - 1) is evaluated jointly as
+    log(log(alpha)/(alpha - 1)), which is real and finite on both sides of
+    alpha = 1 and 0 at alpha = 1, its limit.
     """
     return _loglik_derivatives(alpha, theta, beta, data)[0]
 
@@ -233,8 +231,8 @@ def _newton_step(beta, m, g_a, g_v, h_aa, h_av, h_vv):
 # A lane whose step is not finite fails and a non-finite candidate is rejected: no flag warns.
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _fit_chunk(x, alpha, theta, beta, max_iter):
-    # Newton's method in lockstep on the lanes of one chunk, those off
-    # alpha = 1 first (dropping finished lanes keeps that order); x holds one
+    # Newton's method in lockstep on the lanes of one chunk, those at alpha = 1
+    # last (dropping finished lanes keeps that order); x holds one
     # row of data per lane, alpha, theta and beta one entry per lane.  A
     # lane's state is a column of (exp(u), exp(v), theta, beta, 1/beta) and
     # its scaled derivatives.  Every turn tries one candidate per live lane:
@@ -334,7 +332,8 @@ def _fit_rows(x: np.ndarray, alphas: Sequence[float], init=None, max_iter: int =
     the result is the ``FitResult`` of ``fit_mle(alphas[j], Sample(x[r]),
     init, max_iter=max_iter)``, or the ``PlaptError`` it raises; a repeated
     alpha is fitted once and gets that same result.  All lanes run in one
-    run of chunks (``_chunks``), those off alpha = 1 first.
+    run of chunks (``_chunks``), those at alpha = 1 last, which skip the
+    alpha-power term.
     """
     alphas = [float(a) for a in alphas]
     n = x.shape[1]
@@ -352,7 +351,7 @@ def _fit_rows(x: np.ndarray, alphas: Sequence[float], init=None, max_iter: int =
             out[r][j] = first or alpha_errors[j] or row_error or start_error
             if out[r][j] is None:
                 lanes[r, alpha] = init or (1.0 / mean, 2.0)
-    order = sorted(lanes, key=lambda lane: abs(lane[1] - 1.0) < ALPHA_ONE_TOL)
+    order = sorted(lanes, key=lambda lane: lane[1] == 1.0)
     for chunk in _chunks(len(order), n):
         keys = order[chunk.start : chunk.stop]
         rows, alpha = zip(*keys)

@@ -60,7 +60,8 @@ class ExperimentConfig:
     whose weights must serve that k.  A field one kind reads is rejected for
     the others: alpha_grid (model_compare), pareto_gamma, any weight but
     plain Hill and any k_exponent but its default (evi_coverage).
-    evi_coverage takes truth or pareto_gamma, not both.
+    evi_coverage takes truth or pareto_gamma, not both.  Every kind takes
+    any truth, alpha = 1 included; maxima_gumbel needs n >= 100.
     """
 
     kind: ExperimentKind
@@ -100,11 +101,8 @@ class ExperimentConfig:
             object.__setattr__(self, "alpha_grid", grid)
         if self.truth is None and self.kind is not ExperimentKind.EVI_COVERAGE:
             raise DomainError(f"{self.kind.value} experiments require truth parameters")
-        if self.kind is ExperimentKind.MAXIMA_GUMBEL:
-            if self.truth.is_alpha_one:
-                raise DomainError("maxima_gumbel requires alpha != 1")
-            if self.n < 100:
-                raise DomainError("maxima_gumbel requires n >= 100")
+        if self.kind is ExperimentKind.MAXIMA_GUMBEL and self.n < 100:
+            raise DomainError("maxima_gumbel requires n >= 100")
         if self.kind is ExperimentKind.EVI_COVERAGE:
             if self.pareto_gamma is None and self.truth is None:
                 raise DomainError("evi_coverage requires truth parameters or pareto_gamma")

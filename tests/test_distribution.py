@@ -16,6 +16,7 @@ from plapt import (
     a_function,
     cdf,
     hazard,
+    log_likelihood,
     median_order_stat_pdf,
     order_stat_pdf,
     pdf,
@@ -52,9 +53,11 @@ class TestParams:
             PlAptParams(**kwargs)
 
     def test_alpha_one_switch(self):
+        # alpha = 1 is special only at alpha == 1; its neighbours take the
+        # generic formulas
         assert PlAptParams(1.0, 2.0, 1.0).is_alpha_one
-        assert PlAptParams(1.0 + 1e-9, 2.0, 1.0).is_alpha_one
-        assert not PlAptParams(1.0 + 1e-7, 2.0, 1.0).is_alpha_one
+        for alpha in (1.0 + 1e-9, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0), 1.0 + 1e-7):
+            assert not PlAptParams(alpha, 2.0, 1.0).is_alpha_one
 
 
 class TestCdf:
@@ -166,7 +169,7 @@ class TestHazard:
             PlAptParams(2.0, 2.5, 1.5),
             PlAptParams(0.5, 1.1, 0.6),
             PlAptParams(1.0, 1.5, 3.0),
-            PlAptParams(1.0 + 5e-9, 2.5, 1.5),  # inside the alpha = 1 seam of the other functions
+            PlAptParams(1.0 + 5e-9, 2.5, 1.5),  # next to alpha = 1
             PlAptParams(50.0, 30.0, 1e-3),
             PlAptParams(0.01, 1.0001, 5.0),
         ],
@@ -186,6 +189,25 @@ class TestHazard:
                     surv = a / (1 - a) * mpmath.expm1(-mpmath.log(a) * surv)
                 got = hazard(p, x)
                 assert abs(got - dens / surv) <= 1e-15 * (dens / surv), x
+
+
+class TestHugeAndInfiniteX:
+    # t = theta*x saturates, so every function reaches its limit, with no
+    # warning, where theta*x or theta*(beta - 1 + t) would overflow.
+    @pytest.mark.parametrize(
+        "p", [PlAptParams(2.0, 2.5, 1.5), PlAptParams(1.0, 2.5, 1.5), PlAptParams(0.5, 1.1, 0.6)], ids=str
+    )
+    def test_limits(self, p):
+        for x in (1e308, math.inf):
+            assert cdf(p, x) == 1.0
+            assert reliability(p, x) == 0.0
+            assert pdf(p, x) == 0.0
+            assert hazard(p, x) == p.theta
+            for k in (1, 4, 7):
+                assert order_stat_pdf(p, OrderStatSpec(n=7, k=k), x) == 0.0
+        x = np.array([5.0, 1e308, math.inf])
+        assert np.array_equal(hazard(p, x), [hazard(p, 5.0), p.theta, p.theta])
+        assert np.array_equal(cdf(p, x), [cdf(p, 5.0), 1.0, 1.0])
 
 
 class TestQuantile:
@@ -264,6 +286,54 @@ class TestQuantile:
         with pytest.raises(NumericalError, match="underflowed"):
             tail_quantile(p, 1e-323)
 
+    @pytest.mark.parametrize("alpha", [1e16, 1e17, 1e300])
+    def test_huge_alpha(self, alpha):
+        # From alpha ~ 2**53 on, v*(1 - alpha)/alpha rounds to -1 at v = 1 and
+        # the Lambert argument to -inf; it is clamped, with no warning (the
+        # suite turns RuntimeWarnings into errors), and Q(0) = 0.
+        p = PlAptParams(alpha, 2.0, 1.0)
+        assert quantile(p, 0.0) == 0.0
+        assert tail_quantile(p, 1.0) == 0.0
+        assert a_function(p, 1.0) == -2.0 * math.exp(-2.0)
+        u = np.array([0.0, 1e-12, 1e-3, 0.5, 0.999999])
+        assert np.max(np.abs(cdf(p, quantile(p, u)) - u)) <= 1e-10
+
+
+class TestExactAlphaOne:
+    """alpha = 1 is special only at alpha == 1: next to it the generic
+    formulas hold to full precision, checked against 50-digit values at
+    (beta, theta) = (2.5, 1.5)."""
+
+    B, TH = 2.5, 1.5
+
+    @pytest.mark.parametrize("alpha", [1.0 - 5e-9, 1.0 + 5e-9, 1.0 - 1e-12, 1.0 + 1e-12, 1.0 + 2.2e-16])
+    def test_mpmath_oracle_next_to_one(self, alpha):
+        p = PlAptParams(alpha, self.B, self.TH)
+        data = sample(PlAptParams(1.0, self.B, self.TH), 200, seed=2024)
+        with mpmath.workdps(50):
+            a, b, th = (mpmath.mpf(v) for v in (alpha, self.B, self.TH))
+            log_a = mpmath.log(a)
+
+            def one_minus_surv(x):
+                t = th * mpmath.mpf(x)
+                return 1 - (1 + t / b) * mpmath.exp(-t)
+
+            def log_pdf(x):
+                t = th * mpmath.mpf(x)
+                return mpmath.log(th * (b - 1 + t) / b) - t + mpmath.log(log_a / (a - 1)) + log_a * one_minus_surv(x)
+
+            for x in (0.05, 0.3, 1.0, 3.0, 10.0):
+                want_cdf = mpmath.expm1(log_a * one_minus_surv(x)) / (a - 1)
+                assert abs(cdf(p, x) - want_cdf) <= 1e-14 * want_cdf, x
+                want_pdf = mpmath.exp(log_pdf(x))
+                assert abs(pdf(p, x) - want_pdf) <= 1e-14 * want_pdf, x
+            for v in np.geomspace(1e-290, 0.5, 30).tolist():
+                arg = b * mpmath.exp(-b) / log_a * mpmath.log1p(v * (1 - a) / a)
+                want = (-b - mpmath.lambertw(arg, -1).real) / th
+                assert abs(tail_quantile(p, v) - want) <= 1e-14 * want, v
+            want_ll = mpmath.fsum(log_pdf(x) for x in data.values.tolist())
+            assert abs(log_likelihood(alpha, self.TH, self.B, data) - want_ll) <= 1e-12 * data.n
+
 
 _SPEC = OrderStatSpec(n=7, k=3)
 
@@ -286,11 +356,6 @@ _DRAWS = {
 }
 
 
-def _elementwise(p):
-    # a_function is defined for alpha != 1 only
-    return [fn for fn in _DRAWS if not (fn is a_function and p.is_alpha_one)]
-
-
 class TestBlockwise:
     """Every elementwise function runs in blocks of _BLOCK points, with
     bitwise the result of one block; _BLOCK = 7 splits small inputs."""
@@ -299,7 +364,7 @@ class TestBlockwise:
     @pytest.mark.parametrize("shape", [(1,), (6,), (7,), (8,), (50,), (3, 5)])
     def test_blocks_match_one_block(self, monkeypatch, p, shape):
         rng = np.random.default_rng(11)
-        inputs = [(fn, _DRAWS[fn](rng, shape)) for fn in _elementwise(p)]
+        inputs = [(fn, _DRAWS[fn](rng, shape)) for fn in _DRAWS]
         assert np.prod(shape) <= distribution._BLOCK
         one_block = [fn(p, a) for fn, a in inputs]
         monkeypatch.setattr(distribution, "_BLOCK", 7)
@@ -323,7 +388,7 @@ class TestBlockwise:
         rng = np.random.default_rng(13)
         edges = {quantile: [0.0], tail_quantile: [1.0, 1e-300], cdf: [-0.5, 0.0], hazard: [0.0, 1e4]}
         for p in (PlAptParams(2.0, 2.5, 1.5), PlAptParams(0.5, 1.1, 0.6), PlAptParams(1.0, 1.5, 3.0)):
-            for fn in _elementwise(p):
+            for fn in _DRAWS:
                 for arg in _DRAWS[fn](rng, 3).tolist() + edges.get(fn, []):
                     got = fn(p, arg)
                     assert isinstance(got, float)

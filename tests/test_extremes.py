@@ -54,10 +54,18 @@ class TestTailConstant:
                 continue
             assert tail_constant(alpha, float(rng.uniform(1.0001, 10.0))) < 0.0
 
-    def test_alpha_one_rejected(self):
-        for alpha, beta in ((1.0, 2.0), (math.nan, 2.0), (2.0, math.nan)):
+    def test_non_finite_rejected(self):
+        for alpha, beta in ((0.0, 2.0), (math.nan, 2.0), (math.inf, 2.0), (2.0, math.nan)):
             with pytest.raises(DomainError):
                 tail_constant(alpha, beta)
+
+    def test_alpha_one_limit(self):
+        # C(1, beta) = -beta*exp(-beta), the limit from both sides
+        for beta in (1.1, 2.5, 7.0):
+            c = tail_constant(1.0, beta)
+            assert c == -beta * math.exp(-beta)
+            for alpha in (1.0 - 1e-9, 1.0 + 1e-9):
+                assert tail_constant(alpha, beta) == pytest.approx(c, rel=1e-8)
 
 
 class TestAFunction:
@@ -80,13 +88,16 @@ class TestAFunction:
             a = a_function(p, float(rng.uniform(1e-12, 1.0)))
             assert -1.0 / math.e < a < 0.0
 
-    def test_alpha_one_rejected(self):
-        with pytest.raises(DomainError):
-            a_function(PlAptParams(1.0, 2.0, 1.0), 0.5)
+    def test_tail_mass_domain(self):
         # tail masses outside (0, 1], non-finite ones included, as tail_quantile
         for u in (0.0, 1.5, math.nan, math.inf, np.array([0.5, math.nan])):
             with pytest.raises(DomainError):
                 a_function(P, u)
+
+    def test_alpha_one_is_linear(self):
+        p = PlAptParams(1.0, 2.0, 1.0)
+        u = np.array([1e-300, 1e-8, 0.5, 1.0])
+        assert np.array_equal(a_function(p, u), tail_constant(1.0, 2.0) * u)
 
 
 class TestExtremalQuantile:
@@ -125,8 +136,19 @@ class TestExtremalQuantile:
             extremal_quantile(P, 0.2)
         with pytest.raises(DomainError):
             extremal_quantile(P, 0.0)
-        with pytest.raises(DomainError):
-            extremal_quantile(PlAptParams(1.0, 2.0, 1.0), 1e-4)
+
+    @pytest.mark.parametrize("beta", [1.1, 1.5, 2.5])
+    def test_alpha_one(self, beta):
+        # the bounds of the alpha != 1 tests above
+        p = PlAptParams(1.0, beta, 0.6)
+        assert abs(extremal_quantile(p, 1e-6).value - tail_quantile(p, 1e-6)) < 2e-3
+        errors = [abs(extremal_quantile(p, u).value - tail_quantile(p, u)) for u in (1e-4, 1e-8, 1e-10)]
+        assert errors[0] > errors[1] > errors[2]
+        assert errors[2] < 1e-2
+        for u in (1e-5, 1e-8):
+            comp = extremal_quantile(p, u).components
+            assert abs(comp["log"]) > abs(comp["loglog"]) > abs(comp["inv_log"])
+        assert extremal_quantile(p, 1e-4).c_ab == tail_constant(1.0, beta)
 
 
 class TestPiVariation:
@@ -150,8 +172,15 @@ class TestPiVariation:
             pi_variation_check(P, -1.0, [1e-4])
         with pytest.raises(DomainError):
             pi_variation_check(P, 2.0, [0.5])
-        with pytest.raises(DomainError):
-            pi_variation_check(PlAptParams(1.0, 2.0, 1.0), 2.0, [1e-4])
+
+    @pytest.mark.parametrize("beta", [1.1, 1.5, 2.5])
+    def test_alpha_one(self, beta):
+        # the bounds of the alpha != 1 tests above
+        p = PlAptParams(1.0, beta, 0.6)
+        coarse, fine = pi_variation_check(p, 2.0, [1e-4, 1e-8])
+        assert abs(fine.residual) < abs(coarse.residual)
+        assert abs(fine.residual) < 0.05
+        assert fine.scale * p.theta == pytest.approx(1.0, abs=0.05)
 
 
 def classical_hill(values, k):
@@ -344,9 +373,17 @@ class TestMaximaNormalization:
         mid = res.ecdf(float(np.median(res.normalized)))
         assert 0.4 <= mid <= 0.6
 
+    def test_alpha_one(self):
+        # the bounds of the alpha != 1 tests above
+        p = PlAptParams(1.0, 2.5, 0.6)
+        assert maxima_normalization(p, n=10**4, reps=400, seed=123).ks_distance < 0.12
+        res = maxima_normalization(p, n=2000, reps=50, seed=7)
+        assert np.array_equal(res.normalized, maxima_normalization(PlAptParams(1.0, 2.5, 3.0), 2000, 50, 7).normalized)
+        u_max = np.array([replication_rng(7, i).random(2000).max() for i in range(50)])
+        direct = p.theta * (quantile(p, u_max) - tail_quantile(p, 1.0 / 2000))
+        assert np.max(np.abs(res.normalized - direct)) <= 1e-9
+
     def test_validation(self):
-        with pytest.raises(DomainError):
-            maxima_normalization(PlAptParams(1.0, 2.0, 1.0), n=1000, reps=10, seed=1)
         with pytest.raises(DomainError):
             maxima_normalization(P, n=50, reps=10, seed=1)
         with pytest.raises(DomainError):

@@ -335,10 +335,18 @@ class TestLockstep:
             assert pseudo.params == fit_mle(1.0, Sample(row)).params
 
     def test_derivatives_of_mixed_lanes_equal_one_lane_calls(self):
-        # Lanes off alpha = 1 first, as _fit_rows orders them.
+        # The alpha = 1 lane sits before a lane off alpha = 1.
+        self._check_lanes(np.array([4.0, 0.5, 1.0 - 2e-8, 1.0, 1.0 + 5e-9]))
+
+    def test_derivatives_in_any_lane_order(self):
+        self._check_lanes(np.array([1.0, 4.0, 0.5, 1.0 - 2e-8, 1.0 + 5e-9]))
+        self._check_lanes(np.array([1.0, 1.0, 1.0, 1.0, 2.0]))
+        self._check_lanes(np.array([1.0, 1.0, 1.0, 1.0, 1.0]))
+
+    @staticmethod
+    def _check_lanes(alpha):
         rows = _mixed_rows()
         x = rows[[0, 1, 2, 0, 1]]
-        alpha = np.array([4.0, 0.5, 1.0 - 2e-8, 1.0, 1.0 + 5e-9])
         theta = np.array([1.2, 0.4, 0.9, 2.0, 0.3])
         beta = np.array([2.5, 1.1, 30.0, 1.7, 4.0])
         m, inv_b = beta - 1.0, 1.0 / beta

@@ -15,6 +15,7 @@ from plapt import (
     double_hill_components,
     fit_mle,
     lindley_family,
+    maxima_normalization,
     model_compare,
     pl_apt_family,
     pseudo_lindley_family,
@@ -42,9 +43,7 @@ class TestConfig:
         with pytest.raises(DomainError):
             ExperimentConfig(kind="evi_coverage", n=100, reps=2, seed=1)
         with pytest.raises(DomainError):
-            ExperimentConfig(
-                kind="maxima_gumbel", n=100, reps=2, seed=1, truth=PlAptParams(1.0, 2.0, 1.0)
-            )
+            ExperimentConfig(kind="maxima_gumbel", n=99, reps=2, seed=1, truth=TRUTH)
         with pytest.raises(DomainError):
             ExperimentConfig(
                 kind="evi_coverage", n=100, reps=2, seed=1, pareto_gamma=0.5, k_exponent=1.5
@@ -193,6 +192,15 @@ class TestOtherKinds:
         assert len(report.records) == 30
         assert "ks_distance" in report.summary
         assert report.summary["ks_distance"] < 0.4
+
+    def test_maxima_gumbel_at_alpha_one(self):
+        truth = PlAptParams(1.0, 2.5, 1.5)
+        cfg = ExperimentConfig(kind="maxima_gumbel", n=5000, reps=30, seed=7, truth=truth)
+        report = run_experiment(cfg)
+        assert report.failures == 0
+        assert report.summary["ks_distance"] < 0.4
+        z = np.array([r["normalized"] for r in report.records])
+        assert np.array_equal(z, maxima_normalization(truth, 5000, 30, 7).normalized)
 
     def test_model_compare_summary(self):
         cfg = ExperimentConfig(
