@@ -150,8 +150,15 @@ def _blockwise(f, x):
     return out.reshape(a.shape)
 
 
+def _clipped_t(p: PlAptParams, xa):
+    # t = theta*x clipped to [0, _T_CAP]; a product that overflows to inf
+    # clips to the same limit, so its overflow is no error.
+    with np.errstate(over="ignore"):
+        return np.clip(p.theta * xa, 0.0, _T_CAP)
+
+
 def _reliability_arr(p: PlAptParams, xa):
-    s = _pl_sf(p.beta, np.clip(p.theta * xa, 0.0, _T_CAP))
+    s = _pl_sf(p.beta, _clipped_t(p, xa))
     if p.is_alpha_one:
         out = s
     else:
@@ -171,7 +178,7 @@ def cdf(p: PlAptParams, x):
 
 
 def _pdf_arr(p: PlAptParams, xa):
-    t = np.clip(p.theta * xa, 0.0, _T_CAP)
+    t = _clipped_t(p, xa)
     base = p.theta * (p.beta - 1.0 + t) * np.exp(-t) / p.beta
     # alpha**(1-S) = exp(log(a)*(1-S)), with 1 - S = -expm1(log S) to full
     # relative accuracy near t = 0; both alpha factors are 1 at alpha = 1
@@ -196,7 +203,7 @@ def hazard(p: PlAptParams, x):
     def block(b):
         if np.any(b < 0.0):
             raise DomainError("hazard is defined on x >= 0")
-        t = np.clip(p.theta * b, 0.0, _T_CAP)
+        t = _clipped_t(p, b)
         y = math.log(p.alpha) * _pl_sf(p.beta, t)
         ratio = np.divide(y, np.expm1(y), out=np.ones_like(y), where=y != 0.0)
         return p.theta * (p.beta - 1.0 + t) / (p.beta + t) * ratio

@@ -391,15 +391,30 @@ class MaximaResult:
         return _blockwise(lambda b: np.searchsorted(z, b, side="right") / z.size, x)
 
 
+def _normalized_maxima(p: PlAptParams, n: int, g) -> np.ndarray:
+    """theta * (X_max - Q(1 - 1/n)) of the maximum of n draws, one per uniform g.
+
+    The maximum of n uniforms has tail mass -expm1(log(g)/n) (Devroye 1986,
+    ch. V), which is 1 at g = 0 and positive for every g < 1.  The
+    normalization is taken in Lambert space, exactly independent of theta.
+    """
+    with np.errstate(divide="ignore"):  # log(0) = -inf gives tail mass 1
+        v = -np.expm1(np.log(g) / n)
+    w_max = lambert_w(LambertBranch.NEGATIVE_ONE, _w_argument(p, v))
+    w_ref = lambert_w(LambertBranch.NEGATIVE_ONE, _w_argument(p, 1.0 / n))
+    return w_ref - w_max
+
+
 def maxima_normalization(p: PlAptParams, n: int, reps: int, seed) -> MaximaResult:
     """Simulate maxima of size-n samples and normalize toward the Gumbel law.
 
-    Replication i draws its uniforms from ``replication_rng(seed, i)``, the
-    stream every seeded study uses, so results are reproducible and each
-    replication's maximum depends on nothing but its own stream.  All maxima
-    go through one W_{-1} call.  The normalization theta * (X_max - Q(1-1/n))
-    is computed in Lambert space, making it exactly independent of theta.
-    Every alpha, alpha = 1 included, is in the Gumbel domain.
+    Replication i draws the one uniform its maximum needs from
+    ``replication_rng(seed, i)``, the stream every seeded study uses, so
+    results are reproducible, each maximum depends on nothing but its own
+    stream, and the cost does not grow with n.  All maxima go through one
+    W_{-1} call.  The normalization theta * (X_max - Q(1-1/n)) is computed in
+    Lambert space, making it exactly independent of theta.  Every alpha,
+    alpha = 1 included, is in the Gumbel domain.
     """
     n = int(n)
     reps = int(reps)
@@ -407,10 +422,7 @@ def maxima_normalization(p: PlAptParams, n: int, reps: int, seed) -> MaximaResul
         raise DomainError(f"sample size must be >= 100, got {n}")
     if reps < 1:
         raise DomainError(f"replication count must be >= 1, got {reps}")
-    u_max = np.array([replication_rng(seed, i).random(n).max() for i in range(reps)])
-    w_max = lambert_w(LambertBranch.NEGATIVE_ONE, _w_argument(p, 1.0 - u_max))
-    w_ref = lambert_w(LambertBranch.NEGATIVE_ONE, _w_argument(p, 1.0 / n))
-    normalized = w_ref - w_max  # equals theta * (X_max - Q(1 - 1/n)) exactly
+    normalized = _normalized_maxima(p, n, np.array([replication_rng(seed, i).random() for i in range(reps)]))
     return MaximaResult(
         normalized=normalized,
         ks_distance=gumbel_ks_distance(normalized),

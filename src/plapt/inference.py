@@ -298,8 +298,8 @@ def _fit_chunk(x, alpha, theta, beta, max_iter):
 
 
 def _chunks(count: int, n: int) -> list[range]:
-    """Consecutive runs of ``count`` rows of ``n`` observations, at most
-    ``CHUNK_ELEMENTS`` observations a run (one row if a row is longer)."""
+    """Consecutive runs of ``count`` rows of ``n`` values, at most
+    ``CHUNK_ELEMENTS`` values a run (one row if a row is longer)."""
     size = max(1, CHUNK_ELEMENTS // n)
     return [range(k, min(k + size, count)) for k in range(0, count, size)]
 

@@ -2,10 +2,13 @@
 
 Every experiment derives one independent random stream per replication
 from the master seed (``SeedSequence(seed, spawn_key=(rep,))``), so the
-report content is a pure function of the configuration.  Studies that
-draw samples take their replications a chunk at a time, one row of
-uniforms each, and reduce the stack with the kind's row function:
-rerunning, or chunks of another size, change nothing.
+report content is a pure function of the configuration.  Each kind draws
+only what it reads, one row per replication: n uniforms for the fitting
+studies, the one uniform that fixes a sample maximum (maxima_gumbel), and
+the k + 2 variates that fix the k + 1 smallest of n uniform tail masses
+(evi_coverage).  Replications run a chunk of rows at a time, and the kind's
+row function reduces the stack: rerunning, or chunks of another size,
+change nothing.
 """
 from __future__ import annotations
 
@@ -20,7 +23,7 @@ import numpy as np
 from . import __version__
 from .distribution import PlAptParams, _param_error, _sorted_rows, quantile, replication_rng, tail_quantile
 from .exceptions import DomainError, PlaptError
-from .extremes import WeightSpec, _double_hill_rows, _hill_weights, gumbel_ks_distance, maxima_normalization
+from .extremes import WeightSpec, _double_hill_rows, _hill_weights, _normalized_maxima, gumbel_ks_distance
 from .inference import _chunks, _fit_rows, _model_compare_rows, lindley_family, pl_apt_family, pseudo_lindley_family
 
 __all__ = [
@@ -212,17 +215,25 @@ def _model_compare_record(rep: int, rows: list) -> dict:
     return rec
 
 
-def _evi_coverage_records(cfg: ExperimentConfig, reps: range, u: np.ndarray) -> list[dict]:
-    # The top k+1 order statistics are the images of the k+1 smallest tail
-    # masses, so only those are transformed: u**-gamma, exact Pareto tails of
-    # EVI gamma, or quantile(u) = tail_quantile(1 - u), centred at 1/theta,
-    # the scale of the top spacings (the family's own EVI is 0).
-    k = cfg.k_value()
+def _smallest_tail_masses(rows: np.ndarray) -> np.ndarray:
+    """The k + 1 smallest of n uniform tail masses, ascending, from each row
+    of k + 1 standard exponentials E_j and one G ~ Gamma(n - k): S_j /
+    (S_{k+1} + G) with S_j = E_1 + ... + E_j (Renyi 1953), to full relative
+    precision."""
+    s = np.cumsum(rows[:, :-1], axis=1)
+    return s / (s[:, -1:] + rows[:, -1:])
+
+
+def _evi_coverage_records(cfg: ExperimentConfig, reps: range, rows: np.ndarray) -> list[dict]:
+    # The top k + 1 order statistics are the images of the k + 1 smallest
+    # tail masses v: v**-gamma, exact Pareto tails of EVI gamma, or
+    # tail_quantile(v), centred at 1/theta, the scale of the top spacings
+    # (the family's own EVI is 0).
+    v = _smallest_tail_masses(rows)
     if cfg.pareto_gamma is not None:
-        top, target = np.partition(u, k, axis=1)[:, : k + 1] ** -cfg.pareto_gamma, cfg.pareto_gamma
+        top, target = v**-cfg.pareto_gamma, cfg.pareto_gamma
     else:
-        top = tail_quantile(cfg.truth, np.partition(1.0 - u, k, axis=1)[:, : k + 1])
-        target = 1.0 / cfg.truth.theta
+        top, target = tail_quantile(cfg.truth, v), 1.0 / cfg.truth.theta
     reports = _double_hill_rows(np.sort(top, axis=1), cfg._weights)
     return [_evi_coverage_record(rep, report, target) for rep, report in zip(reps, reports)]
 
@@ -242,12 +253,31 @@ def _evi_coverage_record(rep: int, report, target: float) -> dict:
     }
 
 
-# The row function of each kind: a chunk's replications and uniforms to records.
+def _maxima_gumbel_records(cfg: ExperimentConfig, reps: range, g: np.ndarray) -> list[dict]:
+    normalized = _normalized_maxima(cfg.truth, cfg.n, g[:, 0])
+    return [{"rep": rep, "ok": True, "normalized": z} for rep, z in zip(reps, normalized.tolist())]
+
+
+# The row function of each kind: a chunk's replications and rows to records.
 _ROW_RECORDS = {
     ExperimentKind.RECOVERY: _recovery_records,
     ExperimentKind.MODEL_COMPARE: _model_compare_records,
     ExperimentKind.EVI_COVERAGE: _evi_coverage_records,
+    ExperimentKind.MAXIMA_GUMBEL: _maxima_gumbel_records,
 }
+
+
+def _row_draw(cfg: ExperimentConfig) -> tuple:
+    """The width of one replication's row and the function that draws the row
+    from the replication's generator: one uniform (maxima_gumbel), k + 1
+    standard exponentials then one Gamma(n - k) variate (evi_coverage), or n
+    uniforms."""
+    if cfg.kind is ExperimentKind.MAXIMA_GUMBEL:
+        return 1, lambda rng: rng.random(1)
+    if cfg.kind is ExperimentKind.EVI_COVERAGE:
+        k = cfg.k_value()
+        return k + 2, lambda rng: np.append(rng.standard_exponential(k + 1), rng.standard_gamma(cfg.n - k))
+    return cfg.n, lambda rng: rng.random(cfg.n)
 
 
 def _mean_sd(values: list[float]) -> tuple[float, float]:
@@ -304,22 +334,21 @@ def _summarize(cfg: ExperimentConfig, records: list[dict]) -> dict:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Run every replication of the configured experiment in this process.
 
-    Replication ``rep`` draws its n uniforms from ``replication_rng(cfg.seed,
-    rep)``, a chunk of replications (``inference._chunks``) at a time, and
-    the kind's row function turns the chunk's stack of uniforms into its
-    records; ``maxima_gumbel`` takes all maxima in one
-    ``maxima_normalization`` call.  Per-replication failures (for example a
-    fit that does not converge) are recorded in place, never raised; the
-    report's ``failures`` field and summary ``failure_rate`` count them.
+    Replication ``rep`` draws its row (``_row_draw``: n uniforms for
+    recovery and model_compare, one uniform for maxima_gumbel, k + 2
+    variates for evi_coverage) from ``replication_rng(cfg.seed, rep)``, a
+    chunk of replications (``inference._chunks``, sized by the row width) at
+    a time, and the kind's row function turns the chunk's stack of rows into
+    its records.  So maxima_gumbel and evi_coverage cost the same at any n.
+    Per-replication failures (for example a fit that does not converge) are
+    recorded in place, never raised; the report's ``failures`` field and
+    summary ``failure_rate`` count them.
     """
-    if cfg.kind is ExperimentKind.MAXIMA_GUMBEL:
-        normalized = maxima_normalization(cfg.truth, cfg.n, cfg.reps, cfg.seed).normalized
-        records = [{"rep": i, "ok": True, "normalized": float(v)} for i, v in enumerate(normalized)]
-    else:
-        records = []
-        for reps in _chunks(cfg.reps, cfg.n):
-            u = np.stack([replication_rng(cfg.seed, rep).random(cfg.n) for rep in reps])
-            records.extend(_ROW_RECORDS[cfg.kind](cfg, reps, u))
+    width, draw = _row_draw(cfg)
+    records = []
+    for reps in _chunks(cfg.reps, width):
+        rows = np.stack([draw(replication_rng(cfg.seed, rep)) for rep in reps])
+        records.extend(_ROW_RECORDS[cfg.kind](cfg, reps, rows))
     return ExperimentReport(
         config=_config_echo(cfg),
         seed=cfg.seed,

@@ -193,11 +193,22 @@ class TestHazard:
 
 class TestHugeAndInfiniteX:
     # t = theta*x saturates, so every function reaches its limit, with no
-    # warning, where theta*x or theta*(beta - 1 + t) would overflow.
+    # warning (the suite makes a RuntimeWarning an error), where theta*x or
+    # theta*(beta - 1 + t) would overflow; theta*x itself overflows at
+    # x = 1e308 for the last two.
     @pytest.mark.parametrize(
-        "p", [PlAptParams(2.0, 2.5, 1.5), PlAptParams(1.0, 2.5, 1.5), PlAptParams(0.5, 1.1, 0.6)], ids=str
+        "p",
+        [
+            PlAptParams(2.0, 2.5, 1.5),
+            PlAptParams(1.0, 2.5, 1.5),
+            PlAptParams(0.5, 1.1, 0.6),
+            PlAptParams(2.0, 2.5, 2.0),
+            PlAptParams(1.0, 1.1, 1e10),
+        ],
+        ids=str,
     )
     def test_limits(self, p):
+        assert (cdf(p, -1e308), reliability(p, -1e308), pdf(p, -1e308)) == (0.0, 1.0, 0.0)
         for x in (1e308, math.inf):
             assert cdf(p, x) == 1.0
             assert reliability(p, x) == 0.0

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from plapt import (
     DomainError,
@@ -357,8 +358,9 @@ class TestMaximaNormalization:
         a = maxima_normalization(PlAptParams(2.0, 2.5, 0.6), n=2000, reps=50, seed=7)
         b = maxima_normalization(PlAptParams(2.0, 2.5, 3.0), n=2000, reps=50, seed=7)
         assert np.array_equal(a.normalized, b.normalized)
-        # replication i draws its maximum from replication_rng(seed, i)
-        u_max = np.array([replication_rng(7, i).random(2000).max() for i in range(50)])
+        # replication i draws one uniform g from replication_rng(seed, i), and
+        # g**(1/n) is distributed as the maximum of n uniforms
+        u_max = np.array([replication_rng(7, i).random() for i in range(50)]) ** (1.0 / 2000)
         direct = P.theta * (quantile(P, u_max) - tail_quantile(P, 1.0 / 2000))
         assert np.max(np.abs(a.normalized - direct)) <= 1e-9
 
@@ -379,9 +381,37 @@ class TestMaximaNormalization:
         assert maxima_normalization(p, n=10**4, reps=400, seed=123).ks_distance < 0.12
         res = maxima_normalization(p, n=2000, reps=50, seed=7)
         assert np.array_equal(res.normalized, maxima_normalization(PlAptParams(1.0, 2.5, 3.0), 2000, 50, 7).normalized)
-        u_max = np.array([replication_rng(7, i).random(2000).max() for i in range(50)])
+        u_max = np.array([replication_rng(7, i).random() for i in range(50)]) ** (1.0 / 2000)
         direct = p.theta * (quantile(p, u_max) - tail_quantile(p, 1.0 / 2000))
         assert np.max(np.abs(res.normalized - direct)) <= 1e-9
+
+    def test_cost_does_not_grow_with_n(self):
+        res = maxima_normalization(PlAptParams(2.0, 2.5, 1.5), n=10**12, reps=2000, seed=1)
+        assert np.all(np.isfinite(res.normalized))
+        assert res.ks_distance < 0.05
+
+    def test_uniform_edges(self, recwarn):
+        # g = 0 is the maximum of tail mass 1, at Q(0) = 0; the largest uniform
+        # below 1 still gives a positive tail mass, so a finite maximum.
+        n = 1000
+        low, high = extremes._normalized_maxima(P, n, np.array([0.0, 1.0 - 2.0**-53]))
+        assert low == pytest.approx(-P.theta * tail_quantile(P, 1.0 / n), rel=1e-14)
+        v = -math.expm1(math.log1p(-(2.0**-53)) / n)
+        assert v > 0.0
+        assert math.isfinite(high)
+        assert high == pytest.approx(P.theta * (tail_quantile(P, v) - tail_quantile(P, 1.0 / n)), rel=1e-12)
+        assert not recwarn.list
+
+    def test_law_of_the_one_uniform_maximum(self):
+        # The maxima drawn from one uniform each against maxima of n = 200
+        # uniforms each, as drawn before.  The normalized maximum is a
+        # decreasing function of the maximum's tail mass times n, so the
+        # two-sample KS test compares that tail mass's law.
+        n, reps = 200, 20000
+        drawn = maxima_normalization(P, n, reps, seed=5).normalized
+        u_max = np.random.default_rng(2024).random((reps, n)).max(axis=1)
+        reference = P.theta * (quantile(P, u_max) - tail_quantile(P, 1.0 / n))
+        assert stats.ks_2samp(drawn, reference).pvalue > 0.01
 
     def test_validation(self):
         with pytest.raises(DomainError):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from plapt import (
     DomainError,
@@ -21,6 +22,7 @@ from plapt import (
     pseudo_lindley_family,
     run_experiment,
     sample,
+    tail_quantile,
 )
 from plapt import inference, montecarlo
 from plapt.distribution import replication_rng
@@ -268,28 +270,55 @@ class TestLockstepStudies:
         cfg = ExperimentConfig(
             kind="evi_coverage", n=1000, reps=20, seed=8, truth=truth, pareto_gamma=pareto_gamma, weight=weight, k_exponent=0.8
         )
+        k = cfg.k_value()
         records = []
         for rep in range(cfg.reps):
+            # the k + 1 smallest of n uniform tail masses, from k + 1
+            # exponentials and one Gamma(n - k) variate
             rng = replication_rng(cfg.seed, rep)
+            s = np.cumsum(rng.standard_exponential(k + 1))
+            v = s / (s[-1] + rng.standard_gamma(cfg.n - k))
             if pareto_gamma is None:
-                data, target = sample(truth, cfg.n, rng), 1.0 / truth.theta
+                data, target = Sample(tail_quantile(truth, v)), 1.0 / truth.theta
             else:
-                data, target = Sample(rng.random(cfg.n) ** -pareto_gamma), pareto_gamma
+                data, target = Sample(v**-pareto_gamma), pareto_gamma
             try:
-                report = double_hill_components(data, weight, cfg.k_value())
+                report = double_hill_components(data, weight, k)
             except PlaptError as exc:
                 report = exc
             records.append(montecarlo._evi_coverage_record(rep, report, target))
         assert run_experiment(cfg).to_json() == _assembled_report(cfg, records).to_json()
 
-    @pytest.mark.parametrize("kind", ["recovery", "model_compare", "evi_coverage"])
+    @pytest.mark.parametrize("kind", ["recovery", "model_compare", "evi_coverage", "maxima_gumbel"])
     def test_chunks_do_not_change_the_report(self, kind, monkeypatch):
         cfg = ExperimentConfig(kind=kind, n=200, reps=7, seed=21, truth=TRUTH)
+        # a row of n uniforms, k + 2 = floor(200**0.6) + 2 = 26 variates, one uniform
+        width = {"recovery": 200, "model_compare": 200, "evi_coverage": 26, "maxima_gumbel": 1}[kind]
+        assert montecarlo._row_draw(cfg)[0] == width
         one_chunk = run_experiment(cfg).to_json()
         # three replications, and three lanes of the engine, a chunk
-        monkeypatch.setattr(inference, "CHUNK_ELEMENTS", 3 * cfg.n)
-        assert inference._chunks(7, 200) == [range(0, 3), range(3, 6), range(6, 7)]
+        monkeypatch.setattr(inference, "CHUNK_ELEMENTS", 3 * width)
+        assert inference._chunks(7, width) == [range(0, 3), range(3, 6), range(6, 7)]
         assert run_experiment(cfg).to_json() == one_chunk
+
+    def test_evi_tail_masses_follow_the_law_of_n_uniforms(self):
+        # The k-th and (k+1)-th smallest tail masses drawn from k + 2 variates
+        # against those of n = 200 uniforms each, as drawn before.
+        cfg = ExperimentConfig(kind="evi_coverage", n=200, reps=1, seed=0, truth=TRUTH)
+        k, reps = cfg.k_value(), 20000
+        _, draw = montecarlo._row_draw(cfg)
+        rng = np.random.default_rng(31)
+        drawn = montecarlo._smallest_tail_masses(np.stack([draw(rng) for _ in range(reps)]))
+        reference = np.sort(1.0 - np.random.default_rng(32).random((reps, cfg.n)), axis=1)
+        for j in (k - 1, k):
+            assert stats.ks_2samp(cfg.n * drawn[:, j], cfg.n * reference[:, j]).pvalue > 0.01
+
+    def test_evi_coverage_at_n_1e9(self):
+        # memory and time set by k, not n: a sample of 1e9 would take 8 GB
+        cfg = ExperimentConfig(kind="evi_coverage", n=10**9, reps=2, seed=1, truth=PlAptParams(2.0, 2.5, 1.5), k_exponent=0.3)
+        report = run_experiment(cfg)
+        assert report.failures == 0
+        assert all(math.isfinite(r["m_n"]) for r in report.records)
 
     def test_iteration_summary(self):
         cfg = ExperimentConfig(kind="recovery", n=200, reps=9, seed=3, truth=TRUTH)
