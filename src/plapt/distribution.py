@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainError, NumericalError
-from .special_functions import BRANCH_POINT, LambertBranch, lambert_w
+from .special_functions import _TINY, BRANCH_POINT, LambertBranch, lambert_w
 
 __all__ = [
     "PlAptParams",
@@ -46,9 +46,14 @@ _BLOCK = 2**14
 
 
 def _param_error(name: str, value: float) -> DomainError | None:
-    # The error of one parameter value, or None: beta > 1, alpha and theta > 0.
+    # The error of one parameter value, or None: beta > 1, theta > 0 and alpha a
+    # positive normal float (at a subnormal alpha the Lambert argument overflows).
     low, rule = (1.0, "exceed 1") if name == "beta" else (0.0, "be a positive real")
-    return None if math.isfinite(value) and value > low else DomainError(f"{name} must {rule}, got {value}")
+    if not (math.isfinite(value) and value > low):
+        return DomainError(f"{name} must {rule}, got {value}")
+    if name == "alpha" and value < _TINY:
+        return DomainError(f"alpha must be at least {_TINY}, the smallest normal float, got {value}")
+    return None
 
 
 @dataclass(frozen=True)

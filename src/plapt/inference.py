@@ -44,7 +44,7 @@ __all__ = [
     "pl_apt_family",
 ]
 
-SCORE_TOL_PER_OBS = 1e-8  # converged when ||score||_2 <= 1e-8 * n
+SCORE_TOL_PER_OBS = 1e-8  # converged when ||score||_2 <= 1e-8 * n, on data scaled to a maximum in [0.5, 1)
 _STEP_TOL = 1e-6  # and Newton's step is shorter in both coordinates
 _BOUNDARY_GAIN_PER_OBS = 1e-10  # largest gain a boundary step may still predict
 _STEP_SHRUNK = 0.1  # a shorter step in log(beta - 1) is not heading for a boundary
@@ -127,14 +127,12 @@ def _theta_beta(theta, m, g_a, g_v, h_aa, h_av, h_vv):
 
 
 def _loglik_derivatives(alpha, theta, beta, data):
-    # One lane of _lane_derivatives: log-likelihood, score and Hessian in
-    # (theta, beta), at parameters that PlAptParams validates.
+    # theta, m = beta - 1 and one lane of _lane_derivatives, at parameters that
+    # PlAptParams validates; no theta**2 is formed, which may leave the float range.
     p, x = PlAptParams(alpha, beta, theta), data.values[None, :]
     alpha, theta, beta = (np.array([v]) for v in (p.alpha, p.theta, p.beta))
     m = beta - 1.0
-    ll, *derivs = _lane_derivatives(theta, m, 1.0 / beta, x, x.sum(axis=1), *_alpha_terms(alpha, x.shape[1]))
-    (s_t, s_b), (h_tt, h_tb, h_bb) = _theta_beta(theta, m, *derivs)
-    return float(ll[0]), np.concatenate([s_t, s_b]), np.array([[h_tt[0], h_tb[0]], [h_tb[0], h_bb[0]]])
+    return theta, m, _lane_derivatives(theta, m, 1.0 / beta, x, x.sum(axis=1), *_alpha_terms(alpha, x.shape[1]))
 
 
 def log_likelihood(alpha: float, theta: float, beta: float, data: Sample) -> float:
@@ -144,13 +142,13 @@ def log_likelihood(alpha: float, theta: float, beta: float, data: Sample) -> flo
     log(log(alpha)/(alpha - 1)), which is real and finite on both sides of
     alpha = 1 and 0 at alpha = 1, its limit.
     """
-    return _loglik_derivatives(alpha, theta, beta, data)[0]
+    return float(_loglik_derivatives(alpha, theta, beta, data)[2][0][0])
 
 
 def score(alpha: float, theta: float, beta: float, data: Sample) -> tuple[float, float]:
     """Partial derivatives of :func:`log_likelihood` in (theta, beta)."""
-    d_theta, d_beta = _loglik_derivatives(alpha, theta, beta, data)[1]
-    return float(d_theta), float(d_beta)
+    theta, m, (_, g_a, g_v, *_) = _loglik_derivatives(alpha, theta, beta, data)
+    return float(g_a[0] / theta[0]), float(g_v[0] / m[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,13 +171,15 @@ class FitResult:
         return self.status == "converged"
 
 
-def _covariance(h_tt, h_tb, h_bb):
-    # Inverse of the observed information -H, when it is positive definite.
+def _covariance(h_tt, h_tb, h_bb, e):
+    # The standard errors and the inverse of the observed information -H of a
+    # fit at scale 2**e, theta scaled back by 2**-e (FitResult's field order);
+    # the inverse is None unless -H is positive definite.
     det = h_tt * h_bb - h_tb * h_tb
     if not (h_tt < 0.0 and det > 0.0):
-        return None, math.nan, math.nan
-    cov = np.array([[-h_bb, h_tb], [h_tb, -h_tt]]) / det
-    return cov, math.sqrt(-h_bb / det), math.sqrt(-h_tt / det)
+        return math.nan, math.nan, None
+    cov = np.ldexp(np.array([[-h_bb, h_tb], [h_tb, -h_tt]]) / det, [[-2 * e, -e], [-e, 0]])
+    return float(np.ldexp(math.sqrt(-h_bb / det), -e)), math.sqrt(-h_tt / det), cov
 
 
 def _best(fits: list) -> FitResult:
@@ -197,6 +197,7 @@ def _best(fits: list) -> FitResult:
 _CONVERGED, _BETA_ONE, _BETA_INF, _MAX_ITER, _FAILED = range(5)
 _STATUS = ("converged", "boundary_beta_one", "boundary_beta_inf", "max_iter")
 _NOT_FINITE = "Hessian of the log-likelihood is not finite or is singular"
+_ZERO_SAMPLE = "degenerate sample: all observations are zero"
 
 
 def _newton_step(beta, m, g_a, g_v, h_aa, h_av, h_vv):
@@ -304,26 +305,6 @@ def _chunks(count: int, n: int) -> list[range]:
     return [range(k, min(k + size, count)) for k in range(0, count, size)]
 
 
-def _row_errors(x: np.ndarray, newton: bool = True) -> tuple[np.ndarray, list]:
-    # The mean of every row of x, a stack of sorted samples of one size, and
-    # the DomainError that stops every fit to the row, or None.  One rule for
-    # every fit and start point: the mean and its reciprocal are positive and
-    # finite, as a fitted theta scales as 1/mean.  Newton fits need n >= 2.
-    with np.errstate(over="ignore"):
-        means = x.mean(axis=1)
-    errors: list = [None] * len(means)
-    for r, mean in enumerate(means.tolist()):
-        if newton and x.shape[1] < 2:
-            errors[r] = DomainError("fitting requires at least two observations")
-        elif mean == 0.0:
-            errors[r] = DomainError("degenerate sample: all observations are zero")
-        elif mean == math.inf:
-            errors[r] = DomainError("sample mean overflows to inf, too large to start a fit from")
-        elif 1.0 / mean == math.inf:
-            errors[r] = DomainError(f"sample mean {mean!r} is too small to start a fit from")
-    return means, errors
-
-
 def _fit_rows(x: np.ndarray, alphas: Sequence[float], init=None, max_iter: int = MAX_ITER) -> list[list]:
     """Fit every row of ``x`` at every alpha, each fit a lane of the
     lockstep engine.
@@ -334,48 +315,55 @@ def _fit_rows(x: np.ndarray, alphas: Sequence[float], init=None, max_iter: int =
     alpha is fitted once and gets that same result.  All lanes run in one
     run of chunks (``_chunks``), those at alpha = 1 last, which skip the
     alpha-power term.
+
+    Each row is fitted as y = x * 2**-e, its maximum in [0.5, 1), and the
+    fit is scaled back to the units of x: a fit to x * 2**k is the fit to x
+    with theta times 2**-k, bit for bit, while x * 2**k stays normal.
     """
     alphas = [float(a) for a in alphas]
     n = x.shape[1]
+    e = np.frexp(x[:, -1])[1]
+    y = np.ldexp(x, -e[:, None])
     out: list[list] = [[None] * len(alphas) for _ in x]
     # fit_mle's checks, each made once, in its order: too few or all-zero
-    # observations, alpha, a mean out of range (_row_errors), the start point.
+    # observations, alpha, the start point.
     alpha_errors = [_param_error("alpha", a) for a in alphas]
     init = None if init is None else (float(init[0]), float(init[1]))
     start_error = init and (_param_error("beta", init[1]) or _param_error("theta", init[0]))
-    lanes: dict[tuple, object] = {}  # (row, alpha): the start point, then the fit
-    means, row_errors = _row_errors(x)
-    for r, (mean, row_error) in enumerate(zip(means.tolist(), row_errors)):
-        first = row_error if n < 2 or mean == 0.0 else None
+    few = n < 2 and DomainError("fitting requires at least two observations")
+    lanes: dict[tuple, object] = {}  # (row, alpha): None, then the fit
+    for r, (row, zero) in enumerate(zip(out, (x[:, -1] == 0.0).tolist())):
+        row_error = few or (zero and DomainError(_ZERO_SAMPLE))
         for j, alpha in enumerate(alphas):
-            out[r][j] = first or alpha_errors[j] or row_error or start_error
-            if out[r][j] is None:
-                lanes[r, alpha] = init or (1.0 / mean, 2.0)
+            row[j] = row_error or alpha_errors[j] or start_error
+            if row[j] is None:
+                lanes[r, alpha] = None
+    with np.errstate(over="ignore", divide="ignore"):  # an inf start fails its lane; zero rows start none
+        theta0 = np.ldexp(init[0], e) if init else 1.0 / y.mean(axis=1)
     order = sorted(lanes, key=lambda lane: lane[1] == 1.0)
     for chunk in _chunks(len(order), n):
         keys = order[chunk.start : chunk.stop]
-        rows, alpha = zip(*keys)
-        theta, beta = (np.array(v) for v in zip(*map(lanes.get, keys)))
-        final, status, iterations = _fit_chunk(x[list(rows)], np.array(alpha), theta, beta, int(max_iter))
+        rows, alpha = (list(v) for v in zip(*keys))
+        beta0 = np.full(len(rows), init[1] if init else 2.0)
+        final, status, iterations = _fit_chunk(y[rows], np.array(alpha), theta0[rows], beta0, int(max_iter))
         failed = status == _FAILED
         for key in compress(keys, failed):
             lanes[key] = NumericalError(_NOT_FINITE)
         _, m, theta, beta, _, ll, *derivs = final[:, ~failed]
         (s_t, s_b), hess = _theta_beta(theta, m, *derivs)
-        values = (theta, beta, ll, s_t, s_b, *hess, status[~failed], iterations[~failed])
-        for (r, a), *vals in zip(compress(keys, ~failed), *(v.tolist() for v in values)):
-            theta_i, beta_i, ll_i, s_t_i, s_b_i, h_tt, h_tb, h_bb, code, its = vals
-            cov, se_theta, se_beta = _covariance(h_tt, h_tb, h_bb)
-            lanes[r, a] = FitResult(
-                params=PlAptParams(alpha=a, beta=beta_i, theta=theta_i),
-                loglik=ll_i,
-                score_norm=math.hypot(s_t_i, s_b_i),
-                iterations=its,
-                status=_STATUS[code],
-                stderr_theta=se_theta,
-                stderr_beta=se_beta,
-                covariance=cov,
-            )
+        e_fit = e[rows][~failed]
+        with np.errstate(over="ignore"):  # a score or covariance entry beyond the float range is inf
+            scaled = np.ldexp(theta, -e_fit), ll - (n * math.log(2.0)) * e_fit, np.ldexp(s_t, e_fit)
+            values = (*scaled, beta, s_b, *hess, theta, e_fit, status[~failed], iterations[~failed])
+            for (r, a), *vals in zip(compress(keys, ~failed), *(v.tolist() for v in values)):
+                theta_i, ll_i, s_t_i, beta_i, s_b_i, h_tt, h_tb, h_bb, fitted, e_i, code, its = vals
+                if 0.0 < theta_i < math.inf:
+                    params, norm = PlAptParams(a, beta_i, theta_i), math.hypot(s_t_i, s_b_i)
+                    stderrs = _covariance(h_tt, h_tb, h_bb, e_i)
+                    lanes[r, a] = FitResult(params, ll_i, norm, its, _STATUS[code], *stderrs)
+                else:
+                    lanes[r, a] = DomainError(f"fitted theta {fitted!r} * 2**{-e_i} leaves the float range"
+                                              f" at the sample's scale 2**{e_i}")
     return [[fit or lanes[r, a] for a, fit in zip(alphas, row)] for r, row in enumerate(out)]
 
 
@@ -396,7 +384,9 @@ def fit_mle(
     every eigenvalue by magnitude: Newton's step where the Hessian is
     negative definite, a step uphill elsewhere.  The fit runs on the
     lockstep engine of profiles and simulation studies and gives the same
-    result alone as beside other fits.
+    result alone as beside other fits.  It fits the data scaled by the power
+    of two that puts their maximum in [0.5, 1), so theta scales exactly as
+    1/scale: only a fitted theta beyond the float range is refused.
 
     Parameters
     ----------
@@ -404,23 +394,27 @@ def fit_mle(
         Held fixed during the fit (profile over a grid with
         :func:`fit_mle_profile` to estimate it).
     data : Sample
-        At least two observations, with mean and 1/mean positive and finite.
+        At least two observations, not all zero.
     init : (theta0, beta0), optional
         Defaults to the exponential-rate heuristic 1/mean(data) and beta0=2.
 
     Returns
     -------
     FitResult
-        ``status`` is "converged" (an interior maximum: score norm at most
-        1e-8 * n, Newton's step below 1e-6), "boundary_beta_one" or
-        "boundary_beta_inf" (the beta-score keeps its sign as beta -> 1 or
-        beta -> inf, the alpha-power exponential limit: Newton's step in v
-        follows it without shrinking and predicts a gain below 1e-10 * n),
-        or "max_iter" (neither within ``max_iter`` accepted steps, or no step
-        kept the log-likelihood from falling).  None of these raises.
+        ``status`` is "converged" (an interior maximum: score norm on the
+        scaled data at most 1e-8 * n, Newton's step below 1e-6),
+        "boundary_beta_one" or "boundary_beta_inf" (the beta-score keeps its
+        sign as beta -> 1 or beta -> inf, the alpha-power exponential limit:
+        Newton's step in v follows it without shrinking and predicts a gain
+        below 1e-10 * n), or "max_iter" (neither within ``max_iter`` accepted
+        steps, or no step kept the log-likelihood from falling).  None of
+        these raises.
 
     Raises
     ------
+    DomainError
+        For too few or all-zero observations, an invalid alpha or start
+        point, or a fitted theta beyond the float range (subnormal samples).
     NumericalError
         If the Hessian of the log-likelihood is not finite or is singular.
     """
@@ -509,21 +503,26 @@ class ModelCompareRow:
 
 def _lindley_rows(x: np.ndarray) -> list:
     # Theta and log-likelihood of the one-parameter Lindley fit to every row
-    # (or its error): the stationary point has the closed form
-    # theta = (-(m-1) + sqrt((m-1)^2 + 8m)) / (2m), m = mean.  A theta that
-    # leaves beta = 1 + theta outside (1, inf), as from m = 2e16 up, is flagged.
-    means, outcomes = _row_errors(x, newton=False)
-    rows = np.flatnonzero([error is None for error in outcomes])
-    m = means[rows]
-    with np.errstate(over="ignore", invalid="ignore"):
-        theta = (-(m - 1.0) + np.sqrt((m - 1.0) ** 2 + 8.0 * m)) / (2.0 * m)
+    # (or its error): the stationary point is the positive root of
+    # m*theta**2 + (m - 1)*theta - 2 = 0, m = mean, taken in a form that does
+    # not cancel (Ghitany, Atieh & Nadarajah 2008).  A root that leaves
+    # beta = 1 + theta outside (1, inf), as from m = 2e16 up, is flagged.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        m = x.mean(axis=1)
+        root_8m = np.sqrt(8.0 * m)
+        above = 4.0 / ((m - 1.0) + np.hypot(m - 1.0, root_8m))
+        theta = np.where(m >= 1.0, above, ((1.0 - m) + np.hypot(1.0 - m, root_8m)) / (2.0 * m))
     good = (1.0 + theta > 1.0) & (theta < math.inf)
-    t, xs = theta[good], x[rows[good]]
+    t, xs = theta[good], x[good]
     at_one = _alpha_terms(np.ones_like(t), x.shape[1])
     ll = iter(_lane_derivatives(t, t, 1.0 / (1.0 + t), xs, xs.sum(axis=1), *at_one)[0].tolist())
-    for r, th, mean, ok in zip(rows.tolist(), theta.tolist(), m.tolist(), good.tolist()):
-        outcomes[r] = (th, next(ll)) if ok else DomainError(f"Lindley theta {th!r} at mean {mean!r} is out of range")
-    return outcomes
+    return [
+        (th, next(ll))
+        if ok
+        else DomainError(_ZERO_SAMPLE if zero else f"Lindley theta {th!r} at mean {mean!r} is out of range: "
+                         f"beta = 1 + theta {'overflows' if th == math.inf else 'rounds to 1'}")
+        for th, mean, ok, zero in zip(theta.tolist(), m.tolist(), good.tolist(), (x[:, -1] == 0.0).tolist())
+    ]
 
 
 def _information_criteria(loglik: float, n_free: int, n: int) -> tuple[float, float]:

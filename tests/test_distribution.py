@@ -52,6 +52,20 @@ class TestParams:
         with pytest.raises(DomainError):
             PlAptParams(**kwargs)
 
+    def test_subnormal_alpha_rejected(self):
+        # At a subnormal alpha, v*(1 - alpha)/alpha in the Lambert argument overflows.
+        with pytest.raises(DomainError) as info:
+            PlAptParams(1e-310, 2.0, 1.0)
+        assert str(info.value) == "alpha must be at least 2.2250738585072014e-308, the smallest normal float, got 1e-310"
+
+    @pytest.mark.parametrize("alpha", [1e-300, 2.2250738585072014e-308])
+    def test_tiny_normal_alpha(self, alpha):
+        p = PlAptParams(alpha, 2.0, 1.0)
+        u = np.array([0.1, 0.5, 0.9])
+        x = quantile(p, u)
+        assert 1.9e-3 < x[1] < 2.1e-3
+        assert np.all(np.abs(cdf(p, x) - u) <= 1e-10)
+
     def test_alpha_one_switch(self):
         # alpha = 1 is special only at alpha == 1; its neighbours take the
         # generic formulas

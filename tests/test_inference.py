@@ -1,7 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plapt import (
     DomainError,
@@ -29,8 +32,10 @@ from plapt.inference import (
     _fit_chunk,
     _fit_rows,
     _lane_derivatives,
+    _lindley_rows,
     _loglik_derivatives,
     _model_compare_rows,
+    _theta_beta,
 )
 from plapt.montecarlo import _DEFAULT_ALPHA_GRID
 
@@ -94,7 +99,9 @@ class TestScore:
             fd = _fd_score(alpha, theta, beta, data)
             for g, f in zip(got, fd):
                 assert abs(g - f) <= 1e-5 * max(1.0, abs(f))
-            hess = _loglik_derivatives(alpha, theta, beta, data)[2]
+            t, m, (_, *derivs) = _loglik_derivatives(alpha, theta, beta, data)
+            h_tt, h_tb, h_bb = (v[0] for v in _theta_beta(t, m, *derivs)[1])
+            hess = np.array([[h_tt, h_tb], [h_tb, h_bb]])
             fd_hess = _fd_hessian(alpha, theta, beta, data)
             assert np.all(np.abs(hess - fd_hess) <= 1e-6 * np.maximum(1.0, np.abs(fd_hess)))
 
@@ -151,6 +158,15 @@ class TestFit:
         scaled = fit_mle(2.0, Sample(data.values * c))
         assert scaled.params.theta == pytest.approx(base.params.theta / c, rel=1e-6)
         assert scaled.params.beta == pytest.approx(base.params.beta, rel=1e-6)
+        # A power of two scales the data exactly, and theta with it.
+        exact = fit_mle(2.0, Sample(data.values * 2.0**-40))
+        assert exact.params.theta == math.ldexp(base.params.theta, 40)
+        assert exact.stderr_theta == math.ldexp(base.stderr_theta, 40)
+        assert (exact.params.beta, exact.stderr_beta, exact.iterations) == (
+            base.params.beta,
+            base.stderr_beta,
+            base.iterations,
+        )
 
     def test_non_convergence_is_reported_not_raised(self):
         data = sample(PlAptParams(2.0, 2.5, 0.6), 500, seed=1)
@@ -168,6 +184,77 @@ class TestFit:
         best, fits = fit_mle_profile([0.5, 1.0, 2.0, 4.0], data)
         assert len(fits) == 4
         assert best.loglik == max(f.loglik for f in fits if f.status != "max_iter")
+
+
+def _ldexp(v, k):
+    # v * 2**k in one rounding, inf beyond the float range.
+    with np.errstate(over="ignore"):
+        return np.ldexp(v, k)
+
+
+def _normal_exponents(x):
+    # The k that keep every value of x * 2**k a normal float.
+    low = np.frexp(x[x > 0.0].min())[1]
+    return 1 - 1022 - low, 1024 - np.frexp(x.max())[1]
+
+
+_SCALE_SAMPLES = [sample(PlAptParams(2.0, 2.5, 0.6), 50, seed=seed) for seed in range(8)]
+
+
+class TestScale:
+    # theta is a rate: every row is fitted at an exact power-of-two scale.
+
+    @given(st.data(), st.sampled_from(range(len(_SCALE_SAMPLES))), st.sampled_from([0.5, 1.0, 2.0]))
+    @settings(max_examples=80, deadline=None)
+    def test_power_of_two_scale_law(self, data, which, alpha):
+        x = _SCALE_SAMPLES[which].values
+        k = data.draw(st.integers(*_normal_exponents(x)))
+        base, fit = fit_mle(alpha, Sample(x)), fit_mle(alpha, Sample(np.ldexp(x, k)))
+        assert fit.params.theta == _ldexp(base.params.theta, -k)
+        assert fit.stderr_theta == _ldexp(base.stderr_theta, -k)
+        assert (fit.params.beta, fit.stderr_beta, fit.status, fit.iterations) == (
+            base.params.beta,
+            base.stderr_beta,
+            base.status,
+            base.iterations,
+        )
+        if base.covariance is None:
+            assert fit.covariance is None
+        else:
+            assert np.array_equal(fit.covariance, _ldexp(base.covariance, [[-2 * k, -k], [-k, 0]]))
+        n = x.size
+        expected = base.loglik - n * k * math.log(2.0)
+        assert abs(fit.loglik - expected) <= 1e-15 * (abs(base.loglik) + n * (abs(k) + 2048))
+
+    def test_normal_exponents_reach_both_ends(self):
+        x = _SCALE_SAMPLES[0].values
+        low, high = _normal_exponents(x)
+        assert np.ldexp(x, low).min() >= np.finfo(float).tiny > np.ldexp(x, low - 1).min()
+        with np.errstate(over="ignore"):
+            assert np.ldexp(x, high).max() < math.inf == np.ldexp(x, high + 1).max()
+
+    @pytest.mark.parametrize("c, theta_variance", [(1e200, 0.0), (1e160, None), (1e-200, math.inf)])
+    def test_extreme_scale_fit(self, c, theta_variance):
+        # The suite turns RuntimeWarnings into errors: none may be raised, not
+        # even where theta's variance leaves the float range.
+        x = np.random.default_rng(3).exponential(1.0, 50)
+        base, fit = fit_mle(2.0, Sample(x)), fit_mle(2.0, Sample(x * c))
+        if theta_variance is not None:
+            assert fit.covariance[0, 0] == theta_variance
+        assert (fit.status, fit.iterations) == (base.status, base.iterations)
+        assert fit.stderr_theta == pytest.approx(base.stderr_theta / c, rel=1e-9)
+        assert fit.params.theta == pytest.approx(base.params.theta / c, rel=1e-9)
+        assert fit.params.beta == pytest.approx(base.params.beta, rel=1e-9)
+
+    @pytest.mark.parametrize("c", [1e200, 1e-200])
+    def test_extreme_scale_loglik_and_score(self, c):
+        x = np.random.default_rng(3).exponential(1.0, 50)
+        ll, (s_t, s_b) = log_likelihood(2.0, 1.2, 15.8, Sample(x)), score(2.0, 1.2, 15.8, Sample(x))
+        data = Sample(x * c)
+        assert log_likelihood(2.0, 1.2 / c, 15.8, data) == pytest.approx(ll - x.size * math.log(c), rel=1e-12)
+        got_t, got_b = score(2.0, 1.2 / c, 15.8, data)
+        assert got_t == pytest.approx(s_t * c, rel=1e-9)
+        assert got_b == pytest.approx(s_b, rel=1e-9)
 
 
 class TestBoundary:
@@ -237,6 +324,17 @@ class TestModelCompare:
         assert row.bic == pytest.approx(
             row.n_free * math.log(data.n) - 2 * row.loglik, rel=1e-15
         )
+
+    def test_lindley_root_matches_mpmath(self):
+        # The positive root of m*theta**2 + (m - 1)*theta - 2 = 0 at 60
+        # digits, for sample means from 1e-300 to 1e15.
+        rng = np.random.default_rng(1)
+        means = np.concatenate([10.0 ** rng.uniform(-300.0, 15.0, 400), 1.0 + rng.uniform(-1e-3, 1e-3, 50), [1.0, 1e15]])
+        with mpmath.workdps(60):
+            for m, (theta, _) in zip(means.tolist(), _lindley_rows(np.repeat(means[:, None], 2, axis=1))):
+                mm = mpmath.mpf(m)
+                root = (1 - mm + mpmath.sqrt((mm - 1) ** 2 + 8 * mm)) / (2 * mm)
+                assert abs(theta - root) <= 5e-16 * root
 
     def test_lindley_parsimony_on_lindley_data(self):
         # data from the one-parameter sub-family: the parsimonious candidate
@@ -388,9 +486,10 @@ class TestLockstep:
 
 _ZEROS = Sample([0.0, 0.0, 0.0])
 _GOOD = sample(PlAptParams(2.0, 2.5, 0.6), 200, seed=5)
-_SUBNORMAL = Sample([5e-324, 5e-324, 1e-323])  # the default start 1/mean overflows
-_HUGE = Sample([1e308, 1e308])  # the mean overflows
-_OVERFLOW = "sample mean overflows to inf, too large to start a fit from"
+_SUBNORMAL = Sample([5e-324, 5e-324, 1e-323])  # its maximum is 2**-1073
+_HUGE = Sample([1e308, 1e308])  # its mean overflows
+_OFF_SCALE = "fitted theta {} * 2**1072 leaves the float range at the sample's scale 2**-1072"
+_NOT_FINITE = "Hessian of the log-likelihood is not finite or is singular"
 
 
 class TestErrors:
@@ -409,11 +508,9 @@ class TestErrors:
             (_GOOD, -1.0, (1.0, 1.0), "alpha must be a positive real, got -1.0"),
             (_ZEROS, -1.0, None, "degenerate sample: all observations are zero"),
             (_ZEROS, 2.0, (1.0, 2.0), "degenerate sample: all observations are zero"),
-            (_SUBNORMAL, 2.0, None, "sample mean 5e-324 is too small to start a fit from"),
+            # The fitted theta of a sample of subnormals overflows at its scale.
+            (_SUBNORMAL, 2.0, None, _OFF_SCALE.format("6.994331118347938")),
             (_SUBNORMAL, -1.0, None, "alpha must be a positive real, got -1.0"),
-            (_SUBNORMAL, 2.0, (1.0, 2.0), "sample mean 5e-324 is too small to start a fit from"),
-            (_HUGE, 2.0, None, _OVERFLOW),
-            (_HUGE, 2.0, (1.0, 2.0), _OVERFLOW),
         ],
     )
     def test_fit_mle(self, data, alpha, init, message):
@@ -428,7 +525,28 @@ class TestErrors:
         data = sample(PlAptParams(2.0, 2.5, 0.6), 300, seed=3)
         with pytest.raises(NumericalError) as info:
             fit_mle(2.0, data, init)
-        assert str(info.value) == "Hessian of the log-likelihood is not finite or is singular"
+        assert str(info.value) == _NOT_FINITE
+
+    @pytest.mark.parametrize("data", [_SUBNORMAL, _HUGE])
+    def test_start_beyond_the_sample_scale(self, data):
+        # theta0 = 1 is 2**-1072 at the fitted scale of the subnormal sample
+        # and overflows at that of the huge one: both lanes fail.
+        with pytest.raises(NumericalError) as info:
+            fit_mle(2.0, data, (1.0, 2.0))
+        assert str(info.value) == _NOT_FINITE
+        with pytest.raises(NumericalError) as info:
+            fit_mle_profile([0.5, 2.0], data, (1.0, 2.0))
+        assert str(info.value) == _NOT_FINITE
+
+    def test_huge_sample_fits(self):
+        # Two observations at 1e308 are fitted at 2**-1024 times their scale;
+        # the likelihood rises to beta -> 1, and theta is near 2**-1024.
+        fits = [fit_mle(alpha, _HUGE) for alpha in (0.5, 1.0, 2.0, 4.0)]
+        assert [fit.status for fit in fits] == ["boundary_beta_one"] * 4
+        assert all(1e-308 < fit.params.theta < 1e-307 and math.isfinite(fit.loglik) for fit in fits)
+        best, profile = fit_mle_profile([0.5, 2.0], _HUGE)
+        assert best is profile[1]
+        _same_fit(best, fits[2])
 
     @pytest.mark.parametrize(
         "data, grid, init, message",
@@ -441,8 +559,7 @@ class TestErrors:
             (_GOOD, [0.5, 2.0], (1.0, 0.5), "beta must exceed 1, got 0.5"),
             (_GOOD, [0.5, -1.0], (1.0, 0.5), "beta must exceed 1, got 0.5"),
             (_ZEROS, [0.5, 2.0], (1.0, 2.0), "degenerate sample: all observations are zero"),
-            (_HUGE, [0.5, 2.0], None, _OVERFLOW),
-            (_HUGE, [0.5, 2.0], (1.0, 2.0), _OVERFLOW),
+            (_SUBNORMAL, [0.5, 2.0], None, _OFF_SCALE.format("5.022519904691739")),
         ],
     )
     def test_fit_mle_profile(self, data, grid, init, message):
@@ -457,13 +574,29 @@ class TestErrors:
             (Sample([1.0]), [0.5, 2.0], [None] + ["fitting requires at least two observations"] * 2),
             (_GOOD, [2.0, -1.0], [None, None, "alpha must be a positive real, got -1.0"]),
             (_GOOD, [], [None, None, "alpha grid must be nonempty"]),
-            (_SUBNORMAL, [0.5, 2.0], ["sample mean 5e-324 is too small to start a fit from"] * 3),
-            (_HUGE, [0.5, 2.0], [_OVERFLOW] * 3),
-            # The Lindley closed form cancels to theta = 0; the Newton fits are scored.
+            (
+                _SUBNORMAL,
+                [0.5, 2.0],
+                [
+                    "Lindley theta inf at mean 5e-324 is out of range: beta = 1 + theta overflows",
+                    _OFF_SCALE.format("5.999999999366833"),
+                    _OFF_SCALE.format("5.022519904691739"),
+                ],
+            ),
+            # The mean overflows: the Lindley theta is 0, and the Newton fits
+            # reach beta -> 1 and are scored.
+            (_HUGE, [0.5, 2.0], ["Lindley theta 0.0 at mean inf is out of range: beta = 1 + theta rounds to 1", None, None]),
+            # Above a mean of about 2e16 a Lindley beta = 1 + theta rounds to
+            # 1 in any form; the Newton fits are scored.
             (
                 Sample(np.random.default_rng(3).exponential(1.0, 50) * 1e18),
                 [0.5, 2.0],
-                ["Lindley theta 0.0 at mean 1.0302702829527578e+18 is out of range", None, None],
+                [
+                    "Lindley theta 1.9412381712767583e-18 at mean 1.0302702829527578e+18 is out of range: "
+                    "beta = 1 + theta rounds to 1",
+                    None,
+                    None,
+                ],
             ),
         ],
     )
