@@ -204,20 +204,24 @@ class TestFit:
         assert payload["alpha"] in (0.5, 1.0, 2.0)
         assert payload["aic"] == pytest.approx(6.0 - 2.0 * payload["loglik"])
 
-    def test_overflowing_mean_fits(self, tmp_path, capsys):
-        # The sample is fitted at its own scale: the fit reaches beta -> 1,
-        # which exits 3 with the JSON report.
+    @pytest.mark.parametrize("start", [[], ["--theta0", "1", "--beta0", "2"]])
+    def test_overflowing_mean_rejected(self, tmp_path, capsys, start):
+        # The sample is fitted at its own scale, and neither fit converges
+        # (exit 3). From the default start the fit reaches beta -> 1 and the
+        # JSON report says so; theta0 = 1 overflows at that scale, so no fit
+        # can start from it.
         path = tmp_path / "big.csv"
         path.write_text("x\n1e308\n1e308\n")
-        rc, out, err = run_cli(capsys, ["fit", "--input", str(path), "--alpha", "2"])
-        assert (rc, err) == (3, "")
-        payload = json.loads(out)
-        assert payload["convergence"]["status"] == "boundary_beta_one"
-        assert payload["theta"] == 2.364275387356534e-308
-        # theta0 = 1 overflows at that scale, so no fit can start from it.
-        rc, out, err = run_cli(capsys, ["fit", "--input", str(path), "--alpha", "2", "--theta0", "1", "--beta0", "2"])
-        assert (rc, out) == (3, "")
-        assert err.splitlines() == ["numerical error: Hessian of the log-likelihood is not finite or is singular"]
+        rc, out, err = run_cli(capsys, ["fit", "--input", str(path), "--alpha", "2", *start])
+        assert rc == 3
+        if start:
+            assert out == ""
+            assert err.splitlines() == ["numerical error: Hessian of the log-likelihood is not finite or is singular"]
+        else:
+            assert err == ""
+            payload = json.loads(out)
+            assert payload["convergence"]["status"] == "boundary_beta_one"
+            assert payload["theta"] == 2.364275387356534e-308
 
     def test_failed_fit_exit_code(self, tmp_path, capsys):
         data_path = tmp_path / "data.csv"
