@@ -12,6 +12,7 @@ kind (scalar in, float out).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -238,7 +239,8 @@ def _quantile_from_arg(p: PlAptParams, arg):
             "Lambert argument underflowed to 0; the tail mass or exp(-beta) is too small"
         )
     w = lambert_w(LambertBranch.NEGATIVE_ONE, arg)
-    return np.maximum((-p.beta - w) / p.theta, 0.0)
+    with np.errstate(over="ignore"):  # a quantile beyond the float range is inf
+        return np.maximum((-p.beta - w) / p.theta, 0.0)
 
 
 def quantile(p: PlAptParams, u):
@@ -272,9 +274,122 @@ def tail_quantile(p: PlAptParams, v):
     return _blockwise(block, v)
 
 
+_MASK32 = 0xFFFFFFFF
+# numpy's SeedSequence (O'Neill's seed_seq): pool size, hash and mix constants
+_POOL = 4
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_consts(h: int, mult: int, k: int) -> list[int]:
+    # A hash constant and the k values it steps through: each hashmix XORs
+    # its value with the constant, multiplies the constant by mult and the
+    # value by the new constant.
+    out = [h]
+    for _ in range(k):
+        out.append(out[-1] * mult & _MASK32)
+    return out
+
+
+# The hash constants of generate_state's eight 32-bit words (four uint64)
+_STATE_HASH = np.array(_hash_consts(_INIT_B, _MULT_B, 2 * _POOL), np.uint32)
+
+
+def _seed_words(seed) -> list[int]:
+    # SeedSequence's entropy words: an integer's 32-bit words, least
+    # significant first ([0] for 0), or those of each entry of a sequence
+    if isinstance(seed, (int, np.integer)):
+        seed = int(seed)
+        if seed < 0:
+            raise DomainError(f"seed must be a nonnegative integer, got {seed}")
+        return [(seed >> s) & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    if isinstance(seed, (list, tuple, range, np.ndarray)):
+        return [w for entry in seed for w in _seed_words(entry)]
+    raise TypeError(f"seed must be an integer or a sequence of integers, got {seed!r}")
+
+
+def _seed_pool(seed) -> tuple[list[int], int]:
+    # SeedSequence.mix_entropy over every entropy word but the last, the
+    # spawn key (rep,): the seed's words zero-padded to the pool size, so
+    # the pool and the hash constant it ends on depend on the seed alone.
+    words = _seed_words(seed)
+    words += [0] * (_POOL - len(words))
+    h = _INIT_A
+
+    def hashmix(value):
+        nonlocal h
+        value ^= h
+        h = h * _MULT_A & _MASK32
+        value = value * h & _MASK32
+        return value ^ value >> 16
+
+    def mix_into(dst, value):
+        r = _MIX_L * pool[dst] - _MIX_R * hashmix(value) & _MASK32
+        pool[dst] = r ^ r >> 16
+
+    pool = [hashmix(w) for w in words[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                mix_into(dst, pool[src])
+    for w in words[_POOL:]:
+        for dst in range(_POOL):
+            mix_into(dst, w)
+    return pool, h
+
+
+@functools.cache
+def _seed_state_type() -> type:
+    """A seed sequence holding the four uint64 words that
+    ``SeedSequence.generate_state(4, np.uint64)`` gives, all that PCG64 asks
+    of its seed sequence.  Defined on first use: its base class loads
+    numpy.random, which ``import plapt`` does not (about 6 MB and 16 ms)."""
+
+    class SeedState(np.random.bit_generator.ISeedSequence):
+        def __init__(self, state: np.ndarray):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state
+
+    return SeedState
+
+
+def _replication_rngs(seed, reps):
+    """One generator per rep, each made as it is read and bit for bit
+    ``default_rng(SeedSequence(seed, spawn_key=(rep,)))``, for a nonnegative
+    seed (an integer or a sequence of them) and reps in [0, 2**32).
+
+    The seed's share of SeedSequence's mixing runs once, in Python ints.
+    The last entropy word, the rep, goes through the four hashmix and mix
+    steps into the pool and through ``generate_state`` for all reps at once,
+    in uint32 arithmetic, which wraps modulo 2**32 as SeedSequence's does.
+    PCG64 seeds itself from each rep's four words.
+    """
+    pool, h = _seed_pool(seed)
+    r = np.asarray(reps)  # an index beyond int64 makes an object array
+    if r.size and (r.min() < 0 or r.max() > _MASK32):
+        bad = r.min() if r.min() < 0 else r.max()
+        raise DomainError(f"replication index must lie in [0, 2**32), got {bad}")
+    hs = _hash_consts(h, _MULT_A, _POOL)
+    xor, mul, mixed = np.array([hs[:-1], hs[1:], [_MIX_L * p & _MASK32 for p in pool]], np.uint32)
+    x = (r.astype(np.uint32)[:, None] ^ xor) * mul
+    x ^= x >> 16
+    x = mixed - _MIX_R * x
+    x ^= x >> 16
+    # generate_state(4, np.uint64): eight words off the cycled pool, paired little-endian
+    s = (np.concatenate((x, x), axis=1) ^ _STATE_HASH[:-1]) * _STATE_HASH[1:]
+    s ^= s >> 16
+    state = s.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+    seed_state = _seed_state_type()
+    return (np.random.Generator(np.random.PCG64(seed_state(words))) for words in state)
+
+
 def replication_rng(seed: int, rep: int) -> np.random.Generator:
-    """Independent generator for one replication of a seeded experiment."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rep,)))
+    """Independent generator for one replication of a seeded experiment:
+    ``default_rng(SeedSequence(seed, spawn_key=(rep,)))``, for a nonnegative
+    seed and 0 <= rep < 2**32."""
+    return next(_replication_rngs(seed, (rep,)))
 
 
 def sample(p: PlAptParams, n: int, seed) -> Sample:
@@ -287,6 +402,8 @@ def sample(p: PlAptParams, n: int, seed) -> Sample:
     n = int(n)
     if n < 1:
         raise DomainError(f"sample size must be >= 1, got {n}")
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise DomainError(f"seed must be a nonnegative integer, got {seed}")
     rng = np.random.default_rng(seed)
     return Sample(quantile(p, rng.random(n)))
 

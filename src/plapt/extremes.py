@@ -13,8 +13,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .distribution import PlAptParams, Sample, _blockwise, _log_ratio, _w_argument, replication_rng, tail_quantile
+from .distribution import PlAptParams, Sample, _blockwise, _log_ratio, _replication_rngs, _w_argument, tail_quantile
 from .exceptions import DomainError, NumericalError, PlaptError
+from .inference import _chunks
 from .special_functions import LambertBranch, lambert_w
 
 __all__ = [
@@ -408,10 +409,12 @@ def _normalized_maxima(p: PlAptParams, n: int, g) -> np.ndarray:
 def maxima_normalization(p: PlAptParams, n: int, reps: int, seed) -> MaximaResult:
     """Simulate maxima of size-n samples and normalize toward the Gumbel law.
 
-    Replication i draws the one uniform its maximum needs from
-    ``replication_rng(seed, i)``, the stream every seeded study uses, so
-    results are reproducible, each maximum depends on nothing but its own
-    stream, and the cost does not grow with n.  All maxima go through one
+    Replication i draws the one uniform its maximum needs from its own
+    stream, bit for bit ``default_rng(SeedSequence(seed, spawn_key=(i,)))``
+    as in every seeded study, for a nonnegative seed and reps <= 2**32.  The
+    streams are derived a chunk of replications at a time, so results are
+    reproducible, each maximum depends on nothing but its own stream, and
+    the cost does not grow with n.  All maxima go through one
     W_{-1} call.  The normalization theta * (X_max - Q(1-1/n)) is computed in
     Lambert space, making it exactly independent of theta.  Every alpha,
     alpha = 1 included, is in the Gumbel domain.
@@ -422,7 +425,8 @@ def maxima_normalization(p: PlAptParams, n: int, reps: int, seed) -> MaximaResul
         raise DomainError(f"sample size must be >= 100, got {n}")
     if reps < 1:
         raise DomainError(f"replication count must be >= 1, got {reps}")
-    normalized = _normalized_maxima(p, n, np.array([replication_rng(seed, i).random() for i in range(reps)]))
+    g = (rng.random() for chunk in _chunks(reps, 1) for rng in _replication_rngs(seed, chunk))
+    normalized = _normalized_maxima(p, n, np.fromiter(g, float, reps))
     return MaximaResult(
         normalized=normalized,
         ks_distance=gumbel_ks_distance(normalized),

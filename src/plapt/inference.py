@@ -29,6 +29,7 @@ import numpy as np
 
 from .distribution import PlAptParams, Sample, _log_ratio, _param_error
 from .exceptions import DomainError, NumericalError, PlaptError
+from .special_functions import _TINY
 
 __all__ = [
     "FitResult",
@@ -331,15 +332,21 @@ def _fit_rows(x: np.ndarray, alphas: Sequence[float], init=None, max_iter: int =
     init = None if init is None else (float(init[0]), float(init[1]))
     start_error = init and (_param_error("beta", init[1]) or _param_error("theta", init[0]))
     few = n < 2 and DomainError("fitting requires at least two observations")
+    with np.errstate(over="ignore", divide="ignore"):  # zero rows start none
+        theta0 = np.ldexp(init[0], e) if init else 1.0 / y.mean(axis=1)
     lanes: dict[tuple, object] = {}  # (row, alpha): None, then the fit
-    for r, (row, zero) in enumerate(zip(out, (x[:, -1] == 0.0).tolist())):
+    for r, (row, zero, t0, e_r) in enumerate(zip(out, (x[:, -1] == 0.0).tolist(), theta0.tolist(), e.tolist())):
         row_error = few or (zero and DomainError(_ZERO_SAMPLE))
+        if init and not start_error and not _TINY <= t0 < math.inf:  # theta0 at the row's scale
+            row_start_error = DomainError(
+                f"start point {init}: theta0 * 2**{e_r} leaves the normal float range at the sample's scale 2**{e_r}"
+            )
+        else:
+            row_start_error = start_error
         for j, alpha in enumerate(alphas):
-            row[j] = row_error or alpha_errors[j] or start_error
+            row[j] = row_error or alpha_errors[j] or row_start_error
             if row[j] is None:
                 lanes[r, alpha] = None
-    with np.errstate(over="ignore", divide="ignore"):  # an inf start fails its lane; zero rows start none
-        theta0 = np.ldexp(init[0], e) if init else 1.0 / y.mean(axis=1)
     order = sorted(lanes, key=lambda lane: lane[1] == 1.0)
     for chunk in _chunks(len(order), n):
         keys = order[chunk.start : chunk.stop]
@@ -414,7 +421,8 @@ def fit_mle(
     ------
     DomainError
         For too few or all-zero observations, an invalid alpha or start
-        point, or a fitted theta beyond the float range (subnormal samples).
+        point, a start theta0 beyond the normal float range at the sample's
+        scale, or a fitted theta beyond the float range (subnormal samples).
     NumericalError
         If the Hessian of the log-likelihood is not finite or is singular.
     """

@@ -1,14 +1,15 @@
 """Reproducible simulation experiments with machine-readable reports.
 
 Every experiment derives one independent random stream per replication
-from the master seed (``SeedSequence(seed, spawn_key=(rep,))``), so the
-report content is a pure function of the configuration.  Each kind draws
-only what it reads, one row per replication: n uniforms for the fitting
-studies, the one uniform that fixes a sample maximum (maxima_gumbel), and
-the k + 2 variates that fix the k + 1 smallest of n uniform tail masses
-(evi_coverage).  Replications run a chunk of rows at a time, and the kind's
-row function reduces the stack: rerunning, or chunks of another size,
-change nothing.
+from the master seed, bit for bit ``SeedSequence(seed, spawn_key=(rep,))``
+for a nonnegative seed and replication indices below 2**32, the streams of
+a chunk of replications at a time, so the report content is a pure
+function of the configuration.  Each kind draws only what it reads, one
+row per replication: n uniforms for the fitting studies, the one uniform
+that fixes a sample maximum (maxima_gumbel), and the k + 2 variates that
+fix the k + 1 smallest of n uniform tail masses (evi_coverage).
+Replications run a chunk of rows at a time, and the kind's row function
+reduces the stack: rerunning, or chunks of another size, change nothing.
 """
 from __future__ import annotations
 
@@ -21,7 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .distribution import PlAptParams, _param_error, _sorted_rows, quantile, replication_rng, tail_quantile
+from .distribution import (
+    PlAptParams, _param_error, _replication_rngs, _sorted_rows, quantile, replication_rng, tail_quantile,
+)
 from .exceptions import DomainError, PlaptError
 from .extremes import WeightSpec, _double_hill_rows, _hill_weights, _normalized_maxima, gumbel_ks_distance
 from .inference import _chunks, _fit_rows, _model_compare_rows, lindley_family, pl_apt_family, pseudo_lindley_family
@@ -87,6 +90,8 @@ class ExperimentConfig:
             raise DomainError(f"reps must be >= 1, got {self.reps}")
         if self.n < 2:
             raise DomainError(f"n must be >= 2, got {self.n}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be a nonnegative integer, got {self.seed}")
         if self.alpha_grid is not None and self.kind is not ExperimentKind.MODEL_COMPARE:
             raise DomainError(f"alpha_grid applies to model_compare experiments, not {self.kind.value}")
         if self.pareto_gamma is not None and self.kind is not ExperimentKind.EVI_COVERAGE:
@@ -336,10 +341,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
     Replication ``rep`` draws its row (``_row_draw``: n uniforms for
     recovery and model_compare, one uniform for maxima_gumbel, k + 2
-    variates for evi_coverage) from ``replication_rng(cfg.seed, rep)``, a
-    chunk of replications (``inference._chunks``, sized by the row width) at
-    a time, and the kind's row function turns the chunk's stack of rows into
-    its records.  So maxima_gumbel and evi_coverage cost the same at any n.
+    variates for evi_coverage) from its own stream, bit for bit
+    ``default_rng(SeedSequence(cfg.seed, spawn_key=(rep,)))`` (reps <=
+    2**32), a chunk of replications (``inference._chunks``, sized by the row
+    width) at a time: the chunk's streams are derived in one pass, and the
+    kind's row function turns the chunk's stack of rows into its records.
+    So maxima_gumbel and evi_coverage cost the same at any n.
     Per-replication failures (for example a fit that does not converge) are
     recorded in place, never raised; the report's ``failures`` field and
     summary ``failure_rate`` count them.
@@ -347,7 +354,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     width, draw = _row_draw(cfg)
     records = []
     for reps in _chunks(cfg.reps, width):
-        rows = np.stack([draw(replication_rng(cfg.seed, rep)) for rep in reps])
+        rows = np.stack([draw(rng) for rng in _replication_rngs(cfg.seed, reps)])
         records.extend(_ROW_RECORDS[cfg.kind](cfg, reps, rows))
     return ExperimentReport(
         config=_config_echo(cfg),

@@ -137,6 +137,23 @@ class TestSampleAndCsv:
         assert rc == 2
         assert "PLAPT_SEED" in err
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["sample", "--alpha", "2", "--beta", "2.5", "--theta", "0.6", "--n", "5"],
+            ["experiment", "--kind", "maxima-gumbel", "--alpha", "2", "--beta", "2.5", "--theta", "0.6",
+             "--n", "100", "--reps", "2"],
+        ],
+        ids=["sample", "experiment"],
+    )
+    @pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
+    def test_negative_seed_is_a_validation_error(self, capsys, monkeypatch, command, via_env):
+        if via_env:
+            monkeypatch.setenv("PLAPT_SEED", "-1")
+        rc, out, err = run_cli(capsys, command if via_env else [*command, "--seed", "-1"])
+        assert (rc, out) == (2, "")
+        assert err.splitlines() == ["error: seed must be a nonnegative integer, got -1"]
+
     def test_header_and_crlf_accepted(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_bytes(b"x\r\n1.5\r\n2.5\r\n")
@@ -206,18 +223,21 @@ class TestFit:
 
     @pytest.mark.parametrize("start", [[], ["--theta0", "1", "--beta0", "2"]])
     def test_overflowing_mean_rejected(self, tmp_path, capsys, start):
-        # The sample is fitted at its own scale, and neither fit converges
-        # (exit 3). From the default start the fit reaches beta -> 1 and the
-        # JSON report says so; theta0 = 1 overflows at that scale, so no fit
-        # can start from it.
+        # The sample is fitted at its own scale, 2**1024. From the default
+        # start the fit reaches beta -> 1 and does not converge (exit 3), and
+        # the JSON report says so; theta0 = 1 overflows at that scale, a
+        # validation error (exit 2) that names the start point and the scale.
         path = tmp_path / "big.csv"
         path.write_text("x\n1e308\n1e308\n")
         rc, out, err = run_cli(capsys, ["fit", "--input", str(path), "--alpha", "2", *start])
-        assert rc == 3
         if start:
-            assert out == ""
-            assert err.splitlines() == ["numerical error: Hessian of the log-likelihood is not finite or is singular"]
+            assert (rc, out) == (2, "")
+            assert err.splitlines() == [
+                "error: start point (1.0, 2.0): theta0 * 2**1024 leaves the normal float range"
+                " at the sample's scale 2**1024"
+            ]
         else:
+            assert rc == 3
             assert err == ""
             payload = json.loads(out)
             assert payload["convergence"]["status"] == "boundary_beta_one"

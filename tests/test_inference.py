@@ -19,8 +19,10 @@ from plapt import (
     pdf,
     pl_apt_family,
     pseudo_lindley_family,
+    quantile,
     sample,
     score,
+    tail_quantile,
 )
 from plapt import inference
 from plapt.inference import (
@@ -529,14 +531,26 @@ class TestErrors:
 
     @pytest.mark.parametrize("data", [_SUBNORMAL, _HUGE])
     def test_start_beyond_the_sample_scale(self, data):
-        # theta0 = 1 is 2**-1072 at the fitted scale of the subnormal sample
-        # and overflows at that of the huge one: both lanes fail.
-        with pytest.raises(NumericalError) as info:
-            fit_mle(2.0, data, (1.0, 2.0))
-        assert str(info.value) == _NOT_FINITE
-        with pytest.raises(NumericalError) as info:
-            fit_mle_profile([0.5, 2.0], data, (1.0, 2.0))
-        assert str(info.value) == _NOT_FINITE
+        # theta0 = 1 is 2**-1072, a subnormal, at the fitted scale of the
+        # subnormal sample and overflows at that of the huge one: no lane
+        # starts, and the error names the start point and the scale.
+        e = int(np.frexp(data.values[-1])[1])
+        assert e in (-1072, 1024)
+        message = (
+            f"start point (1.0, 2.0): theta0 * 2**{e} leaves the normal float range at the sample's scale 2**{e}"
+        )
+        for fit in (lambda: fit_mle(2.0, data, (1.0, 2.0)), lambda: fit_mle_profile([0.5, 2.0], data, (1.0, 2.0))):
+            with pytest.raises(DomainError) as info:
+                fit()
+            assert str(info.value) == message
+
+    def test_quantiles_beyond_the_float_range_are_inf(self):
+        # A fit near the float maximum has a theta near 2**-1024, so its upper
+        # quantiles leave the float range: inf, and no overflow warning (the
+        # suite turns RuntimeWarnings into errors).
+        fit = fit_mle(2.0, Sample([1.7e308, 1.7e308, 1e308]))
+        assert quantile(fit.params, 0.999) == tail_quantile(fit.params, 1e-10) == math.inf
+        assert quantile(fit.params, np.array([0.5, 0.999])).tolist() == [quantile(fit.params, 0.5), math.inf]
 
     def test_huge_sample_fits(self):
         # Two observations at 1e308 are fitted at 2**-1024 times their scale;

@@ -1,8 +1,11 @@
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from plapt import (
@@ -25,7 +28,7 @@ from plapt import (
     tail_quantile,
 )
 from plapt import inference, montecarlo
-from plapt.distribution import replication_rng
+from plapt.distribution import _replication_rngs, replication_rng
 
 TRUTH = PlAptParams(2.0, 2.5, 0.6)
 
@@ -155,6 +158,75 @@ class TestReportContract:
         assert set(payload) == {"config", "seed", "version", "failures", "summary", "records"}
         assert payload["config"]["truth"] == {"alpha": 2.0, "beta": 2.5, "theta": 0.6}
         assert payload["seed"] == 2
+
+
+# SHA-256 of run_experiment(cfg).to_json() at seed 1 for each kind, recorded
+# before the streams of a chunk were derived in one pass (numpy 2.4.6, x86-64).
+_GOLDEN = {
+    "recovery": (200, 5, "fb2bac736c69ccf95045bbdb0fdf60faa8d6e31649bb8fb324e5ec5ba2da7500"),
+    "model_compare": (200, 3, "b665d3514d518f7065b45b153a0d57b7bb49e1216b50ad4e5d5dac9e9270a75d"),
+    "evi_coverage": (1000, 5, "83cdcea06d428030996ae5a96e40ed779cf5a196be1cdd5415058e5f42cd38d2"),
+    "maxima_gumbel": (1000, 50, "9f11af9f049bb9494104434665250f9f594ce6b266b7649ab39c1dd4de882929"),
+}
+_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**128 - 1, 2**128, 2**200 + 3, [3, 2**40, 0]]
+_REPS = st.one_of(
+    st.lists(st.sampled_from([0, 2**31, 2**32 - 1]) | st.integers(0, 2**32 - 1), min_size=1, max_size=4),
+    st.integers(0, 2**32 - 800).map(lambda start: range(start, start + 800)),
+)
+
+
+class TestReplicationStreams:
+    # The streams of a chunk are derived in one pass; SeedSequence itself
+    # is the oracle.
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(_SEEDS), _REPS)
+    @example(2**200 + 3, range(2**32 - 800, 2**32))
+    def test_streams_are_seed_sequence_spawns(self, seed, reps):
+        for rep, rng in zip(reps, _replication_rngs(seed, reps), strict=True):
+            oracle = np.random.SeedSequence(seed, spawn_key=(rep,))
+            words = rng.bit_generator.seed_seq.generate_state(4, np.uint64)
+            assert words.tobytes() == oracle.generate_state(4, np.uint64).tobytes()
+            ref = np.random.default_rng(oracle)
+            # the draws of each kind's row: a uniform, exponentials, a Gamma(n - k)
+            draws = [(g.random(), g.standard_exponential(), g.standard_gamma(10_000 - 251)) for g in (rng, ref)]
+            assert np.array(draws[0]).tobytes() == np.array(draws[1]).tobytes()
+
+    def test_replication_rng_is_one_stream_of_the_chunk(self):
+        chunk = [rng.random(3) for rng in _replication_rngs(7, range(5))]
+        assert all(np.array_equal(replication_rng(7, rep).random(3), row) for rep, row in enumerate(chunk))
+
+    @pytest.mark.parametrize(
+        "seed, reps, message",
+        [
+            (-1, [0], "seed must be a nonnegative integer, got -1"),
+            ([1, -2], [0], "seed must be a nonnegative integer, got -2"),
+            (1, [0, -1], "replication index must lie in [0, 2**32), got -1"),
+            (1, [2**32], "replication index must lie in [0, 2**32), got 4294967296"),
+            (1, [3, 2**70], f"replication index must lie in [0, 2**32), got {2**70}"),
+        ],
+        ids=["negative-seed", "negative-seed-word", "negative-rep", "rep-at-2-32", "rep-beyond-int64"],
+    )
+    def test_domain_errors(self, seed, reps, message):
+        with pytest.raises(DomainError) as info:
+            _replication_rngs(seed, reps)
+        assert str(info.value) == message
+        with pytest.raises(DomainError):
+            replication_rng(seed, reps[-1])
+
+    def test_negative_seed_is_a_validation_error(self):
+        with pytest.raises(DomainError, match="seed must be a nonnegative integer, got -1"):
+            ExperimentConfig(kind="recovery", n=100, reps=2, seed=-1, truth=TRUTH)
+        with pytest.raises(DomainError, match="seed must be a nonnegative integer, got -1"):
+            sample(TRUTH, 5, -1)
+        with pytest.raises(DomainError, match="seed must be a nonnegative integer, got -1"):
+            maxima_normalization(TRUTH, 100, 2, -1)
+
+    @pytest.mark.parametrize("kind", list(_GOLDEN))
+    def test_reports_hash_as_before(self, kind):
+        n, reps, digest = _GOLDEN[kind]
+        cfg = ExperimentConfig(kind=kind, n=n, reps=reps, seed=1, truth=PlAptParams(2.0, 2.5, 1.5))
+        assert hashlib.sha256(run_experiment(cfg).to_json().encode()).hexdigest() == digest
 
 
 class TestOtherKinds:
