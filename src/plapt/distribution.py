@@ -355,20 +355,26 @@ def _seed_state_type() -> type:
     return SeedState
 
 
-def _replication_rngs(seed, reps):
-    """One generator per rep, each made as it is read and bit for bit
-    ``default_rng(SeedSequence(seed, spawn_key=(rep,)))``, for a nonnegative
-    seed (an integer or a sequence of them) and reps in [0, 2**32).
+# Replication indices lie in [0, _MAX_REPS): one 32-bit entropy word each.
+_MAX_REPS = 1 << 32
+
+
+def _replication_states(seed, reps) -> np.ndarray:
+    """The (len(reps), 4) uint64 words ``SeedSequence(seed, spawn_key=(rep,))
+    .generate_state(4, np.uint64)`` of each rep, for a nonnegative seed (an
+    integer or a sequence of them) and integer reps in [0, 2**32).
 
     The seed's share of SeedSequence's mixing runs once, in Python ints.
     The last entropy word, the rep, goes through the four hashmix and mix
     steps into the pool and through ``generate_state`` for all reps at once,
     in uint32 arithmetic, which wraps modulo 2**32 as SeedSequence's does.
-    PCG64 seeds itself from each rep's four words.
     """
     pool, h = _seed_pool(seed)
     r = np.asarray(reps)  # an index beyond int64 makes an object array
-    if r.size and (r.min() < 0 or r.max() > _MASK32):
+    for i in [] if r.dtype.kind in "iu" else r.flat:
+        if not isinstance(i, (int, np.integer)):
+            raise TypeError(f"replication index must be an integer, got {i!r}")
+    if r.size and (r.min() < 0 or r.max() >= _MAX_REPS):
         bad = r.min() if r.min() < 0 else r.max()
         raise DomainError(f"replication index must lie in [0, 2**32), got {bad}")
     hs = _hash_consts(h, _MULT_A, _POOL)
@@ -380,9 +386,60 @@ def _replication_rngs(seed, reps):
     # generate_state(4, np.uint64): eight words off the cycled pool, paired little-endian
     s = (np.concatenate((x, x), axis=1) ^ _STATE_HASH[:-1]) * _STATE_HASH[1:]
     s ^= s >> 16
-    state = s.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+    return s.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+def _replication_rngs(seed, reps):
+    """One generator per rep, each made as it is read and bit for bit
+    ``default_rng(SeedSequence(seed, spawn_key=(rep,)))``: PCG64 seeded
+    from the rep's words of ``_replication_states``."""
     seed_state = _seed_state_type()
-    return (np.random.Generator(np.random.PCG64(seed_state(words))) for words in state)
+    return (np.random.Generator(np.random.PCG64(seed_state(words))) for words in _replication_states(seed, reps))
+
+
+def _u64(value: int) -> np.ndarray:
+    return np.array(value, np.uint64)
+
+
+# PCG64's 128-bit multiplier, as 64-bit halves and the 32-bit halves of its low word
+_PCG_MULT = 0x2360ED051FC65DA4_4385DF649FCCF645
+_MULT_HI, _MULT_LO = _u64(_PCG_MULT >> 64), _u64(_PCG_MULT & (2**64 - 1))
+_MULT_LO1, _MULT_LO0 = _u64(_PCG_MULT >> 32 & _MASK32), _u64(_PCG_MULT & _MASK32)
+# shift counts and masks as uint64 too: a signed operand would promote to float64
+_U1, _U11, _U32, _U58, _U63, _U64, _UM32 = (_u64(v) for v in (1, 11, 32, 58, 63, 64, _MASK32))
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    # state * _PCG_MULT + inc modulo 2**128, on uint64 arrays of 64-bit halves:
+    # the high word of lo * _MULT_LO from its four 32 x 32-bit partial products
+    lo1, lo0 = lo >> _U32, lo & _UM32
+    p01, p10 = lo0 * _MULT_LO1, lo1 * _MULT_LO0
+    mid = (lo0 * _MULT_LO0 >> _U32) + (p01 & _UM32) + (p10 & _UM32)
+    lo_mul_hi = lo1 * _MULT_LO1 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32)
+    new_lo = lo * _MULT_LO + inc_lo
+    new_hi = lo_mul_hi + hi * _MULT_LO + lo * _MULT_HI + inc_hi + (new_lo < inc_lo)
+    return new_hi, new_lo
+
+
+def _first_uniforms(seed, reps) -> np.ndarray:
+    """Each rep's first ``random()``, bit for bit that of
+    ``default_rng(SeedSequence(seed, spawn_key=(rep,)))``, computed from the
+    words of ``_replication_states`` in uint64 arithmetic, with no generator.
+
+    PCG64 (O'Neill 2014; numpy's pcg64.h) seeds itself from the words
+    (w0, w1, w2, w3) with initstate = w0:w1 and increment inc = w2:w3 * 2 + 1
+    (128-bit): from state 0 it steps to inc, adds initstate and steps again.
+    A draw steps once more and outputs the XSL-RR word, hi ^ lo rotated
+    right by hi >> 58; ``random()`` is its top 53 bits over 2**53.
+    """
+    w = _replication_states(seed, reps)
+    inc_hi, inc_lo = w[:, 2] << _U1 | w[:, 3] >> _U63, w[:, 3] << _U1 | _U1
+    lo = inc_lo + w[:, 1]
+    hi = inc_hi + w[:, 0] + (lo < inc_lo)
+    hi, lo = _pcg_step(*_pcg_step(hi, lo, inc_hi, inc_lo), inc_hi, inc_lo)
+    x, rot = hi ^ lo, hi >> _U58
+    out = x >> rot | x << ((_U64 - rot) & _U63)
+    return (out >> _U11).astype(float) * 2.0**-53
 
 
 def replication_rng(seed: int, rep: int) -> np.random.Generator:
@@ -397,13 +454,14 @@ def sample(p: PlAptParams, n: int, seed) -> Sample:
 
     The uniform stream comes from numpy's PCG64 generator (stable,
     documented algorithm), so a given seed reproduces the same sample
-    across runs and platforms.
+    across runs and platforms.  The seed is a nonnegative integer, a
+    sequence of them, or a ``numpy.random.Generator`` to draw from.
     """
     n = int(n)
     if n < 1:
         raise DomainError(f"sample size must be >= 1, got {n}")
-    if isinstance(seed, (int, np.integer)) and seed < 0:
-        raise DomainError(f"seed must be a nonnegative integer, got {seed}")
+    if not isinstance(seed, np.random.Generator):
+        _seed_words(seed)  # the checks replication_rng makes of its seed
     rng = np.random.default_rng(seed)
     return Sample(quantile(p, rng.random(n)))
 

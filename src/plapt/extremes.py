@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distribution import PlAptParams, Sample, _blockwise, _log_ratio, _replication_rngs, _w_argument, tail_quantile
+from .distribution import PlAptParams, Sample, _MAX_REPS, _blockwise, _first_uniforms, _log_ratio, _w_argument, tail_quantile
 from .exceptions import DomainError, NumericalError, PlaptError
 from .inference import _chunks
 from .special_functions import LambertBranch, lambert_w
@@ -409,10 +409,12 @@ def _normalized_maxima(p: PlAptParams, n: int, g) -> np.ndarray:
 def maxima_normalization(p: PlAptParams, n: int, reps: int, seed) -> MaximaResult:
     """Simulate maxima of size-n samples and normalize toward the Gumbel law.
 
-    Replication i draws the one uniform its maximum needs from its own
-    stream, bit for bit ``default_rng(SeedSequence(seed, spawn_key=(i,)))``
-    as in every seeded study, for a nonnegative seed and reps <= 2**32.  The
-    streams are derived a chunk of replications at a time, so results are
+    Replication i reads the one uniform its maximum needs, the first draw of
+    its own stream, bit for bit ``default_rng(SeedSequence(seed,
+    spawn_key=(i,))).random()`` as in every seeded study, for a nonnegative
+    seed and reps <= 2**32.  The uniforms are computed straight from the
+    streams' seed words (``_first_uniforms``), a chunk of replications at a
+    time in integer array arithmetic, with no generator: results are
     reproducible, each maximum depends on nothing but its own stream, and
     the cost does not grow with n.  All maxima go through one
     W_{-1} call.  The normalization theta * (X_max - Q(1-1/n)) is computed in
@@ -423,10 +425,10 @@ def maxima_normalization(p: PlAptParams, n: int, reps: int, seed) -> MaximaResul
     reps = int(reps)
     if n < 100:
         raise DomainError(f"sample size must be >= 100, got {n}")
-    if reps < 1:
-        raise DomainError(f"replication count must be >= 1, got {reps}")
-    g = (rng.random() for chunk in _chunks(reps, 1) for rng in _replication_rngs(seed, chunk))
-    normalized = _normalized_maxima(p, n, np.fromiter(g, float, reps))
+    if not 1 <= reps <= _MAX_REPS:
+        raise DomainError(f"replication count must lie in [1, 2**32], got {reps}")
+    g = np.concatenate([_first_uniforms(seed, chunk) for chunk in _chunks(reps, 1)])
+    normalized = _normalized_maxima(p, n, g)
     return MaximaResult(
         normalized=normalized,
         ks_distance=gumbel_ks_distance(normalized),

@@ -7,7 +7,9 @@ a chunk of replications at a time, so the report content is a pure
 function of the configuration.  Each kind draws only what it reads, one
 row per replication: n uniforms for the fitting studies, the one uniform
 that fixes a sample maximum (maxima_gumbel), and the k + 2 variates that
-fix the k + 1 smallest of n uniform tail masses (evi_coverage).
+fix the k + 1 smallest of n uniform tail masses (evi_coverage).  The one
+uniform is computed straight from the stream's seed words, bit-identical
+to the stream's own first draw, with no generator.
 Replications run a chunk of rows at a time, and the kind's row function
 reduces the stack: rerunning, or chunks of another size, change nothing.
 """
@@ -23,7 +25,8 @@ import numpy as np
 
 from . import __version__
 from .distribution import (
-    PlAptParams, _param_error, _replication_rngs, _sorted_rows, quantile, replication_rng, tail_quantile,
+    PlAptParams, _MAX_REPS, _first_uniforms, _param_error, _replication_rngs, _sorted_rows, quantile,
+    replication_rng, tail_quantile,
 )
 from .exceptions import DomainError, PlaptError
 from .extremes import WeightSpec, _double_hill_rows, _hill_weights, _normalized_maxima, gumbel_ks_distance
@@ -86,8 +89,8 @@ class ExperimentConfig:
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "reps", int(self.reps))
         object.__setattr__(self, "seed", int(self.seed))
-        if self.reps < 1:
-            raise DomainError(f"reps must be >= 1, got {self.reps}")
+        if not 1 <= self.reps <= _MAX_REPS:
+            raise DomainError(f"reps must lie in [1, 2**32], got {self.reps}")
         if self.n < 2:
             raise DomainError(f"n must be >= 2, got {self.n}")
         if self.seed < 0:
@@ -273,16 +276,19 @@ _ROW_RECORDS = {
 
 
 def _row_draw(cfg: ExperimentConfig) -> tuple:
-    """The width of one replication's row and the function that draws the row
-    from the replication's generator: one uniform (maxima_gumbel), k + 1
-    standard exponentials then one Gamma(n - k) variate (evi_coverage), or n
-    uniforms."""
+    """The width of one replication's row and the function that draws a
+    chunk of replications' rows: one uniform (maxima_gumbel), computed
+    straight from each stream's seed words by ``_first_uniforms``; k + 1
+    standard exponentials then one Gamma(n - k) variate (evi_coverage); or n
+    uniforms, the last two from each replication's generator."""
     if cfg.kind is ExperimentKind.MAXIMA_GUMBEL:
-        return 1, lambda rng: rng.random(1)
+        return 1, lambda reps: _first_uniforms(cfg.seed, reps)[:, None]
     if cfg.kind is ExperimentKind.EVI_COVERAGE:
         k = cfg.k_value()
-        return k + 2, lambda rng: np.append(rng.standard_exponential(k + 1), rng.standard_gamma(cfg.n - k))
-    return cfg.n, lambda rng: rng.random(cfg.n)
+        width, row = k + 2, lambda rng: np.append(rng.standard_exponential(k + 1), rng.standard_gamma(cfg.n - k))
+    else:
+        width, row = cfg.n, lambda rng: rng.random(cfg.n)
+    return width, lambda reps: np.stack([row(rng) for rng in _replication_rngs(cfg.seed, reps)])
 
 
 def _mean_sd(values: list[float]) -> tuple[float, float]:
@@ -344,9 +350,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     variates for evi_coverage) from its own stream, bit for bit
     ``default_rng(SeedSequence(cfg.seed, spawn_key=(rep,)))`` (reps <=
     2**32), a chunk of replications (``inference._chunks``, sized by the row
-    width) at a time: the chunk's streams are derived in one pass, and the
-    kind's row function turns the chunk's stack of rows into its records.
-    So maxima_gumbel and evi_coverage cost the same at any n.
+    width) at a time: the chunk's streams are derived in one pass (for
+    maxima_gumbel, each stream's first uniform is computed straight from its
+    seed words, with no generator), and the kind's row function turns the
+    chunk's stack of rows into its records.  So maxima_gumbel and
+    evi_coverage cost the same at any n.
     Per-replication failures (for example a fit that does not converge) are
     recorded in place, never raised; the report's ``failures`` field and
     summary ``failure_rate`` count them.
@@ -354,8 +362,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     width, draw = _row_draw(cfg)
     records = []
     for reps in _chunks(cfg.reps, width):
-        rows = np.stack([draw(rng) for rng in _replication_rngs(cfg.seed, reps)])
-        records.extend(_ROW_RECORDS[cfg.kind](cfg, reps, rows))
+        records.extend(_ROW_RECORDS[cfg.kind](cfg, reps, draw(reps)))
     return ExperimentReport(
         config=_config_echo(cfg),
         seed=cfg.seed,

@@ -154,6 +154,13 @@ class TestSampleAndCsv:
         assert (rc, out) == (2, "")
         assert err.splitlines() == ["error: seed must be a nonnegative integer, got -1"]
 
+    def test_replication_count_beyond_2_32_is_a_validation_error(self, capsys):
+        rc, out, err = run_cli(capsys, [
+            "experiment", "--kind", "maxima-gumbel", "--alpha", "2", "--beta", "2.5", "--theta", "0.6",
+            "--n", "100", "--reps", str(2**32 + 1), "--seed", "1"])
+        assert (rc, out) == (2, "")
+        assert err.splitlines() == ["error: reps must lie in [1, 2**32], got 4294967297"]
+
     def test_header_and_crlf_accepted(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_bytes(b"x\r\n1.5\r\n2.5\r\n")

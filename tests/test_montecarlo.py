@@ -28,7 +28,7 @@ from plapt import (
     tail_quantile,
 )
 from plapt import inference, montecarlo
-from plapt.distribution import _replication_rngs, replication_rng
+from plapt.distribution import _first_uniforms, _replication_rngs, _replication_states, replication_rng
 
 TRUTH = PlAptParams(2.0, 2.5, 0.6)
 
@@ -191,6 +191,44 @@ class TestReplicationStreams:
             # the draws of each kind's row: a uniform, exponentials, a Gamma(n - k)
             draws = [(g.random(), g.standard_exponential(), g.standard_gamma(10_000 - 251)) for g in (rng, ref)]
             assert np.array(draws[0]).tobytes() == np.array(draws[1]).tobytes()
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(_SEEDS), _REPS)
+    @example(2**200 + 3, range(2**32 - 800, 2**32))
+    @example(2**32, [5])
+    @example([3, 2**40, 0], range(2**31, 2**31 + 65536))
+    def test_first_uniforms_are_the_streams_first_draws(self, seed, reps):
+        # computed from the seed words with no generator, bytewise each
+        # stream's own first random()
+        oracle = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rep,))).random() for rep in reps]
+        assert _first_uniforms(seed, reps).tobytes() == np.array(oracle).tobytes()
+
+    @pytest.mark.parametrize("rep", [1.5, 2.0, np.float64(3.0), "1"], ids=["float", "integral-float", "np-float", "str"])
+    def test_non_integer_replication_index_is_a_type_error(self, rep):
+        # SeedSequence refuses a float spawn key too (it parses a string as
+        # an integer, which replication_rng does not)
+        if not isinstance(rep, str):
+            with pytest.raises(TypeError):
+                np.random.SeedSequence(1, spawn_key=(rep,))
+        with pytest.raises(TypeError, match="replication index must be an integer, got"):
+            replication_rng(1, rep)
+        with pytest.raises(TypeError, match="replication index must be an integer, got"):
+            _replication_states(1, [0, 2**70, rep])
+
+    def test_replication_count_beyond_2_32_is_a_validation_error(self):
+        with pytest.raises(DomainError, match=r"reps must lie in \[1, 2\*\*32\], got 4294967297"):
+            ExperimentConfig(kind="maxima_gumbel", n=100, reps=2**32 + 1, seed=1, truth=TRUTH)
+        assert ExperimentConfig(kind="maxima_gumbel", n=100, reps=2**32, seed=1, truth=TRUTH).reps == 2**32
+        with pytest.raises(DomainError, match=r"replication count must lie in \[1, 2\*\*32\], got 8589934592"):
+            maxima_normalization(TRUTH, 1000, 2**33, 1)
+
+    def test_sample_seed_is_checked_as_replication_rng_checks_it(self):
+        with pytest.raises(DomainError, match="seed must be a nonnegative integer, got -1"):
+            sample(TRUTH, 5, [-1])
+        with pytest.raises(TypeError, match="seed must be an integer or a sequence of integers, got 1.5"):
+            sample(TRUTH, 5, 1.5)
+        words = [3, 2**40, 0]
+        assert np.array_equal(sample(TRUTH, 5, words).values, sample(TRUTH, 5, np.random.default_rng(words)).values)
 
     def test_replication_rng_is_one_stream_of_the_chunk(self):
         chunk = [rng.random(3) for rng in _replication_rngs(7, range(5))]
@@ -375,12 +413,12 @@ class TestLockstepStudies:
 
     def test_evi_tail_masses_follow_the_law_of_n_uniforms(self):
         # The k-th and (k+1)-th smallest tail masses drawn from k + 2 variates
-        # against those of n = 200 uniforms each, as drawn before.
+        # (the rows of replications 0..19999 of seed 0) against those of
+        # n = 200 uniforms each, as drawn before.
         cfg = ExperimentConfig(kind="evi_coverage", n=200, reps=1, seed=0, truth=TRUTH)
         k, reps = cfg.k_value(), 20000
         _, draw = montecarlo._row_draw(cfg)
-        rng = np.random.default_rng(31)
-        drawn = montecarlo._smallest_tail_masses(np.stack([draw(rng) for _ in range(reps)]))
+        drawn = montecarlo._smallest_tail_masses(draw(range(reps)))
         reference = np.sort(1.0 - np.random.default_rng(32).random((reps, cfg.n)), axis=1)
         for j in (k - 1, k):
             assert stats.ks_2samp(cfg.n * drawn[:, j], cfg.n * reference[:, j]).pvalue > 0.01
