@@ -75,16 +75,22 @@ def read_numeric_csv(path: str) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(text, output: str | None) -> None:
+    """Write ``text``, a string or pieces of one written as they come, to
+    stdout or the file ``output``, ending it with a newline."""
     if output is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        _write(sys.stdout, text)
     else:
         with open(output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+            _write(fh, text)
+
+
+def _write(fh, text) -> None:
+    last = ""
+    for last in (text,) if isinstance(text, str) else text:
+        fh.write(last)
+    if not last.endswith("\n"):
+        fh.write("\n")
 
 
 def _params_from(args) -> PlAptParams:
@@ -240,7 +246,7 @@ def _cmd_experiment(args) -> int:
         alpha_grid=tuple(args.alpha_grid) if args.alpha_grid is not None else None,
     )
     report = run_experiment(cfg)
-    _emit(report.to_json(), args.output)
+    _emit(report.json_chunks(), args.output)
     return _EXIT_OK
 
 

@@ -11,7 +11,13 @@ fix the k + 1 smallest of n uniform tail masses (evi_coverage).  The one
 uniform is computed straight from the stream's seed words, bit-identical
 to the stream's own first draw, with no generator.
 Replications run a chunk of rows at a time, and the kind's row function
-reduces the stack: rerunning, or chunks of another size, change nothing.
+reduces the stack to columns, one entry per replication (an ok mask,
+float64 arrays of estimates, lists of statuses and error strings):
+rerunning, or chunks of another size, change nothing.  The summary reads
+the columns.  One description of each kind's record turns them into the
+record dicts of ``ExperimentReport.records``, built on access, or into the
+report's JSON text, written a piece at a time and byte for byte what
+``json.dumps(indent=2, sort_keys=True)`` makes of those dicts.
 """
 from __future__ import annotations
 
@@ -19,14 +25,15 @@ import enum
 import json
 import math
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__
 from .distribution import (
-    PlAptParams, _MAX_REPS, _first_uniforms, _param_error, _replication_rngs, _sorted_rows, quantile,
-    replication_rng, tail_quantile,
+    PlAptParams, _MAX_REPS, _first_uniforms, _param_error, _replication_rngs, _seed_words, _sorted_rows,
+    quantile, replication_rng, tail_quantile,
 )
 from .exceptions import DomainError, PlaptError
 from .extremes import WeightSpec, _double_hill_rows, _hill_weights, _normalized_maxima, gumbel_ks_distance
@@ -86,15 +93,16 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", ExperimentKind(self.kind))
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "reps", int(self.reps))
-        object.__setattr__(self, "seed", int(self.seed))
+        for name in ("n", "reps", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if not 1 <= self.reps <= _MAX_REPS:
             raise DomainError(f"reps must lie in [1, 2**32], got {self.reps}")
         if self.n < 2:
             raise DomainError(f"n must be >= 2, got {self.n}")
-        if self.seed < 0:
-            raise DomainError(f"seed must be a nonnegative integer, got {self.seed}")
+        _seed_words(self.seed)  # the seed rule of sample and replication_rng
         if self.alpha_grid is not None and self.kind is not ExperimentKind.MODEL_COMPARE:
             raise DomainError(f"alpha_grid applies to model_compare experiments, not {self.kind.value}")
         if self.pareto_gamma is not None and self.kind is not ExperimentKind.EVI_COVERAGE:
@@ -131,27 +139,59 @@ class ExperimentConfig:
         return int(self.n**self.k_exponent)
 
 
+class _Records:
+    # ExperimentReport.records: a tuple of record dicts given to the
+    # constructor (as dataclasses.replace gives them), or else, by default,
+    # the dicts built from the report's columns on each access.
+
+    def __get__(self, report, owner=None):
+        if report is None:
+            return None  # the field's default
+        if report.__dict__["_records"] is not None:
+            return report.__dict__["_records"]
+        records = _RECORDS[ExperimentKind(report.config["kind"])]
+        return tuple(records(report.columns, range(report.config["reps"]), _Values))
+
+    def __set__(self, report, records):
+        report.__dict__["_records"] = records
+
+
 @dataclass(frozen=True, eq=False)
 class ExperimentReport:
-    """Per-replication records plus summary statistics and provenance."""
+    """Summary statistics and provenance of a study, with its
+    per-replication results held as columns: ``columns`` maps a name to a
+    numpy array or a list with one entry per replication, in replication
+    order.  ``records`` builds one dict per replication from them on each
+    access (records given to the constructor replace those dicts, not the
+    columns); ``json_chunks`` writes the report from the columns."""
 
     config: dict
     seed: int
     version: str
-    records: tuple[dict, ...]
     summary: dict
     failures: int
+    columns: dict
+    records: tuple | None = _Records()
 
-    def to_json(self, indent: int = 2) -> str:
-        payload = {
-            "config": self.config,
-            "seed": self.seed,
-            "version": self.version,
-            "failures": self.failures,
-            "summary": self.summary,
-            "records": list(self.records),
-        }
-        return json.dumps(payload, indent=indent, sort_keys=True, allow_nan=True)
+    def json_chunks(self) -> Iterator[str]:
+        """The report's JSON text in pieces, byte for byte ``json.dumps`` of
+        config, seed, version, failures, summary and records (as dicts) with
+        ``indent=2, sort_keys=True, allow_nan=True``.  The records are
+        written from the columns, ``_WRITE_ROWS`` at a time."""
+        records = _RECORDS[ExperimentKind(self.config["kind"])]
+        reps = self.config["reps"]
+        yield f'{{\n  "config": {_dumps(self.config)},\n  "failures": {_dumps(self.failures)},\n  "records": [\n    '
+        for start in range(0, reps, _WRITE_ROWS):
+            rows = range(start, min(start + _WRITE_ROWS, reps))
+            piece = {name: col[start : rows.stop] for name, col in self.columns.items()}
+            yield (",\n    " if start else "") + ",\n    ".join(records(piece, rows, _Texts))
+        yield (
+            f'\n  ],\n  "seed": {_dumps(self.seed)},\n  "summary": {_dumps(self.summary)},'
+            f'\n  "version": {_dumps(self.version)}\n}}'
+        )
+
+    def to_json(self) -> str:
+        return "".join(self.json_chunks())
 
 
 def _config_echo(cfg: ExperimentConfig) -> dict:
@@ -176,51 +216,55 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
 
 
 _DEFAULT_ALPHA_GRID = (0.5, 1.0, 1.5, 2.0, 4.0)
+# The model_compare candidates, in the order their errors are joined
+_FAMILIES = ("lindley", "pseudo_lindley", "pl_apt")
+_RECOVERY_FLOATS = ("theta_hat", "beta_hat", "stderr_theta", "stderr_beta", "loglik")
+_EVI_FLOATS = ("m_n", "ci_low", "ci_high", "b_n", "target")
 
 
-def _recovery_records(cfg: ExperimentConfig, reps: range, u: np.ndarray) -> list[dict]:
-    fits = _fit_rows(_sorted_rows(quantile(cfg.truth, u)), [cfg.truth.alpha])
-    return [_recovery_record(rep, fit) for rep, (fit,) in zip(reps, fits)]
+# The row function of each kind turns a chunk's stack of rows into its
+# columns, one entry per replication of the chunk: an "ok" mask, float64
+# arrays and lists of strings (None where a record has no such field).
 
 
-def _recovery_record(rep: int, fit) -> dict:
-    if isinstance(fit, PlaptError):
-        return {"rep": rep, "ok": False, "error": str(fit)}
-    if fit.status == "max_iter":
-        return {"rep": rep, "ok": False, "error": "fit did not converge", "status": fit.status}
+def _recovery_columns(cfg: ExperimentConfig, u: np.ndarray) -> dict:
+    rows = []  # (error, status, iterations, estimates) of each replication
+    for (fit,) in _fit_rows(_sorted_rows(quantile(cfg.truth, u)), [cfg.truth.alpha]):
+        if isinstance(fit, PlaptError):
+            rows.append((str(fit), None, 0, (math.nan,) * len(_RECOVERY_FLOATS)))
+        else:
+            error = "fit did not converge" if fit.status == "max_iter" else None
+            estimates = (fit.params.theta, fit.params.beta, fit.stderr_theta, fit.stderr_beta, fit.loglik)
+            rows.append((error, fit.status, fit.iterations, estimates))
+    error, status, iterations, estimates = zip(*rows)
     return {
-        "rep": rep,
-        "ok": True,
-        "status": fit.status,
-        "theta_hat": fit.params.theta,
-        "beta_hat": fit.params.beta,
-        "stderr_theta": fit.stderr_theta,
-        "stderr_beta": fit.stderr_beta,
-        "loglik": fit.loglik,
-        "iterations": fit.iterations,
+        "ok": np.array([e is None for e in error]),
+        **dict(zip(_RECOVERY_FLOATS, np.array(estimates).T)),
+        "iterations": np.array(iterations),
+        "status": list(status),
+        "error": list(error),
     }
 
 
-def _model_compare_records(cfg: ExperimentConfig, reps: range, u: np.ndarray) -> list[dict]:
+def _model_compare_columns(cfg: ExperimentConfig, u: np.ndarray) -> dict:
     grid = cfg.alpha_grid if cfg.alpha_grid is not None else _DEFAULT_ALPHA_GRID
     candidates = [lindley_family(), pseudo_lindley_family(), pl_apt_family(alpha_grid=grid)]
-    tables = _model_compare_rows(_sorted_rows(quantile(cfg.truth, u)), candidates)
-    return [_model_compare_record(rep, rows) for rep, rows in zip(reps, tables)]
-
-
-def _model_compare_record(rep: int, rows: list) -> dict:
-    rec: dict = {"rep": rep, "ok": all(r.error is None for r in rows)}
-    table = {}
-    for r in rows:
-        table[r.name] = {"loglik": r.loglik, "aic": r.aic, "bic": r.bic, "converged": r.converged}
-        if r.error is not None:
-            table[r.name]["error"] = r.error
-    rec["families"] = table
-    scored = [r for r in rows if r.error is None and math.isfinite(r.aic)]
-    rec["winner"] = min(scored, key=lambda r: r.aic).name if scored else None
-    if not rec["ok"]:
-        rec["error"] = "; ".join(f"{r.name}: {r.error}" for r in rows if r.error is not None)
-    return rec
+    tables = _model_compare_rows(_sorted_rows(quantile(cfg.truth, u)), candidates)  # rows named as _FAMILIES
+    winner, error = [], []
+    for rows in tables:
+        scored = [r for r in rows if r.error is None and math.isfinite(r.aic)]
+        winner.append(min(scored, key=lambda r: r.aic).name if scored else None)
+        errors = [f"{r.name}: {r.error}" for r in rows if r.error is not None]
+        error.append("; ".join(errors) if errors else None)
+    # (replications, families) arrays, families in _FAMILIES order
+    return {
+        "ok": np.array([e is None for e in error]),
+        **{key: np.array([[getattr(r, key) for r in rows] for rows in tables]) for key in ("loglik", "aic", "bic")},
+        "converged": np.array([[r.converged for r in rows] for rows in tables]),
+        "family_error": [tuple(r.error for r in rows) for rows in tables],
+        "winner": winner,
+        "error": error,
+    }
 
 
 def _smallest_tail_masses(rows: np.ndarray) -> np.ndarray:
@@ -232,7 +276,7 @@ def _smallest_tail_masses(rows: np.ndarray) -> np.ndarray:
     return s / (s[:, -1:] + rows[:, -1:])
 
 
-def _evi_coverage_records(cfg: ExperimentConfig, reps: range, rows: np.ndarray) -> list[dict]:
+def _evi_coverage_columns(cfg: ExperimentConfig, rows: np.ndarray) -> dict:
     # The top k + 1 order statistics are the images of the k + 1 smallest
     # tail masses v: v**-gamma, exact Pareto tails of EVI gamma, or
     # tail_quantile(v), centred at 1/theta, the scale of the top spacings
@@ -242,32 +286,87 @@ def _evi_coverage_records(cfg: ExperimentConfig, reps: range, rows: np.ndarray) 
         top, target = v**-cfg.pareto_gamma, cfg.pareto_gamma
     else:
         top, target = tail_quantile(cfg.truth, v), 1.0 / cfg.truth.theta
-    reports = _double_hill_rows(np.sort(top, axis=1), cfg._weights)
-    return [_evi_coverage_record(rep, report, target) for rep, report in zip(reps, reports)]
-
-
-def _evi_coverage_record(rep: int, report, target: float) -> dict:
-    if isinstance(report, PlaptError):
-        return {"rep": rep, "ok": False, "error": str(report)}
+    stats, errors = _double_hill_rows(np.sort(top, axis=1), cfg._weights)
     return {
-        "rep": rep,
-        "ok": True,
-        "m_n": report.m_n,
-        "ci_low": report.ci_low,
-        "ci_high": report.ci_high,
-        "b_n": report.b_n,
-        "target": target,
-        "covered": bool(report.ci_low <= target <= report.ci_high),
+        "ok": np.array([e is None for e in errors]),
+        "m_n": stats["m_n"],
+        "ci_low": stats["ci_low"],
+        "ci_high": stats["ci_high"],
+        "b_n": np.full(len(errors), cfg._weights[4]),
+        "target": np.full(len(errors), target),
+        "covered": (stats["ci_low"] <= target) & (target <= stats["ci_high"]),
+        "error": [None if e is None else str(e) for e in errors],
     }
 
 
-def _maxima_gumbel_records(cfg: ExperimentConfig, reps: range, g: np.ndarray) -> list[dict]:
-    normalized = _normalized_maxima(cfg.truth, cfg.n, g[:, 0])
-    return [{"rep": rep, "ok": True, "normalized": z} for rep, z in zip(reps, normalized.tolist())]
+def _maxima_gumbel_columns(cfg: ExperimentConfig, g: np.ndarray) -> dict:
+    # every maximum is ok
+    return {"ok": np.ones(len(g), bool), "normalized": _normalized_maxima(cfg.truth, cfg.n, g[:, 0])}
 
 
-# The row function of each kind: a chunk's replications and rows to records.
-_ROW_RECORDS = {
+_ROW_COLUMNS = {
+    ExperimentKind.RECOVERY: _recovery_columns,
+    ExperimentKind.MODEL_COMPARE: _model_compare_columns,
+    ExperimentKind.EVI_COVERAGE: _evi_coverage_columns,
+    ExperimentKind.MAXIMA_GUMBEL: _maxima_gumbel_columns,
+}
+
+
+# The records of each kind: given the columns of replications reps and an
+# encoding (_Values or _Texts), each replication's record.  enc.obj(keys)
+# makes the objects with those keys, given in the order of the record
+# dicts, from their values in that order.
+
+
+def _recovery_records(cols: dict, reps: range, enc) -> Iterator:
+    fitted = enc.obj(("rep", "ok", "status", *_RECOVERY_FLOATS, "iterations"))
+    failed, stopped = enc.obj(("rep", "ok", "error")), enc.obj(("rep", "ok", "error", "status"))
+    floats = zip(*(enc.floats(cols[key]) for key in _RECOVERY_FLOATS))
+    for rep, ok, has_status, status, error, its, values in zip(
+        enc.ints(reps), cols["ok"].tolist(), cols["status"], enc.strs(cols["status"]), enc.strs(cols["error"]),
+        enc.ints(cols["iterations"].tolist()), floats,
+    ):
+        if ok:
+            yield fitted(rep, enc.true, status, *values, its)
+        elif has_status:  # a fit stopped at the iteration limit
+            yield stopped(rep, enc.false, error, status)
+        else:
+            yield failed(rep, enc.false, error)
+
+
+def _model_compare_records(cols: dict, reps: range, enc) -> Iterator:
+    fitted = enc.obj(("loglik", "aic", "bic", "converged"), 4)
+    flagged = enc.obj(("loglik", "aic", "bic", "converged", "error"), 4)
+    table = enc.obj(_FAMILIES, 3)
+    compared = enc.obj(("rep", "ok", "families", "winner"))
+    failed = enc.obj(("rep", "ok", "families", "winner", "error"))
+    # the families of every replication in turn, each in _FAMILIES order
+    family_errors = [e for errors in cols["family_error"] for e in errors]
+    floats = (enc.floats(cols[key].ravel()) for key in ("loglik", "aic", "bic"))
+    values = zip(family_errors, enc.strs(family_errors), *floats, enc.bools(cols["converged"].ravel().tolist()))
+    families = [fitted(*v) if e is None else flagged(*v, text) for e, text, *v in values]
+    oks, winners, errors = cols["ok"].tolist(), enc.strs(cols["winner"]), enc.strs(cols["error"])
+    for r, (rep, ok, winner, error) in enumerate(zip(enc.ints(reps), oks, winners, errors)):
+        row = table(*families[r * len(_FAMILIES) : (r + 1) * len(_FAMILIES)])
+        yield compared(rep, enc.true, row, winner) if ok else failed(rep, enc.false, row, winner, error)
+
+
+def _evi_coverage_records(cols: dict, reps: range, enc) -> Iterator:
+    covered = enc.obj(("rep", "ok", *_EVI_FLOATS, "covered"))
+    failed = enc.obj(("rep", "ok", "error"))
+    floats = zip(*(enc.floats(cols[key]) for key in _EVI_FLOATS))
+    for rep, ok, cov, error, values in zip(
+        enc.ints(reps), cols["ok"].tolist(), enc.bools(cols["covered"].tolist()), enc.strs(cols["error"]), floats
+    ):
+        yield covered(rep, enc.true, *values, cov) if ok else failed(rep, enc.false, error)
+
+
+def _maxima_gumbel_records(cols: dict, reps: range, enc) -> Iterator:
+    normalized = enc.obj(("rep", "ok", "normalized"))
+    return map(normalized, enc.ints(reps), [enc.true] * len(reps), enc.floats(cols["normalized"]))
+
+
+_RECORDS = {
     ExperimentKind.RECOVERY: _recovery_records,
     ExperimentKind.MODEL_COMPARE: _model_compare_records,
     ExperimentKind.EVI_COVERAGE: _evi_coverage_records,
@@ -275,69 +374,134 @@ _ROW_RECORDS = {
 }
 
 
+class _Values:
+    """Python values, each object a dict: ``ExperimentReport.records``."""
+
+    true, false = True, False
+    floats = staticmethod(np.ndarray.tolist)
+    ints = bools = strs = staticmethod(list)
+
+    @staticmethod
+    def obj(keys: tuple, depth: int = 2):
+        return lambda *values: dict(zip(keys, values))
+
+
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+class _Texts:
+    """JSON texts, as ``json.dumps(indent=2, sort_keys=True, allow_nan=True)``
+    writes them; a record is an object at nesting depth 2 (in the records
+    list of the report object)."""
+
+    true, false = "true", "false"
+
+    @staticmethod
+    def floats(values: np.ndarray) -> list[str]:
+        texts = list(map(repr, values.tolist()))  # float.__repr__
+        for i in np.flatnonzero(~np.isfinite(values)).tolist():
+            texts[i] = _NONFINITE[texts[i]]
+        return texts
+
+    @staticmethod
+    def ints(values) -> list[str]:
+        return list(map(str, values))
+
+    @staticmethod
+    def bools(values) -> list[str]:
+        return ["true" if v else "false" for v in values]
+
+    @staticmethod
+    def strs(values) -> list[str]:
+        return ["null" if v is None else json.encoder.encode_basestring_ascii(v) for v in values]
+
+    @staticmethod
+    def obj(keys: tuple, depth: int = 2):
+        # a str.format template, its fields in key order
+        inner = "\n" + "  " * (depth + 1)
+        body = ("," + inner).join(f'"{keys[i]}": {{{i}}}' for i in sorted(range(len(keys)), key=keys.__getitem__))
+        return ("{{" + inner + body + "\n" + "  " * depth + "}}").format
+
+
+def _dumps(value) -> str:
+    # a top-level entry of the report, one level in
+    return json.dumps(value, indent=2, sort_keys=True, allow_nan=True).replace("\n", "\n  ")
+
+
+_WRITE_ROWS = 4096  # records in a piece of report text
+
+
 def _row_draw(cfg: ExperimentConfig) -> tuple:
     """The width of one replication's row and the function that draws a
     chunk of replications' rows: one uniform (maxima_gumbel), computed
     straight from each stream's seed words by ``_first_uniforms``; k + 1
     standard exponentials then one Gamma(n - k) variate (evi_coverage); or n
-    uniforms, the last two from each replication's generator."""
+    uniforms, the last two drawn by each replication's generator into its
+    row of the chunk."""
     if cfg.kind is ExperimentKind.MAXIMA_GUMBEL:
         return 1, lambda reps: _first_uniforms(cfg.seed, reps)[:, None]
     if cfg.kind is ExperimentKind.EVI_COVERAGE:
         k = cfg.k_value()
-        width, row = k + 2, lambda rng: np.append(rng.standard_exponential(k + 1), rng.standard_gamma(cfg.n - k))
+
+        def fill(rng, row):
+            rng.standard_exponential(out=row[:-1])
+            row[-1] = rng.standard_gamma(cfg.n - k)
+
+        width = k + 2
     else:
-        width, row = cfg.n, lambda rng: rng.random(cfg.n)
-    return width, lambda reps: np.stack([row(rng) for rng in _replication_rngs(cfg.seed, reps)])
+        width = cfg.n
+
+        def fill(rng, row):
+            rng.random(out=row)
+
+    def draw(reps):
+        rows = np.empty((len(reps), width))
+        for rng, row in zip(_replication_rngs(cfg.seed, reps), rows):
+            fill(rng, row)
+        return rows
+
+    return width, draw
 
 
-def _mean_sd(values: list[float]) -> tuple[float, float]:
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
+def _mean_sd(values: np.ndarray) -> tuple[float, float]:
+    if values.size == 0:
         return math.nan, math.nan
-    sd = float(np.std(arr, ddof=1)) if arr.size > 1 else 0.0
-    return float(np.mean(arr)), sd
+    sd = float(np.std(values, ddof=1)) if values.size > 1 else 0.0
+    return float(np.mean(values)), sd
 
 
-def _param_summary(records: list[dict], key: str, truth: float) -> dict:
-    vals = [r[key] for r in records if r.get("status") == "converged"]
-    mean, sd = _mean_sd(vals)
-    rmse = (
-        float(np.sqrt(np.mean((np.asarray(vals) - truth) ** 2))) if vals else math.nan
-    )
+def _param_summary(values: np.ndarray, truth: float) -> dict:
+    mean, sd = _mean_sd(values)
+    rmse = float(np.sqrt(np.mean((values - truth) ** 2))) if values.size else math.nan
     return {"truth": truth, "mean": mean, "bias": mean - truth, "sd": sd, "rmse": rmse}
 
 
-def _summarize(cfg: ExperimentConfig, records: list[dict]) -> dict:
-    ok = [r for r in records if r["ok"]]
-    summary: dict = {"failure_rate": 1.0 - len(ok) / len(records)}
+def _summarize(cfg: ExperimentConfig, columns: dict) -> dict:
+    ok = columns["ok"]
+    n_ok = int(np.count_nonzero(ok))
+    summary: dict = {"failure_rate": 1.0 - n_ok / cfg.reps}
     if cfg.kind is ExperimentKind.RECOVERY:
-        summary["theta"] = _param_summary(records, "theta_hat", cfg.truth.theta)
-        summary["beta"] = _param_summary(records, "beta_hat", cfg.truth.beta)
-        summary["status_counts"] = dict(Counter(r["status"] for r in records if "status" in r))
-        its = [r["iterations"] for r in records if "iterations" in r]
-        pcts = np.percentile(its, (50, 90, 100)).tolist() if its else [math.nan] * 3
+        converged = np.array([s == "converged" for s in columns["status"]], bool)
+        summary["theta"] = _param_summary(columns["theta_hat"][converged], cfg.truth.theta)
+        summary["beta"] = _param_summary(columns["beta_hat"][converged], cfg.truth.beta)
+        summary["status_counts"] = dict(Counter(s for s in columns["status"] if s is not None))
+        its = columns["iterations"][ok]
+        pcts = np.percentile(its, (50, 90, 100)).tolist() if its.size else [math.nan] * 3
         summary["iterations"] = dict(zip(("p50", "p90", "max"), pcts))
     elif cfg.kind is ExperimentKind.MODEL_COMPARE:
-        names = sorted({name for r in ok for name in r["families"]})
-        summary["mean_aic"] = {
-            name: float(np.mean([r["families"][name]["aic"] for r in ok])) for name in names
-        }
-        summary["win_fraction"] = {
-            name: sum(r["winner"] == name for r in ok) / len(ok) if ok else math.nan
-            for name in names
-        }
+        names = sorted(_FAMILIES) if n_ok else []
+        summary["mean_aic"] = {name: float(np.mean(columns["aic"][ok, _FAMILIES.index(name)])) for name in names}
+        wins = Counter(w for w, good in zip(columns["winner"], ok.tolist()) if good)
+        summary["win_fraction"] = {name: wins[name] / n_ok for name in names}
     elif cfg.kind is ExperimentKind.EVI_COVERAGE:
-        mean, sd = _mean_sd([r["m_n"] for r in ok])
+        mean, sd = _mean_sd(columns["m_n"][ok])
         summary["m_n"] = {"mean": mean, "sd": sd}
-        summary["coverage"] = (
-            sum(r["covered"] for r in ok) / len(ok) if ok else math.nan
-        )
+        summary["coverage"] = int(np.count_nonzero(columns["covered"][ok])) / n_ok if n_ok else math.nan
         summary["k"] = cfg.k_value()
     elif cfg.kind is ExperimentKind.MAXIMA_GUMBEL:
-        vals = np.asarray([r["normalized"] for r in ok])
+        vals = columns["normalized"]  # every maximum is ok
         summary["ks_distance"] = gumbel_ks_distance(vals)
-        mean, sd = _mean_sd(list(vals))
+        mean, sd = _mean_sd(vals)
         summary["normalized"] = {"mean": mean, "sd": sd}
     return summary
 
@@ -353,21 +517,30 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     width) at a time: the chunk's streams are derived in one pass (for
     maxima_gumbel, each stream's first uniform is computed straight from its
     seed words, with no generator), and the kind's row function turns the
-    chunk's stack of rows into its records.  So maxima_gumbel and
-    evi_coverage cost the same at any n.
+    chunk's stack of rows into its columns, copied into the study's.  So
+    maxima_gumbel and evi_coverage cost the same at any n, and a
+    replication costs the report a few numbers, not a dict: the summary
+    reads the columns, and ``ExperimentReport.records`` and ``to_json``
+    turn them into dicts and text only when asked.
     Per-replication failures (for example a fit that does not converge) are
     recorded in place, never raised; the report's ``failures`` field and
     summary ``failure_rate`` count them.
     """
     width, draw = _row_draw(cfg)
-    records = []
+    columns: dict = {}
     for reps in _chunks(cfg.reps, width):
-        records.extend(_ROW_RECORDS[cfg.kind](cfg, reps, draw(reps)))
+        for name, col in _ROW_COLUMNS[cfg.kind](cfg, draw(reps)).items():
+            if isinstance(col, list):
+                columns.setdefault(name, []).extend(col)
+                continue
+            if name not in columns:
+                columns[name] = np.empty((cfg.reps, *col.shape[1:]), col.dtype)
+            columns[name][reps.start : reps.stop] = col
     return ExperimentReport(
         config=_config_echo(cfg),
         seed=cfg.seed,
         version=__version__,
-        records=tuple(records),
-        summary=_summarize(cfg, records),
-        failures=sum(not r["ok"] for r in records),
+        summary=_summarize(cfg, columns),
+        failures=cfg.reps - int(np.count_nonzero(columns["ok"])),
+        columns=columns,
     )

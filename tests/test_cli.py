@@ -347,6 +347,20 @@ class TestExpansionAndExperiment:
         assert payload["config"]["kind"] == "recovery"
         assert len(payload["records"]) == 2
 
+    def test_experiment_report_written_in_pieces(self, tmp_path, capsys, monkeypatch):
+        # the report goes out a piece at a time, the same bytes to stdout
+        # and to --output: the report text and a newline
+        monkeypatch.setattr(plapt.montecarlo, "_WRITE_ROWS", 3)
+        args = [
+            "experiment", "--kind", "maxima-gumbel", "--alpha", "2", "--beta", "2.5",
+            "--theta", "1.5", "--n", "1000", "--reps", "50", "--seed", "1",
+        ]
+        rc, out, _ = run_cli(capsys, args)
+        path = tmp_path / "report.json"
+        assert (rc, *run_cli(capsys, [*args, "--output", str(path)])) == (0, 0, "", "")
+        cfg = plapt.ExperimentConfig(kind="maxima_gumbel", n=1000, reps=50, seed=1, truth=PlAptParams(2.0, 2.5, 1.5))
+        assert path.read_bytes() == out.encode() == (plapt.run_experiment(cfg).to_json() + "\n").encode()
+
     def test_experiment_pareto_coverage(self, capsys):
         rc, out, _ = run_cli(
             capsys,

@@ -261,15 +261,17 @@ class TestDoubleHill:
         top[1] = 2.0  # tied top values
         top[3, 0] = 0.0  # a nonpositive top value
         w = WeightSpec.power(0.5, s=0.7)
-        rows = extremes._double_hill_rows(top, extremes._hill_weights(w, k), target=0.6)
-        assert isinstance(rows[1], NumericalError) and isinstance(rows[3], DomainError)
-        for row, got in zip(top, rows):
+        stats, errors = extremes._double_hill_rows(top, extremes._hill_weights(w, k), target=0.6)
+        assert isinstance(errors[1], NumericalError) and isinstance(errors[3], DomainError)
+        for r, (row, got) in enumerate(zip(top, errors)):
             try:
                 want = double_hill_components(Sample(row), w, k, target=0.6)
             except PlaptError as exc:
                 assert type(got) is type(exc) and str(got) == str(exc)
+                assert all(math.isnan(col[r]) for col in stats.values())
             else:
-                assert got == want
+                assert got is None
+                assert {key: col[r] for key, col in stats.items()} == {key: getattr(want, key) for key in stats}
 
     def test_ties_degenerate(self):
         data = Sample(np.ones(50))

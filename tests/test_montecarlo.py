@@ -1,6 +1,9 @@
+import dataclasses
+import functools
 import hashlib
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from plapt import (
     WeightSpec,
     double_hill_components,
     fit_mle,
+    gumbel_ks_distance,
     lindley_family,
     maxima_normalization,
     model_compare,
@@ -27,7 +31,7 @@ from plapt import (
     sample,
     tail_quantile,
 )
-from plapt import inference, montecarlo
+from plapt import NumericalError, inference, montecarlo
 from plapt.distribution import _first_uniforms, _replication_rngs, _replication_states, replication_rng
 
 TRUTH = PlAptParams(2.0, 2.5, 0.6)
@@ -82,6 +86,16 @@ class TestConfig:
         for weight in (WeightSpec.custom([1.0, 2.0, 3.0]), WeightSpec.power(1000.0)):
             with pytest.raises(DomainError):
                 ExperimentConfig(kind="evi_coverage", n=500, reps=2, seed=1, pareto_gamma=0.5, weight=weight)
+
+    @pytest.mark.parametrize("field", ["n", "reps", "seed"])
+    def test_non_integer_field_is_a_type_error(self, field):
+        # no silent truncation: n = 100.7 does not run n = 100
+        fields = {"kind": "maxima_gumbel", "n": 100, "reps": 2, "seed": 1, "truth": TRUTH}
+        for value in (fields[field] + 0.7, float(fields[field]), np.float64(fields[field]), str(fields[field])):
+            with pytest.raises(TypeError, match=f"{field} must be an integer, got"):
+                ExperimentConfig(**{**fields, field: value})
+        cfg = ExperimentConfig(**{**fields, field: np.int64(fields[field])})
+        assert type(getattr(cfg, field)) is int and getattr(cfg, field) == fields[field]
 
     def test_k_rule(self):
         cfg = ExperimentConfig(
@@ -329,16 +343,114 @@ class TestOtherKinds:
         assert total == pytest.approx(1.0)
 
 
-def _assembled_report(cfg, records):
-    # A report built from records computed one replication at a time.
-    return montecarlo.ExperimentReport(
-        config=montecarlo._config_echo(cfg),
-        seed=cfg.seed,
-        version=montecarlo.__version__,
-        records=tuple(records),
-        summary=montecarlo._summarize(cfg, records),
-        failures=sum(not r["ok"] for r in records),
-    )
+# Oracles: each record as a dict made from one replication's own result,
+# and the summary computed from those dicts, one replication at a time.
+
+
+def _recovery_record(rep, fit):
+    if isinstance(fit, PlaptError):
+        return {"rep": rep, "ok": False, "error": str(fit)}
+    if fit.status == "max_iter":
+        return {"rep": rep, "ok": False, "error": "fit did not converge", "status": fit.status}
+    return {
+        "rep": rep,
+        "ok": True,
+        "status": fit.status,
+        "theta_hat": fit.params.theta,
+        "beta_hat": fit.params.beta,
+        "stderr_theta": fit.stderr_theta,
+        "stderr_beta": fit.stderr_beta,
+        "loglik": fit.loglik,
+        "iterations": fit.iterations,
+    }
+
+
+def _model_compare_record(rep, rows):
+    rec = {"rep": rep, "ok": all(r.error is None for r in rows)}
+    table = {}
+    for r in rows:
+        table[r.name] = {"loglik": r.loglik, "aic": r.aic, "bic": r.bic, "converged": r.converged}
+        if r.error is not None:
+            table[r.name]["error"] = r.error
+    rec["families"] = table
+    scored = [r for r in rows if r.error is None and math.isfinite(r.aic)]
+    rec["winner"] = min(scored, key=lambda r: r.aic).name if scored else None
+    if not rec["ok"]:
+        rec["error"] = "; ".join(f"{r.name}: {r.error}" for r in rows if r.error is not None)
+    return rec
+
+
+def _evi_coverage_record(rep, report, target):
+    if isinstance(report, PlaptError):
+        return {"rep": rep, "ok": False, "error": str(report)}
+    return {
+        "rep": rep,
+        "ok": True,
+        "m_n": report.m_n,
+        "ci_low": report.ci_low,
+        "ci_high": report.ci_high,
+        "b_n": report.b_n,
+        "target": target,
+        "covered": bool(report.ci_low <= target <= report.ci_high),
+    }
+
+
+def _mean_sd(values):
+    arr = np.asarray(values, dtype=float)
+    if arr.size == 0:
+        return math.nan, math.nan
+    sd = float(np.std(arr, ddof=1)) if arr.size > 1 else 0.0
+    return float(np.mean(arr)), sd
+
+
+def _param_summary(records, key, truth):
+    vals = [r[key] for r in records if r.get("status") == "converged"]
+    mean, sd = _mean_sd(vals)
+    rmse = float(np.sqrt(np.mean((np.asarray(vals) - truth) ** 2))) if vals else math.nan
+    return {"truth": truth, "mean": mean, "bias": mean - truth, "sd": sd, "rmse": rmse}
+
+
+def _summary_of(cfg, records):
+    ok = [r for r in records if r["ok"]]
+    summary = {"failure_rate": 1.0 - len(ok) / len(records)}
+    if cfg.kind is ExperimentKind.RECOVERY:
+        summary["theta"] = _param_summary(records, "theta_hat", cfg.truth.theta)
+        summary["beta"] = _param_summary(records, "beta_hat", cfg.truth.beta)
+        summary["status_counts"] = dict(Counter(r["status"] for r in records if "status" in r))
+        its = [r["iterations"] for r in records if "iterations" in r]
+        pcts = np.percentile(its, (50, 90, 100)).tolist() if its else [math.nan] * 3
+        summary["iterations"] = dict(zip(("p50", "p90", "max"), pcts))
+    elif cfg.kind is ExperimentKind.MODEL_COMPARE:
+        names = sorted({name for r in ok for name in r["families"]})
+        summary["mean_aic"] = {name: float(np.mean([r["families"][name]["aic"] for r in ok])) for name in names}
+        summary["win_fraction"] = {
+            name: sum(r["winner"] == name for r in ok) / len(ok) if ok else math.nan for name in names
+        }
+    elif cfg.kind is ExperimentKind.EVI_COVERAGE:
+        mean, sd = _mean_sd([r["m_n"] for r in ok])
+        summary["m_n"] = {"mean": mean, "sd": sd}
+        summary["coverage"] = sum(r["covered"] for r in ok) / len(ok) if ok else math.nan
+        summary["k"] = cfg.k_value()
+    elif cfg.kind is ExperimentKind.MAXIMA_GUMBEL:
+        vals = np.asarray([r["normalized"] for r in ok])
+        summary["ks_distance"] = gumbel_ks_distance(vals)
+        mean, sd = _mean_sd(list(vals))
+        summary["normalized"] = {"mean": mean, "sd": sd}
+    return summary
+
+
+def _report_json(cfg, records, summary=None):
+    # The report text json.dumps makes of the record dicts, the summary
+    # computed from them unless given.
+    payload = {
+        "config": montecarlo._config_echo(cfg),
+        "seed": cfg.seed,
+        "version": montecarlo.__version__,
+        "failures": sum(not r["ok"] for r in records),
+        "summary": _summary_of(cfg, records) if summary is None else summary,
+        "records": list(records),
+    }
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=True)
 
 
 class TestLockstepStudies:
@@ -355,8 +467,10 @@ class TestLockstepStudies:
                 fit = fit_mle(truth.alpha, sample(truth, n, replication_rng(cfg.seed, rep)))
             except PlaptError as exc:
                 fit = exc
-            records.append(montecarlo._recovery_record(rep, fit))
-        assert run_experiment(cfg).to_json() == _assembled_report(cfg, records).to_json()
+            records.append(_recovery_record(rep, fit))
+        report = run_experiment(cfg)
+        assert repr(report.records) == repr(tuple(records))
+        assert report.to_json() == _report_json(cfg, records)
 
     def test_model_compare_equals_its_row(self):
         truth = PlAptParams(1.5, 1.5, 1.5)
@@ -365,7 +479,7 @@ class TestLockstepStudies:
         report = run_experiment(cfg)
         for rep, record in enumerate(report.records):
             rows = model_compare(sample(truth, cfg.n, replication_rng(cfg.seed, rep)), candidates)
-            assert montecarlo._model_compare_record(rep, rows) == record
+            assert repr(_model_compare_record(rep, rows)) == repr(record)
 
     @pytest.mark.parametrize(
         "truth,pareto_gamma,weight",
@@ -396,8 +510,10 @@ class TestLockstepStudies:
                 report = double_hill_components(data, weight, k)
             except PlaptError as exc:
                 report = exc
-            records.append(montecarlo._evi_coverage_record(rep, report, target))
-        assert run_experiment(cfg).to_json() == _assembled_report(cfg, records).to_json()
+            records.append(_evi_coverage_record(rep, report, target))
+        report = run_experiment(cfg)
+        assert repr(report.records) == repr(tuple(records))
+        assert report.to_json() == _report_json(cfg, records)
 
     @pytest.mark.parametrize("kind", ["recovery", "model_compare", "evi_coverage", "maxima_gumbel"])
     def test_chunks_do_not_change_the_report(self, kind, monkeypatch):
@@ -440,3 +556,127 @@ class TestLockstepStudies:
             "p90": float(np.percentile(its, 90)),
             "max": float(max(its)),
         }
+
+
+# An error message that json must escape: quotes, backslashes, a control
+# character and non-ASCII text, one character beyond the BMP.
+_ODD = 'a "quoted" \\ back\\slash,\tcaf\u00e9 \u2603 \U0001f600\nend'
+
+
+def _odd_fits(fit_rows):
+    # fit_rows with an error carrying _ODD on every third row and an
+    # infinite stderr and log-likelihood on the next
+    def rows(x, alphas, *args, **kwargs):
+        out = fit_rows(x, alphas, *args, **kwargs)
+        for r, row in enumerate(out):
+            if r % 3 == 0:
+                row[:] = [DomainError(_ODD)] * len(row)
+            elif r % 3 == 1 and not isinstance(row[0], PlaptError):
+                row[0] = dataclasses.replace(row[0], stderr_theta=math.inf, loglik=-math.inf)
+        return out
+
+    return rows
+
+
+def _odd_evi(double_hill_rows):
+    def rows(top, weights, target=None):
+        stats, errors = double_hill_rows(top, weights, target)
+        for r in range(len(errors)):
+            if r % 3 == 0:
+                errors[r] = NumericalError(_ODD)
+            elif r % 3 == 1:
+                stats["ci_high"][r] = math.inf
+        return stats, errors
+
+    return rows
+
+
+_DEFAULT_TRUTH = PlAptParams(2.0, 2.5, 1.5)
+# (kind, n, reps, seed, extra config fields, what to patch) of each writer
+# case; a patch is (module, name, function of the original).
+_WRITER_CASES = {
+    **{f"{kind}-golden": (kind, n, reps, 1, {}, None) for kind, (n, reps, _) in _GOLDEN.items()},
+    **{f"{kind}-one-rep": (kind, n, 1, 3, {}, None) for kind, (n, _, _) in _GOLDEN.items()},
+    "recovery-nan-stderr": ("recovery", 50, 20, 1003, {"truth": PlAptParams(1.0, 1.1, 0.6)}, None),
+    "recovery-max-iter": (
+        "recovery", 50, 8, 1, {}, (montecarlo, "_fit_rows", lambda f: functools.partial(f, max_iter=3))
+    ),
+    "model-compare-family-errors": (
+        "model_compare", 50, 6, 1, {}, (inference, "_fit_rows", lambda f: functools.partial(f, max_iter=3))
+    ),
+    "evi-tied-spacings": ("evi_coverage", 200, 12, 1, {"truth": None, "pareto_gamma": 2e-17, "k_exponent": 0.3}, None),
+    "recovery-odd": ("recovery", 100, 7, 2, {}, (montecarlo, "_fit_rows", _odd_fits)),
+    "model-compare-odd": ("model_compare", 100, 7, 2, {}, (inference, "_fit_rows", _odd_fits)),
+    "evi-odd": ("evi_coverage", 500, 7, 2, {}, (montecarlo, "_double_hill_rows", _odd_evi)),
+}
+
+
+def _case_report(case, monkeypatch):
+    kind, n, reps, seed, extra, patch = _WRITER_CASES[case]
+    if patch is not None:
+        module, name, wrap = patch
+        monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+    cfg = ExperimentConfig(**{"kind": kind, "n": n, "reps": reps, "seed": seed, "truth": _DEFAULT_TRUTH, **extra})
+    return cfg, run_experiment(cfg)
+
+
+# SHA-256 of repr(report.records) of some writer cases, recorded when a
+# report held one dict per replication (numpy 2.4.6, x86-64)
+_RECORD_DIGESTS = {
+    "recovery-golden": "1b49cf1de4274cc4bdd6c50d41424ecee135a05169ebdbce1d08213ecc97da98",
+    "model_compare-golden": "d1167774514e02822ef51a4b74aa04b86204dce77c103b2ebd218a696b7fefdb",
+    "evi_coverage-golden": "099c23731f9f4ec6a796e96c3dacd04108ee6cf79fca3dc29dc82a0f3881882b",
+    "maxima_gumbel-golden": "7a128b666d30e2a7117c000a9512b5ffae90108191212f3a38e2b2dabbe64cb8",
+    "recovery-nan-stderr": "a05c20aa6b3df6d561eb9e8152b41f3b1a0a5f93af21dbf0e51b7cb5acbdef74",
+    "recovery-max-iter": "38f29ff8735d388a8060de33f7e5ac3a3745dbe0cbfb553b710a8ba9c82d8fc9",
+    "model-compare-family-errors": "c44d352693a253fc07f4fa42076079964ca83d58257aa686585f7cf2e0bad7ee",
+    "evi-tied-spacings": "e44da8a122343e5914cbab6426c68ff3550c868dae6dc51aa67ac6d15d95408e",
+}
+
+
+class TestReportWriter:
+    # The report is written from its columns; json.dumps of the record
+    # dicts is the oracle, byte for byte.
+
+    @pytest.mark.parametrize("case", list(_WRITER_CASES))
+    def test_writer_equals_json_dumps_of_the_records(self, case, monkeypatch):
+        cfg, report = _case_report(case, monkeypatch)
+        records = report.records
+        assert len(records) == cfg.reps
+        assert report.failures == sum(not r["ok"] for r in records)
+        assert report.to_json() == _report_json(cfg, records, report.summary)
+        # the summary is the one the record dicts give, bit for bit
+        assert repr(report.summary) == repr(_summary_of(cfg, records))
+
+    def test_writer_cases_cover_what_json_must_escape(self, monkeypatch):
+        failed = {}
+        for case in _WRITER_CASES:
+            with monkeypatch.context() as m:
+                _, report = _case_report(case, m)
+            text = report.to_json()
+            failed[case] = report.failures
+            if case.endswith("-odd"):
+                assert '"a \\"quoted\\" \\\\ back\\\\slash,\\tcaf\\u00e9 \\u2603 \\ud83d\\ude00\\nend"' in text
+                assert "Infinity" in text
+        assert "NaN" in _case_report("recovery-nan-stderr", monkeypatch)[1].to_json()
+        for case in ("recovery-max-iter", "model-compare-family-errors", "evi-tied-spacings"):
+            assert 0 < failed[case]
+        assert 0 < failed["evi-tied-spacings"] < 12
+
+    @pytest.mark.parametrize("case", list(_RECORD_DIGESTS))
+    def test_records_are_the_dicts_reports_held(self, case, monkeypatch):
+        # the same keys in the same order, values of the same types and bits
+        _, report = _case_report(case, monkeypatch)
+        assert hashlib.sha256(repr(report.records).encode()).hexdigest() == _RECORD_DIGESTS[case]
+
+    @pytest.mark.parametrize("kind", list(_GOLDEN))
+    def test_report_spans_chunks_and_pieces(self, kind, monkeypatch):
+        cfg = ExperimentConfig(kind=kind, n=200, reps=11, seed=21, truth=TRUTH)
+        whole = run_experiment(cfg).to_json()
+        width = montecarlo._row_draw(cfg)[0]
+        monkeypatch.setattr(inference, "CHUNK_ELEMENTS", 3 * width)  # four chunks of replications
+        monkeypatch.setattr(montecarlo, "_WRITE_ROWS", 4)  # records written four at a time
+        report = run_experiment(cfg)
+        pieces = list(report.json_chunks())
+        assert len(pieces) == 2 + 3
+        assert "".join(pieces) == whole == _report_json(cfg, report.records, report.summary)
