@@ -46,6 +46,13 @@ _T_CAP = 2.0**512
 _BLOCK = 2**14
 
 
+def _integer(name: str, value) -> int:
+    # A count or an index as an int: a float, integral or not, is refused, not truncated.
+    if not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _param_error(name: str, value: float) -> DomainError | None:
     # The error of one parameter value, or None: beta > 1, theta > 0 and alpha a
     # positive normal float (at a subnormal alpha the Lambert argument overflows).
@@ -90,8 +97,8 @@ class OrderStatSpec:
     k: int
 
     def __post_init__(self):
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "n", _integer("n", self.n))
+        object.__setattr__(self, "k", _integer("k", self.k))
         if self.n < 1:
             raise DomainError(f"sample size must be >= 1, got {self.n}")
         if not 1 <= self.k <= self.n:
@@ -308,36 +315,6 @@ def _seed_words(seed) -> list[int]:
     raise TypeError(f"seed must be an integer or a sequence of integers, got {seed!r}")
 
 
-def _seed_pool(seed) -> tuple[list[int], int]:
-    # SeedSequence.mix_entropy over every entropy word but the last, the
-    # spawn key (rep,): the seed's words zero-padded to the pool size, so
-    # the pool and the hash constant it ends on depend on the seed alone.
-    words = _seed_words(seed)
-    words += [0] * (_POOL - len(words))
-    h = _INIT_A
-
-    def hashmix(value):
-        nonlocal h
-        value ^= h
-        h = h * _MULT_A & _MASK32
-        value = value * h & _MASK32
-        return value ^ value >> 16
-
-    def mix_into(dst, value):
-        r = _MIX_L * pool[dst] - _MIX_R * hashmix(value) & _MASK32
-        pool[dst] = r ^ r >> 16
-
-    pool = [hashmix(w) for w in words[:_POOL]]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                mix_into(dst, pool[src])
-    for w in words[_POOL:]:
-        for dst in range(_POOL):
-            mix_into(dst, w)
-    return pool, h
-
-
 @functools.cache
 def _seed_state_type() -> type:
     """A seed sequence holding the four uint64 words that
@@ -364,22 +341,26 @@ def _replication_states(seed, reps) -> np.ndarray:
     .generate_state(4, np.uint64)`` of each rep, for a nonnegative seed (an
     integer or a sequence of them) and integer reps in [0, 2**32).
 
-    The seed's share of SeedSequence's mixing runs once, in Python ints.
-    The last entropy word, the rep, goes through the four hashmix and mix
-    steps into the pool and through ``generate_state`` for all reps at once,
-    in uint32 arithmetic, which wraps modulo 2**32 as SeedSequence's does.
+    numpy's ``SeedSequence(seed)`` mixes the seed, every entropy word but
+    the last, the spawn key (rep,), into its pool; the hash constant that
+    pool ends on has stepped once per word mixed: each pool word, each
+    cross-mix and four for each later word.  The rep goes through the four
+    hashmix and mix steps into the pool and through ``generate_state`` for
+    all reps at once, in uint32 arithmetic, which wraps modulo 2**32 as
+    SeedSequence's does.
     """
-    pool, h = _seed_pool(seed)
+    words = _seed_words(seed)  # the seed rule, and its errors, before numpy's
+    pool = np.random.SeedSequence(seed).pool.tolist()
     # a range as arange, 40 times faster than asarray at 800 reps; an index
     # beyond int64 makes an object array
     r = np.arange(reps.start, reps.stop, reps.step) if isinstance(reps, range) else np.asarray(reps)
     for i in [] if r.dtype.kind in "iu" else r.flat:
-        if not isinstance(i, (int, np.integer)):
-            raise TypeError(f"replication index must be an integer, got {i!r}")
+        _integer("replication index", i)
     if r.size and (r.min() < 0 or r.max() >= _MAX_REPS):
         bad = r.min() if r.min() < 0 else r.max()
         raise DomainError(f"replication index must lie in [0, 2**32), got {bad}")
-    hs = _hash_consts(h, _MULT_A, _POOL)
+    # the hash constant the pool ends on, and the four the rep steps it through
+    hs = _hash_consts(_INIT_A, _MULT_A, _POOL * (max(_POOL, len(words)) + 1))[-_POOL - 1 :]
     xor, mul, mixed = np.array([hs[:-1], hs[1:], [_MIX_L * p & _MASK32 for p in pool]], np.uint32)
     x = (r.astype(np.uint32)[:, None] ^ xor) * mul
     x ^= x >> 16
@@ -459,7 +440,7 @@ def sample(p: PlAptParams, n: int, seed) -> Sample:
     across runs and platforms.  The seed is a nonnegative integer, a
     sequence of them, or a ``numpy.random.Generator`` to draw from.
     """
-    n = int(n)
+    n = _integer("n", n)
     if n < 1:
         raise DomainError(f"sample size must be >= 1, got {n}")
     if not isinstance(seed, np.random.Generator):
@@ -493,7 +474,7 @@ def order_stat_pdf(p: PlAptParams, spec: OrderStatSpec, x):
 
 def median_order_stat_pdf(p: PlAptParams, m: int, x):
     """Density of the sample median of an odd sample of size n = 2m + 1."""
-    m = int(m)
+    m = _integer("m", m)
     if m < 1:
         raise DomainError(f"median order statistic requires m >= 1, got {m}")
     return order_stat_pdf(p, OrderStatSpec(n=2 * m + 1, k=m + 1), x)

@@ -14,7 +14,8 @@ from typing import Sequence
 import numpy as np
 
 from .distribution import (
-    PlAptParams, Sample, _BLOCK, _MAX_REPS, _blockwise, _first_uniforms, _log_ratio, _w_argument, tail_quantile,
+    PlAptParams, Sample, _BLOCK, _MAX_REPS, _blockwise, _first_uniforms, _integer, _log_ratio, _param_error,
+    _w_argument, tail_quantile,
 )
 from .exceptions import DomainError, NumericalError
 from .inference import _chunks
@@ -45,11 +46,13 @@ def tail_constant(alpha: float, beta: float) -> float:
 
     The W-argument of the upper-tail quantile behaves as u * C + O(u^2);
     C = (1 - alpha) * beta * exp(-beta) / (alpha * log(alpha)) is negative
-    for every alpha > 0 and beta > 0, and C(1, beta) = -beta * exp(-beta),
-    its limit at the Pseudo-Lindley law.
+    for every alpha and beta that ``PlAptParams`` accepts, and others raise
+    its ``DomainError``; C(1, beta) = -beta * exp(-beta), its limit at the
+    Pseudo-Lindley law.
     """
-    if not (math.isfinite(alpha) and math.isfinite(beta)) or alpha <= 0.0:
-        raise DomainError("tail_constant requires finite alpha > 0 and finite beta")
+    error = _param_error("alpha", alpha) or _param_error("beta", beta)
+    if error:
+        raise error
     return float(-beta * math.exp(-beta) / (alpha * _log_ratio(alpha)))
 
 
@@ -209,7 +212,10 @@ class WeightSpec:
         return cls(kind="custom", s=s, table=tuple(values))
 
     def weights(self, k: int) -> np.ndarray:
-        """f(1), ..., f(k) as an array."""
+        """f(1), ..., f(k) as an array, for an integer k >= 1."""
+        k = _integer("k", k)
+        if k < 1:
+            raise DomainError(f"k must be >= 1, got {k}")
         j = np.arange(1, k + 1, dtype=float)
         if self.kind == "hill":
             return j
@@ -337,7 +343,7 @@ def double_hill_components(
         When every top spacing is zero (tied observations).
     """
     n = data.n
-    k = int(k)
+    k = _integer("k", k)
     if not 1 <= k <= n - 1:
         raise DomainError(f"k must lie in [1, {n - 1}], got {k}")
     if target is not None and not (math.isfinite(target) and target > 0.0):
@@ -383,10 +389,13 @@ def evi_asymptotic_test(data: Sample, w: WeightSpec, k: int, target: float) -> E
 
 
 def gumbel_ks_distance(values) -> float:
-    """Kolmogorov-Smirnov distance to the standard Gumbel law exp(-exp(-x))."""
+    """Kolmogorov-Smirnov distance to the standard Gumbel law exp(-exp(-x)),
+    whose cdf is 0 at -inf and 1 at inf; NaN is refused."""
     z = np.sort(np.asarray(values, dtype=float).ravel())
     if z.size == 0:
         raise DomainError("need at least one value")
+    if np.isnan(z[-1]):  # sorting puts NaN last
+        raise DomainError("values must not be NaN")
     gaps = []  # the largest gap of each block of sorted values: only a block's temporaries beside z
     for start in range(0, z.size, _BLOCK):
         ref = np.exp(-np.exp(-z[start : start + _BLOCK]))
@@ -439,8 +448,8 @@ def maxima_normalization(p: PlAptParams, n: int, reps: int, seed) -> MaximaResul
     Lambert space, making it exactly independent of theta.  Every alpha,
     alpha = 1 included, is in the Gumbel domain.
     """
-    n = int(n)
-    reps = int(reps)
+    n = _integer("n", n)
+    reps = _integer("reps", reps)
     if n < 100:
         raise DomainError(f"sample size must be >= 100, got {n}")
     if not 1 <= reps <= _MAX_REPS:

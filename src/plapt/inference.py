@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distribution import PlAptParams, Sample, _log_ratio, _param_error
+from .distribution import PlAptParams, Sample, _integer, _log_ratio, _param_error
 from .exceptions import DomainError, NumericalError, PlaptError
 from .special_functions import _TINY
 
@@ -321,6 +321,7 @@ def _fit_rows(x: np.ndarray, alphas: Sequence[float], init=None, max_iter: int =
     fit is scaled back to the units of x: a fit to x * 2**k is the fit to x
     with theta times 2**-k, bit for bit, while x * 2**k stays normal.
     """
+    max_iter = _integer("max_iter", max_iter)
     alphas = [float(a) for a in alphas]
     n = x.shape[1]
     e = np.frexp(x[:, -1])[1]
@@ -352,7 +353,7 @@ def _fit_rows(x: np.ndarray, alphas: Sequence[float], init=None, max_iter: int =
         keys = order[chunk.start : chunk.stop]
         rows, alpha = (list(v) for v in zip(*keys))
         beta0 = np.full(len(rows), init[1] if init else 2.0)
-        final, status, iterations = _fit_chunk(y[rows], np.array(alpha), theta0[rows], beta0, int(max_iter))
+        final, status, iterations = _fit_chunk(y[rows], np.array(alpha), theta0[rows], beta0, max_iter)
         failed = status == _FAILED
         for key in compress(keys, failed):
             lanes[key] = NumericalError(_NOT_FINITE)

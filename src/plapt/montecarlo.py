@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .distribution import (
-    PlAptParams, _MAX_REPS, _first_uniforms, _param_error, _replication_rngs, _seed_words, _sorted_rows,
+    PlAptParams, _MAX_REPS, _first_uniforms, _integer, _param_error, _replication_rngs, _seed_words, _sorted_rows,
     quantile, replication_rng, tail_quantile,
 )
 from .exceptions import DomainError, PlaptError
@@ -94,10 +94,7 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "kind", ExperimentKind(self.kind))
         for name in ("n", "reps", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if not 1 <= self.reps <= _MAX_REPS:
             raise DomainError(f"reps must lie in [1, 2**32], got {self.reps}")
         if self.n < 2:

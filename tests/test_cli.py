@@ -442,6 +442,11 @@ def test_import_leaves_scipy_unloaded():
     _assert_import_leaves_out("scipy")
 
 
+def test_import_leaves_numpy_random_unloaded():
+    # a study loads numpy.random when it first draws, not at import
+    _assert_import_leaves_out("numpy.random")
+
+
 def test_import_starts_no_process_machinery():
     # every experiment runs in the calling process
     _assert_import_leaves_out("multiprocessing", "concurrent.futures")

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import mpmath
@@ -13,10 +14,14 @@ from plapt import (
     OrderStatSpec,
     PlAptParams,
     Sample,
+    WeightSpec,
     a_function,
     cdf,
+    double_hill_components,
+    fit_mle,
     hazard,
     log_likelihood,
+    maxima_normalization,
     median_order_stat_pdf,
     order_stat_pdf,
     pdf,
@@ -549,3 +554,31 @@ class TestOrderStatistics:
         observed, _ = np.histogram(simulated, bins=edges)
         chi2 = float(np.sum((observed - reps * expected) ** 2 / (reps * expected)))
         assert chi2 < stats.chi2.ppf(0.99, n_bins - 1)
+
+
+_DATA = sample(P_APT, 50, seed=1)
+# Each public count argument, a call that takes it and a valid value; the
+# ExperimentConfig fields and replication indices have tests of their own
+_INTEGER_ARGS = {
+    "sample-n": (lambda v: sample(P_APT, v, 1), 2),
+    "OrderStatSpec-n": (lambda v: OrderStatSpec(v, 2), 2),
+    "OrderStatSpec-k": (lambda v: OrderStatSpec(3, v), 2),
+    "median_order_stat_pdf-m": (lambda v: median_order_stat_pdf(P_APT, v, 1.0), 1),
+    "maxima_normalization-n": (lambda v: maxima_normalization(P_APT, v, 3, 1), 100),
+    "maxima_normalization-reps": (lambda v: maxima_normalization(P_APT, 100, v, 1), 3),
+    "double_hill_components-k": (lambda v: double_hill_components(_DATA, WeightSpec.hill(), v), 10),
+    "WeightSpec.weights-k": (lambda v: WeightSpec.power(0.5).weights(v), 2),
+    "fit_mle-max_iter": (lambda v: fit_mle(2.0, _DATA, max_iter=v), 2),
+}
+
+
+@pytest.mark.parametrize("case", list(_INTEGER_ARGS))
+@pytest.mark.parametrize("shift", [0.9, 0.0], ids=["float", "integral-float"])
+def test_count_must_be_an_integer(case, shift):
+    # one rule: 2.9 is not truncated to 2, and 2.0 is refused as well
+    call, good = _INTEGER_ARGS[case]
+    call(good)
+    call(np.int64(good))
+    bad = good + shift
+    with pytest.raises(TypeError, match=re.escape(f"must be an integer, got {bad!r}")):
+        call(bad)

@@ -60,6 +60,16 @@ class TestTailConstant:
             with pytest.raises(DomainError):
                 tail_constant(alpha, beta)
 
+    def test_parameters_follow_the_params_rule(self):
+        # refused as PlAptParams refuses them, with its message: at beta = -3
+        # the formula would give +43.47, at beta = 0.5 and a subnormal alpha a number
+        for alpha, beta in ((2.0, -3.0), (2.0, 0.5), (1e-310, 2.0)):
+            with pytest.raises(DomainError) as info:
+                tail_constant(alpha, beta)
+            with pytest.raises(DomainError) as expected:
+                PlAptParams(alpha, beta, 1.0)
+            assert str(info.value) == str(expected.value)
+
     def test_alpha_one_limit(self):
         # C(1, beta) = -beta*exp(-beta), the limit from both sides
         for beta in (1.1, 2.5, 7.0):
@@ -287,6 +297,11 @@ class TestDoubleHill:
         assert rep.m_n == pytest.approx(hill_rep.m_n, rel=1e-14)
         with pytest.raises(DomainError):
             double_hill_components(Sample(x), WeightSpec.custom(table), k=6)
+        # k below 1 is refused: a table sliced to [:-1] is not f(1..k)
+        for weight in (WeightSpec.custom(table), WeightSpec.hill()):
+            for k in (0, -1):
+                with pytest.raises(DomainError, match="k must be >= 1"):
+                    weight.weights(k)
 
     def test_weight_spec_validation(self):
         with pytest.raises(DomainError):
@@ -425,3 +440,10 @@ class TestMaximaNormalization:
         u = (np.arange(1, 2001) - 0.5) / 2000
         z = -np.log(-np.log(u))
         assert gumbel_ks_distance(z) < 0.001
+
+    def test_gumbel_ks_distance_refuses_nan_keeps_infinities(self):
+        for values in ([0.1, math.nan], [math.nan], [math.nan, -math.inf, 0.1]):
+            with pytest.raises(DomainError, match="NaN"):
+                gumbel_ks_distance(values)
+        # the Gumbel cdf is 0 at -inf and 1 at inf
+        assert gumbel_ks_distance([-math.inf, math.inf]) == 0.5

@@ -182,7 +182,10 @@ _GOLDEN = {
     "evi_coverage": (1000, 5, "83cdcea06d428030996ae5a96e40ed779cf5a196be1cdd5415058e5f42cd38d2"),
     "maxima_gumbel": (1000, 50, "9f11af9f049bb9494104434665250f9f594ce6b266b7649ab39c1dd4de882929"),
 }
-_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**128 - 1, 2**128, 2**200 + 3, [3, 2**40, 0]]
+_SEEDS = [
+    0, 1, 2**32 - 1, 2**32, 2**128 - 1, 2**128, 2**200 + 3, [3, 2**40, 0],
+    [], np.array([5, 2**32 - 1], np.uint32), [1, 2, 3, 4, 5], range(3),
+]
 _REPS = st.one_of(
     st.lists(st.sampled_from([0, 2**31, 2**32 - 1]) | st.integers(0, 2**32 - 1), min_size=1, max_size=4),
     st.integers(0, 2**32 - 800).map(lambda start: range(start, start + 800)),
@@ -196,6 +199,7 @@ class TestReplicationStreams:
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(st.sampled_from(_SEEDS), _REPS)
     @example(2**200 + 3, range(2**32 - 800, 2**32))
+    @example(range(3), [0, 2**32 - 1])
     def test_streams_are_seed_sequence_spawns(self, seed, reps):
         for rep, rng in zip(reps, _replication_rngs(seed, reps), strict=True):
             oracle = np.random.SeedSequence(seed, spawn_key=(rep,))
@@ -211,6 +215,7 @@ class TestReplicationStreams:
     @example(2**200 + 3, range(2**32 - 800, 2**32))
     @example(2**32, [5])
     @example([3, 2**40, 0], range(2**31, 2**31 + 65536))
+    @example(range(3), [0, 2**32 - 1])
     def test_first_uniforms_are_the_streams_first_draws(self, seed, reps):
         # computed from the seed words with no generator, bytewise each
         # stream's own first random()
