@@ -6,109 +6,21 @@ the double-indexed Hill extreme-value-index estimator, and reproducible
 simulation experiments.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.1.0"  # first: montecarlo imports it
 
-from .distribution import (
-    OrderStatSpec,
-    PlAptParams,
-    Sample,
-    cdf,
-    hazard,
-    median_order_stat_pdf,
-    order_stat_pdf,
-    pdf,
-    quantile,
-    reliability,
-    sample,
-    tail_quantile,
-)
-from .exceptions import DomainError, NumericalError, PlaptError
-from .extremes import (
-    EviReport,
-    EviTestResult,
-    ExtremalExpansion,
-    MaximaResult,
-    PiVariationPoint,
-    WeightSpec,
-    a_function,
-    double_hill_components,
-    evi_asymptotic_test,
-    extremal_quantile,
-    gumbel_ks_distance,
-    maxima_normalization,
-    pi_variation_check,
-    tail_constant,
-)
-from .inference import (
-    FamilySpec,
-    FitResult,
-    ModelCompareRow,
-    fit_mle,
-    fit_mle_profile,
-    lindley_family,
-    log_likelihood,
-    model_compare,
-    pl_apt_family,
-    pseudo_lindley_family,
-    score,
-)
-from .montecarlo import (
-    REFERENCE_PARAMETER_GRID,
-    ExperimentConfig,
-    ExperimentKind,
-    ExperimentReport,
-    run_experiment,
-)
-from .special_functions import BRANCH_POINT, LambertBranch, lambert_w
+# Each module's __all__ is the one list of its public names.
+from . import distribution, exceptions, extremes, inference, montecarlo, special_functions
+from .distribution import *
+from .exceptions import *
+from .extremes import *
+from .inference import *
+from .montecarlo import *
+from .special_functions import *
 
-__all__ = [
-    "__version__",
-    "BRANCH_POINT",
-    "DomainError",
-    "EviReport",
-    "EviTestResult",
-    "ExperimentConfig",
-    "ExperimentKind",
-    "ExperimentReport",
-    "ExtremalExpansion",
-    "FamilySpec",
-    "FitResult",
-    "LambertBranch",
-    "MaximaResult",
-    "ModelCompareRow",
-    "NumericalError",
-    "OrderStatSpec",
-    "PiVariationPoint",
-    "PlAptParams",
-    "PlaptError",
-    "REFERENCE_PARAMETER_GRID",
-    "Sample",
-    "WeightSpec",
-    "a_function",
-    "cdf",
-    "double_hill_components",
-    "evi_asymptotic_test",
-    "extremal_quantile",
-    "fit_mle",
-    "fit_mle_profile",
-    "gumbel_ks_distance",
-    "hazard",
-    "lambert_w",
-    "lindley_family",
-    "log_likelihood",
-    "maxima_normalization",
-    "median_order_stat_pdf",
-    "model_compare",
-    "order_stat_pdf",
-    "pdf",
-    "pi_variation_check",
-    "pl_apt_family",
-    "pseudo_lindley_family",
-    "quantile",
-    "reliability",
-    "run_experiment",
-    "sample",
-    "score",
-    "tail_constant",
-    "tail_quantile",
-]
+__all__ = ["__version__"]
+__all__ += distribution.__all__
+__all__ += exceptions.__all__
+__all__ += extremes.__all__
+__all__ += inference.__all__
+__all__ += montecarlo.__all__
+__all__ += special_functions.__all__

@@ -34,6 +34,7 @@ __all__ = [
     "sample",
     "order_stat_pdf",
     "median_order_stat_pdf",
+    "replication_rng",
 ]
 
 # t = theta*x is clipped to [0, _T_CAP], where exp(-t) and the Pseudo-Lindley
@@ -230,10 +231,15 @@ def _w_argument(p: PlAptParams, v):
     # v=1 and keeps full precision as v -> 0, where a difference of logs cancels.
     b_exp = p.beta * math.exp(-p.beta)
     if p.is_alpha_one:
-        return -b_exp * v
-    log_a = math.log(p.alpha)
-    with np.errstate(divide="ignore"):  # log1p(-1): see _quantile_from_arg
-        return (b_exp / log_a) * np.log1p(v * (1.0 - p.alpha) / p.alpha)
+        arg = -b_exp * v
+    else:
+        with np.errstate(divide="ignore"):  # log1p(-1): see _quantile_from_arg
+            arg = (b_exp / math.log(p.alpha)) * np.log1p(v * (1.0 - p.alpha) / p.alpha)
+    if np.any(arg >= 0.0):  # the argument is negative, so only underflow reaches 0
+        raise NumericalError(
+            "Lambert argument underflowed to 0; the tail mass or exp(-beta) is too small"
+        )
+    return arg
 
 
 def _quantile_from_arg(p: PlAptParams, arg):
@@ -241,10 +247,6 @@ def _quantile_from_arg(p: PlAptParams, arg):
     # rounded below -1/e (beta near 1, or -inf where v*(1 - alpha)/alpha rounds
     # to -1 at alpha >~ 2**53) is clamped to the branch point: W = -1, Q = 0.
     arg = np.maximum(arg, BRANCH_POINT)
-    if np.any(arg >= 0.0):  # the argument is negative, so only underflow reaches 0
-        raise NumericalError(
-            "Lambert argument underflowed to 0; the tail mass or exp(-beta) is too small"
-        )
     w = lambert_w(LambertBranch.NEGATIVE_ONE, arg)
     with np.errstate(over="ignore"):  # a quantile beyond the float range is inf
         return np.maximum((-p.beta - w) / p.theta, 0.0)
@@ -427,9 +429,11 @@ def _first_uniforms(seed, reps) -> np.ndarray:
 
 def replication_rng(seed: int, rep: int) -> np.random.Generator:
     """Independent generator for one replication of a seeded experiment:
-    ``default_rng(SeedSequence(seed, spawn_key=(rep,)))``, for a nonnegative
-    seed and 0 <= rep < 2**32."""
-    return next(_replication_rngs(seed, (rep,)))
+    numpy's own ``default_rng(SeedSequence(seed, spawn_key=(rep,)))``, which
+    pickles and spawns, for a nonnegative seed and 0 <= rep < 2**32.  Its
+    stream is that of the study's replication ``rep``."""
+    _replication_states(seed, (rep,))  # the seed and index rules, and their errors, before numpy's
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rep,)))
 
 
 def sample(p: PlAptParams, n: int, seed) -> Sample:

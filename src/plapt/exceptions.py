@@ -5,6 +5,8 @@ codes) can react differently: arguments outside the supported domain
 versus numerical breakdown of an otherwise valid computation.
 """
 
+__all__ = ["PlaptError", "DomainError", "NumericalError"]
+
 
 class PlaptError(Exception):
     """Base class for all errors raised by this package."""

@@ -33,7 +33,7 @@ import numpy as np
 from . import __version__
 from .distribution import (
     PlAptParams, _MAX_REPS, _first_uniforms, _integer, _param_error, _replication_rngs, _seed_words, _sorted_rows,
-    quantile, replication_rng, tail_quantile,
+    quantile, replication_rng, tail_quantile,  # replication_rng stays plapt.montecarlo.replication_rng
 )
 from .exceptions import DomainError, PlaptError
 from .extremes import WeightSpec, _double_hill_rows, _hill_weights, _normalized_maxima, gumbel_ks_distance
@@ -45,7 +45,6 @@ __all__ = [
     "ExperimentReport",
     "REFERENCE_PARAMETER_GRID",
     "run_experiment",
-    "replication_rng",
 ]
 
 # Default study grid: the rate/shape combinations of the standard quartile
@@ -124,8 +123,8 @@ class ExperimentConfig:
                 raise DomainError("evi_coverage requires truth parameters or pareto_gamma")
             if self.pareto_gamma is not None:
                 object.__setattr__(self, "pareto_gamma", float(self.pareto_gamma))
-                if not self.pareto_gamma > 0.0:
-                    raise DomainError("pareto_gamma must be positive")
+                if not (math.isfinite(self.pareto_gamma) and self.pareto_gamma > 0.0):
+                    raise DomainError(f"pareto_gamma must be a positive real, got {self.pareto_gamma}")
             if not (math.isfinite(self.k_exponent) and 1 <= self.k_value() <= self.n - 1):
                 raise DomainError(
                     f"k_exponent = {self.k_exponent} does not give k = floor(n**k_exponent) in [1, n-1]"

@@ -334,6 +334,13 @@ class TestExpansionAndExperiment:
         assert rows[0]["c_ab"] < 0.0
         assert set(rows[0]["components"]) == {"constant", "log", "loglog", "inv_log", "remainder"}
 
+    def test_expansion_underflow_exit_code(self, capsys):
+        rc, out, err = run_cli(
+            capsys, ["expansion", "--alpha", "2", "--beta", "2.5", "--theta", "1.5", "--u", "5e-324"]
+        )
+        assert (rc, out) == (3, "")
+        assert "Lambert argument underflowed" in err
+
     def test_experiment_deterministic_through_cli(self, tmp_path, capsys):
         args = [
             "experiment", "--kind", "recovery", "--alpha", "2", "--beta", "2.5",
@@ -393,6 +400,15 @@ class TestExpansionAndExperiment:
             assert rc == 2
             assert out == ""
             assert "k_exponent" in err
+
+    def test_experiment_infinite_pareto_gamma_rejected(self, capsys):
+        rc, out, err = run_cli(
+            capsys,
+            ["experiment", "--kind", "evi-coverage", "--pareto-gamma", "inf",
+             "--n", "100", "--reps", "3", "--seed", "1"],
+        )
+        assert (rc, out) == (2, "")
+        assert "pareto_gamma must be a positive real, got inf" in err
 
     def test_experiment_unusable_weights_rejected(self, capsys):
         # j**1000 overflows at k = floor(500**0.6) = 41

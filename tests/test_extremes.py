@@ -19,12 +19,12 @@ from plapt import (
     maxima_normalization,
     pi_variation_check,
     quantile,
+    replication_rng,
     sample,
     tail_constant,
     tail_quantile,
 )
 from plapt import extremes
-from plapt.montecarlo import replication_rng
 
 P = PlAptParams(2.0, 2.5, 0.6)
 
@@ -160,6 +160,14 @@ class TestExtremalQuantile:
             comp = extremal_quantile(p, u).components
             assert abs(comp["log"]) > abs(comp["loglog"]) > abs(comp["inv_log"])
         assert extremal_quantile(p, 1e-4).c_ab == tail_constant(1.0, beta)
+
+
+@pytest.mark.parametrize("alpha", [2.0, 1.0])
+@pytest.mark.parametrize("function", [tail_quantile, a_function, extremal_quantile], ids=lambda f: f.__name__)
+def test_underflowed_lambert_argument_is_a_numerical_error(function, alpha):
+    # at u = 5e-324 the Lambert argument rounds to 0, outside [-beta*exp(-beta), 0)
+    with pytest.raises(NumericalError, match="Lambert argument underflowed"):
+        function(PlAptParams(alpha, 2.5, 1.5), 5e-324)
 
 
 class TestPiVariation:

@@ -3,6 +3,7 @@ import functools
 import hashlib
 import json
 import math
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -62,6 +63,9 @@ class TestConfig:
                 ExperimentConfig(
                     kind="evi_coverage", n=100, reps=2, seed=1, pareto_gamma=0.5, k_exponent=k_exponent
                 )
+        for gamma in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match=f"pareto_gamma must be a positive real, got {gamma}"):
+                ExperimentConfig(kind="evi_coverage", n=100, reps=2, seed=1, pareto_gamma=gamma)
         for grid in ((-1.0, 2.0), (math.nan,), (0.0, 1.0), ()):
             with pytest.raises(DomainError):
                 ExperimentConfig(kind="model_compare", n=100, reps=2, seed=1, truth=TRUTH, alpha_grid=grid)
@@ -252,6 +256,22 @@ class TestReplicationStreams:
     def test_replication_rng_is_one_stream_of_the_chunk(self):
         chunk = [rng.random(3) for rng in _replication_rngs(7, range(5))]
         assert all(np.array_equal(replication_rng(7, rep).random(3), row) for rep, row in enumerate(chunk))
+
+    def test_replication_rng_pickles_and_continues_its_stream(self):
+        rng = replication_rng(7, 3)
+        rng.random(4)
+        clone = pickle.loads(pickle.dumps(rng))
+        assert clone.random(5).tobytes() == rng.random(5).tobytes()
+
+    def test_replication_rng_spawns_as_numpy_does(self):
+        oracle = np.random.default_rng(np.random.SeedSequence(7, spawn_key=(3,)))
+        children = zip(replication_rng(7, 3).spawn(2), oracle.spawn(2), strict=True)
+        assert all(got.random(3).tobytes() == ref.random(3).tobytes() for got, ref in children)
+
+    def test_replication_rng_holds_numpy_seed_sequence(self):
+        seed_seq = replication_rng(7, 3).bit_generator.seed_seq
+        assert type(seed_seq) is np.random.SeedSequence
+        assert seed_seq.entropy == 7 and seed_seq.spawn_key == (3,)
 
     @pytest.mark.parametrize(
         "seed, reps, message",
