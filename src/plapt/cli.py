@@ -37,8 +37,7 @@ _DEFAULT_US = (0.25, 0.5, 0.75)
 def _fmt(value: float, digits: int | None) -> str:
     if digits is None:
         return repr(float(value))
-    if digits < 1:
-        raise DomainError(f"--digits must be at least 1, got {digits}")
+    digits = distribution._integer("--digits", digits, 1)
     return f"{value:.{digits}g}"
 
 

@@ -47,11 +47,24 @@ _T_CAP = 2.0**512
 _BLOCK = 2**14
 
 
-def _integer(name: str, value) -> int:
-    # A count or an index as an int: a float, integral or not, is refused, not truncated.
+def _integer(name: str, value, low: float = -math.inf, high: float = math.inf) -> int:
+    # A count as an int in [low, high]: a float, integral or not, is refused,
+    # not truncated.  A seed or a replication index is checked for its type only.
     if not isinstance(value, (int, np.integer)):
         raise TypeError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    value = int(value)
+    if not low <= value <= high:
+        bound = f"be >= {low}" if high == math.inf else f"lie in [{low}, {high}]"
+        raise DomainError(f"{name} must {bound}, got {value}")
+    return value
+
+
+def _positive(name: str, value) -> float:
+    # A finite positive real as a float
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise DomainError(f"{name} must be a positive real, got {value}")
+    return value
 
 
 def _param_error(name: str, value: float) -> DomainError | None:
@@ -98,12 +111,8 @@ class OrderStatSpec:
     k: int
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _integer("n", self.n))
-        object.__setattr__(self, "k", _integer("k", self.k))
-        if self.n < 1:
-            raise DomainError(f"sample size must be >= 1, got {self.n}")
-        if not 1 <= self.k <= self.n:
-            raise DomainError(f"rank must lie in [1, {self.n}], got {self.k}")
+        object.__setattr__(self, "n", _integer("n", self.n, 1))
+        object.__setattr__(self, "k", _integer("k", self.k, 1, self.n))
 
 
 def _sorted_rows(values: np.ndarray) -> np.ndarray:
@@ -444,9 +453,7 @@ def sample(p: PlAptParams, n: int, seed) -> Sample:
     across runs and platforms.  The seed is a nonnegative integer, a
     sequence of them, or a ``numpy.random.Generator`` to draw from.
     """
-    n = _integer("n", n)
-    if n < 1:
-        raise DomainError(f"sample size must be >= 1, got {n}")
+    n = _integer("n", n, 1)
     if not isinstance(seed, np.random.Generator):
         _seed_words(seed)  # the checks replication_rng makes of its seed
     rng = np.random.default_rng(seed)
@@ -478,7 +485,5 @@ def order_stat_pdf(p: PlAptParams, spec: OrderStatSpec, x):
 
 def median_order_stat_pdf(p: PlAptParams, m: int, x):
     """Density of the sample median of an odd sample of size n = 2m + 1."""
-    m = _integer("m", m)
-    if m < 1:
-        raise DomainError(f"median order statistic requires m >= 1, got {m}")
+    m = _integer("m", m, 1)
     return order_stat_pdf(p, OrderStatSpec(n=2 * m + 1, k=m + 1), x)

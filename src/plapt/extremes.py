@@ -15,7 +15,7 @@ import numpy as np
 
 from .distribution import (
     PlAptParams, Sample, _BLOCK, _MAX_REPS, _blockwise, _first_uniforms, _integer, _log_ratio, _param_error,
-    _w_argument, tail_quantile,
+    _positive, _w_argument, tail_quantile,
 )
 from .exceptions import DomainError, NumericalError
 from .inference import _chunks
@@ -139,12 +139,11 @@ def pi_variation_check(
     The limit of (Q(1-lambda*u) - Q(1-u)) / s(u) as u -> 0 is -log(lambda),
     so the reported residual r(u) must shrink toward 0 down the grid.  The
     auxiliary scale s(u) is evaluated by central finite differences of the
-    exact quantile with relative step u/100.  Every alpha, alpha = 1
-    included, lies in the Gumbel domain.
+    exact quantile with relative step u/100; a point where that step
+    underflows or the scale degenerates raises ``NumericalError``.  Every
+    alpha, alpha = 1 included, lies in the Gumbel domain.
     """
-    lam = float(lam)
-    if not lam > 0.0:
-        raise DomainError(f"lambda must be positive, got {lam}")
+    lam = _positive("lambda", lam)
     points = []
     log_lam = math.log(lam)
     for u in u_grid:
@@ -154,7 +153,7 @@ def pi_variation_check(
         if not lam * u < 1.0:
             raise DomainError(f"lambda*u must stay below 1, got {lam * u}")
         h = u / 100.0
-        scale = u * (tail_quantile(p, u - h) - tail_quantile(p, u + h)) / (2.0 * h)
+        scale = u * (tail_quantile(p, u - h) - tail_quantile(p, u + h)) / (2.0 * h) if h > 0.0 else 0.0
         if not (math.isfinite(scale) and scale > 0.0):
             raise NumericalError(f"finite-difference scale degenerated at u={u}")
         residual = (tail_quantile(p, lam * u) - tail_quantile(p, u)) / scale + log_lam
@@ -178,9 +177,7 @@ class WeightSpec:
     table: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "s", float(self.s))
-        if not (math.isfinite(self.s) and self.s > 0.0):
-            raise DomainError(f"s must be a positive real, got {self.s}")
+        object.__setattr__(self, "s", _positive("s", self.s))
         if self.tau is not None and self.kind != "power":
             raise DomainError(f"tau applies to power weights, not {self.kind!r}")
         if self.table is not None and self.kind != "custom":
@@ -192,10 +189,7 @@ class WeightSpec:
         elif self.kind == "custom":
             if not self.table:
                 raise DomainError("custom weights require a nonempty table")
-            table = tuple(float(v) for v in self.table)
-            if any(not (math.isfinite(v) and v > 0.0) for v in table):
-                raise DomainError("custom weights must be positive and finite")
-            object.__setattr__(self, "table", table)
+            object.__setattr__(self, "table", tuple(_positive("custom weight", v) for v in self.table))
         elif self.kind != "hill":
             raise DomainError(f"unknown weight kind: {self.kind!r}")
 
@@ -213,9 +207,7 @@ class WeightSpec:
 
     def weights(self, k: int) -> np.ndarray:
         """f(1), ..., f(k) as an array, for an integer k >= 1."""
-        k = _integer("k", k)
-        if k < 1:
-            raise DomainError(f"k must be >= 1, got {k}")
+        k = _integer("k", k, 1)
         j = np.arange(1, k + 1, dtype=float)
         if self.kind == "hill":
             return j
@@ -343,11 +335,8 @@ def double_hill_components(
         When every top spacing is zero (tied observations).
     """
     n = data.n
-    k = _integer("k", k)
-    if not 1 <= k <= n - 1:
-        raise DomainError(f"k must lie in [1, {n - 1}], got {k}")
-    if target is not None and not (math.isfinite(target) and target > 0.0):
-        raise DomainError(f"target must be a positive real, got {target}")
+    k = _integer("k", k, 1, n - 1)
+    target = None if target is None else _positive("target", target)
     weights = _hill_weights(w, k)
     stats, (error,) = _double_hill_rows(data.values[None, n - k - 1 :], weights, target)
     if error is not None:
@@ -448,12 +437,8 @@ def maxima_normalization(p: PlAptParams, n: int, reps: int, seed) -> MaximaResul
     Lambert space, making it exactly independent of theta.  Every alpha,
     alpha = 1 included, is in the Gumbel domain.
     """
-    n = _integer("n", n)
-    reps = _integer("reps", reps)
-    if n < 100:
-        raise DomainError(f"sample size must be >= 100, got {n}")
-    if not 1 <= reps <= _MAX_REPS:
-        raise DomainError(f"replication count must lie in [1, 2**32], got {reps}")
+    n = _integer("n", n, 100)
+    reps = _integer("reps", reps, 1, _MAX_REPS)
     g = np.concatenate([_first_uniforms(seed, chunk) for chunk in _chunks(reps, 1)])
     normalized = _normalized_maxima(p, n, g)
     return MaximaResult(

@@ -321,7 +321,9 @@ def _fit_rows(x: np.ndarray, alphas: Sequence[float], init=None, max_iter: int =
     fit is scaled back to the units of x: a fit to x * 2**k is the fit to x
     with theta times 2**-k, bit for bit, while x * 2**k stays normal.
     """
-    max_iter = _integer("max_iter", max_iter)
+    max_iter = _integer("max_iter", max_iter, 0)
+    if init is not None and len(init) != 2:
+        raise DomainError(f"init must be a pair (theta0, beta0), got {init!r}")
     alphas = [float(a) for a in alphas]
     n = x.shape[1]
     e = np.frexp(x[:, -1])[1]
@@ -421,9 +423,10 @@ def fit_mle(
     Raises
     ------
     DomainError
-        For too few or all-zero observations, an invalid alpha or start
-        point, a start theta0 beyond the normal float range at the sample's
-        scale, or a fitted theta beyond the float range (subnormal samples).
+        For too few or all-zero observations, an invalid alpha, an init
+        that is not a valid (theta0, beta0) pair, a negative max_iter, a
+        start theta0 beyond the normal float range at the sample's scale,
+        or a fitted theta beyond the float range (subnormal samples).
     NumericalError
         If the Hessian of the log-likelihood is not finite or is singular.
     """

@@ -32,8 +32,8 @@ import numpy as np
 
 from . import __version__
 from .distribution import (
-    PlAptParams, _MAX_REPS, _first_uniforms, _integer, _param_error, _replication_rngs, _seed_words, _sorted_rows,
-    quantile, replication_rng, tail_quantile,  # replication_rng stays plapt.montecarlo.replication_rng
+    PlAptParams, _MAX_REPS, _first_uniforms, _integer, _param_error, _positive, _replication_rngs, _seed_words,
+    _sorted_rows, quantile, replication_rng, tail_quantile,  # replication_rng stays plapt.montecarlo.replication_rng
 )
 from .exceptions import DomainError, PlaptError
 from .extremes import WeightSpec, _double_hill_rows, _hill_weights, _normalized_maxima, gumbel_ks_distance
@@ -92,21 +92,14 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", ExperimentKind(self.kind))
-        for name in ("n", "reps", "seed"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        if not 1 <= self.reps <= _MAX_REPS:
-            raise DomainError(f"reps must lie in [1, 2**32], got {self.reps}")
-        if self.n < 2:
-            raise DomainError(f"n must be >= 2, got {self.n}")
+        object.__setattr__(self, "n", _integer("n", self.n, 100 if self.kind is ExperimentKind.MAXIMA_GUMBEL else 2))
+        object.__setattr__(self, "reps", _integer("reps", self.reps, 1, _MAX_REPS))
+        object.__setattr__(self, "seed", _integer("seed", self.seed))
         _seed_words(self.seed)  # the seed rule of sample and replication_rng
-        if self.alpha_grid is not None and self.kind is not ExperimentKind.MODEL_COMPARE:
-            raise DomainError(f"alpha_grid applies to model_compare experiments, not {self.kind.value}")
-        if self.pareto_gamma is not None and self.kind is not ExperimentKind.EVI_COVERAGE:
-            raise DomainError(f"pareto_gamma applies to evi_coverage experiments, not {self.kind.value}")
-        if self.weight != WeightSpec.hill() and self.kind is not ExperimentKind.EVI_COVERAGE:
-            raise DomainError(f"weight applies to evi_coverage experiments, not {self.kind.value}")
-        if self.k_exponent != type(self).k_exponent and self.kind is not ExperimentKind.EVI_COVERAGE:
-            raise DomainError(f"k_exponent applies to evi_coverage experiments, not {self.kind.value}")
+        for name, kind, default in _KIND_FIELDS:
+            value = getattr(self, name)  # None is matched by identity: == on an array alpha_grid is no bool
+            if self.kind is not kind and (value is not None if default is None else value != default):
+                raise DomainError(f"{name} applies to {kind.value} experiments, not {self.kind.value}")
         if self.truth is not None and self.pareto_gamma is not None:
             raise DomainError("evi_coverage takes truth parameters or pareto_gamma, not both")
         if self.alpha_grid is not None:
@@ -116,15 +109,11 @@ class ExperimentConfig:
             object.__setattr__(self, "alpha_grid", grid)
         if self.truth is None and self.kind is not ExperimentKind.EVI_COVERAGE:
             raise DomainError(f"{self.kind.value} experiments require truth parameters")
-        if self.kind is ExperimentKind.MAXIMA_GUMBEL and self.n < 100:
-            raise DomainError("maxima_gumbel requires n >= 100")
         if self.kind is ExperimentKind.EVI_COVERAGE:
             if self.pareto_gamma is None and self.truth is None:
                 raise DomainError("evi_coverage requires truth parameters or pareto_gamma")
             if self.pareto_gamma is not None:
-                object.__setattr__(self, "pareto_gamma", float(self.pareto_gamma))
-                if not (math.isfinite(self.pareto_gamma) and self.pareto_gamma > 0.0):
-                    raise DomainError(f"pareto_gamma must be a positive real, got {self.pareto_gamma}")
+                object.__setattr__(self, "pareto_gamma", _positive("pareto_gamma", self.pareto_gamma))
             if not (math.isfinite(self.k_exponent) and 1 <= self.k_value() <= self.n - 1):
                 raise DomainError(
                     f"k_exponent = {self.k_exponent} does not give k = floor(n**k_exponent) in [1, n-1]"
@@ -133,6 +122,15 @@ class ExperimentConfig:
 
     def k_value(self) -> int:
         return int(self.n**self.k_exponent)
+
+
+# Each field that one kind alone reads: its name, that kind and its default
+_KIND_FIELDS = (
+    ("alpha_grid", ExperimentKind.MODEL_COMPARE, None),
+    ("pareto_gamma", ExperimentKind.EVI_COVERAGE, None),
+    ("weight", ExperimentKind.EVI_COVERAGE, WeightSpec.hill()),
+    ("k_exponent", ExperimentKind.EVI_COVERAGE, ExperimentConfig.k_exponent),
+)
 
 
 class _Records:

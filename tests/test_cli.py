@@ -159,11 +159,30 @@ class TestSampleAndCsv:
             "experiment", "--kind", "maxima-gumbel", "--alpha", "2", "--beta", "2.5", "--theta", "0.6",
             "--n", "100", "--reps", str(2**32 + 1), "--seed", "1"])
         assert (rc, out) == (2, "")
-        assert err.splitlines() == ["error: reps must lie in [1, 2**32], got 4294967297"]
+        assert err.splitlines() == ["error: reps must lie in [1, 4294967296], got 4294967297"]
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            (["sample", "--n", "0"], "n must be >= 1, got 0"),
+            (["experiment", "--kind", "maxima-gumbel", "--n", "99", "--reps", "3", "--seed", "1"],
+             "n must be >= 100, got 99"),
+            (["experiment", "--kind", "recovery", "--n", "1", "--reps", "3", "--seed", "1"], "n must be >= 2, got 1"),
+            (["experiment", "--kind", "recovery", "--n", "10", "--reps", "0", "--seed", "1"],
+             "reps must lie in [1, 4294967296], got 0"),
+        ],
+        ids=["sample-n", "maxima-n", "recovery-n", "reps"],
+    )
+    def test_count_below_its_range_is_a_validation_error(self, capsys, command, message):
+        rc, out, err = run_cli(capsys, [*command, "--alpha", "2", "--beta", "2.5", "--theta", "1.5"])
+        assert (rc, out) == (2, "")
+        assert err.splitlines() == [f"error: {message}"]
 
     def test_header_and_crlf_accepted(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_bytes(b"x\r\n1.5\r\n2.5\r\n")
+        assert list(read_numeric_csv(str(path))) == [1.5, 2.5]
+        path.write_bytes(b"x\n\n1.5\n  \r\n2.5\n\n")  # blank lines are skipped
         assert list(read_numeric_csv(str(path))) == [1.5, 2.5]
 
     def test_negative_value_names_line(self, tmp_path, capsys):
@@ -172,6 +191,13 @@ class TestSampleAndCsv:
         rc, _, err = run_cli(capsys, ["fit", "--input", str(path), "--alpha", "1"])
         assert rc == 2
         assert "line 3" in err
+        # a second non-number is no header, and a non-finite value is refused
+        for text, message in (("x\n1.0\ny\n", "line 3: not a number: 'y'"),
+                              ("x\n1.0\ninf\n", "line 3: non-finite value 'inf'"),
+                              ("1.0\nnan\n", "line 2: non-finite value 'nan'")):
+            path.write_text(text)
+            rc, _, err = run_cli(capsys, ["fit", "--input", str(path), "--alpha", "1"])
+            assert (rc, err.splitlines()) == (2, [f"error: {message}"])
 
     def test_empty_file_is_validation_error(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"
@@ -259,6 +285,10 @@ class TestFit:
         )
         assert (rc, out) == (3, "")
         assert err.splitlines() == ["numerical error: Hessian of the log-likelihood is not finite or is singular"]
+        for start in (["--theta0", "1"], ["--beta0", "2"]):  # half a start point
+            rc, out, err = run_cli(capsys, ["fit", "--input", str(data_path), "--alpha", "2", *start])
+            assert (rc, out) == (2, "")
+            assert err.splitlines() == ["error: provide both --theta0 and --beta0 or neither"]
 
 
 class TestEvi:

@@ -10,6 +10,7 @@ from scipy import integrate, stats
 from plapt import distribution
 from plapt import (
     DomainError,
+    ExperimentConfig,
     NumericalError,
     OrderStatSpec,
     PlAptParams,
@@ -483,6 +484,9 @@ class TestSample:
             Sample([])
         with pytest.raises(DomainError):
             Sample([-1.0, 2.0])
+        for values in ([1.0, math.nan], [math.inf]):
+            with pytest.raises(DomainError, match="sample values must be finite"):
+                Sample(values)
 
 
 class TestOrderStatistics:
@@ -582,3 +586,46 @@ def test_count_must_be_an_integer(case, shift):
     bad = good + shift
     with pytest.raises(TypeError, match=re.escape(f"must be an integer, got {bad!r}")):
         call(bad)
+
+
+# Each count argument with a range, a call that takes it, the bound that the
+# call accepts, the first value beyond it and the error's message
+_COUNT_RANGES = {
+    "sample-n": (lambda v: sample(P_APT, v, 1), 1, 0, "n must be >= 1, got 0"),
+    "OrderStatSpec-n": (lambda v: OrderStatSpec(v, 1), 1, 0, "n must be >= 1, got 0"),
+    "OrderStatSpec-k-low": (lambda v: OrderStatSpec(3, v), 1, 0, "k must lie in [1, 3], got 0"),
+    "OrderStatSpec-k-high": (lambda v: OrderStatSpec(3, v), 3, 4, "k must lie in [1, 3], got 4"),
+    "median_order_stat_pdf-m": (lambda v: median_order_stat_pdf(P_APT, v, 1.0), 1, 0, "m must be >= 1, got 0"),
+    "maxima_normalization-n": (lambda v: maxima_normalization(P_APT, v, 3, 1), 100, 99, "n must be >= 100, got 99"),
+    "maxima_normalization-reps": (
+        lambda v: maxima_normalization(P_APT, 100, v, 1), 1, 0, "reps must lie in [1, 4294967296], got 0"
+    ),
+    "double_hill_components-k-low": (
+        lambda v: double_hill_components(_DATA, WeightSpec.hill(), v), 1, 0, "k must lie in [1, 49], got 0"
+    ),
+    "double_hill_components-k-high": (
+        lambda v: double_hill_components(_DATA, WeightSpec.hill(), v), 49, 50, "k must lie in [1, 49], got 50"
+    ),
+    "WeightSpec.weights-k": (lambda v: WeightSpec.power(0.5).weights(v), 1, 0, "k must be >= 1, got 0"),
+    "fit_mle-max_iter": (lambda v: fit_mle(2.0, _DATA, max_iter=v), 0, -1, "max_iter must be >= 0, got -1"),
+    "ExperimentConfig-n": (
+        lambda v: ExperimentConfig(kind="recovery", n=v, reps=1, seed=1, truth=P_APT), 2, 1, "n must be >= 2, got 1"
+    ),
+    "ExperimentConfig-maxima-n": (
+        lambda v: ExperimentConfig(kind="maxima_gumbel", n=v, reps=1, seed=1, truth=P_APT),
+        100, 99, "n must be >= 100, got 99",
+    ),
+    "ExperimentConfig-reps": (
+        lambda v: ExperimentConfig(kind="recovery", n=2, reps=v, seed=1, truth=P_APT),
+        1, 0, "reps must lie in [1, 4294967296], got 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_COUNT_RANGES))
+def test_count_outside_its_range_is_a_domain_error(case):
+    call, bound, beyond, message = _COUNT_RANGES[case]
+    call(bound)
+    with pytest.raises(DomainError) as info:
+        call(beyond)
+    assert str(info.value) == message

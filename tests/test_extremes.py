@@ -191,6 +191,20 @@ class TestPiVariation:
             pi_variation_check(P, -1.0, [1e-4])
         with pytest.raises(DomainError):
             pi_variation_check(P, 2.0, [0.5])
+        for lam in (0.0, math.inf, math.nan):
+            with pytest.raises(DomainError, match=f"lambda must be a positive real, got {lam}"):
+                pi_variation_check(P, lam, [1e-4])
+        with pytest.raises(DomainError, match="lambda\\*u must stay below 1, got 1.0"):
+            pi_variation_check(P, 200.0, [5e-3])
+
+    def test_step_underflow(self):
+        # At u = 3e-323 the step u/100 underflows to 0: no scale, and no division by it
+        p = PlAptParams(2.0, 2.5, 1.5)
+        with pytest.raises(NumericalError, match="finite-difference scale degenerated at u=3e-323"):
+            pi_variation_check(p, 2.0, [3e-323])
+        # a subnormal step still gives a scale
+        (point,) = pi_variation_check(p, 2.0, [1e-320])
+        assert point.scale == 0.675
 
     @pytest.mark.parametrize("beta", [1.1, 1.5, 2.5])
     def test_alpha_one(self, beta):
@@ -318,6 +332,14 @@ class TestDoubleHill:
             WeightSpec(kind="power")
         with pytest.raises(DomainError):
             WeightSpec.custom([1.0, -2.0])
+        for table in ([1.0, math.inf], [math.nan]):
+            with pytest.raises(DomainError, match="custom weight must be a positive real"):
+                WeightSpec.custom(table)
+        with pytest.raises(DomainError, match="custom weights require a nonempty table"):
+            WeightSpec.custom([])
+        for s in (-1.0, math.inf):
+            with pytest.raises(DomainError, match=f"s must be a positive real, got {s}"):
+                WeightSpec.hill(s=s)
         with pytest.raises(DomainError):
             WeightSpec(kind="bogus")
         with pytest.raises(DomainError):
@@ -371,6 +393,11 @@ class TestEviTest:
         data = Sample(rng.random(100) + 0.5)
         with pytest.raises(DomainError):
             evi_asymptotic_test(data, WeightSpec.hill(), k=10, target=0.0)
+        for target in (-1.0, math.inf, math.nan):
+            with pytest.raises(DomainError, match=f"target must be a positive real, got {target}"):
+                evi_asymptotic_test(data, WeightSpec.hill(), k=10, target=target)
+            with pytest.raises(DomainError, match=f"target must be a positive real, got {target}"):
+                double_hill_components(data, WeightSpec.hill(), k=10, target=target)
 
 
 class TestMaximaNormalization:
@@ -443,6 +470,8 @@ class TestMaximaNormalization:
             maxima_normalization(P, n=50, reps=10, seed=1)
         with pytest.raises(DomainError):
             maxima_normalization(P, n=1000, reps=0, seed=1)
+        with pytest.raises(DomainError, match="need at least one value"):
+            gumbel_ks_distance([])
 
     def test_gumbel_ks_distance_of_exact_gumbel_quantiles(self):
         u = (np.arange(1, 2001) - 0.5) / 2000

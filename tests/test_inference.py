@@ -318,6 +318,15 @@ class TestModelCompare:
             FamilySpec(name="pl_apt", kind="pl_apt", alpha=2.0, alpha_grid=(0.5, 2.0))
         with pytest.raises(DomainError, match="fixed alpha"):
             FamilySpec(name="pl_apt", kind="pl_apt", alpha=math.nan, alpha_grid=())
+        for kwargs in ({}, {"alpha": 2.0, "alpha_grid": [0.5, 2.0]}):
+            with pytest.raises(DomainError, match="specify exactly one of alpha or alpha_grid"):
+                pl_apt_family(**kwargs)
+        # a fixed-alpha family is one fit at that alpha, with two free parameters
+        data = sample(PlAptParams(2.0, 2.5, 1.5), 400, seed=6)
+        family = pl_apt_family(alpha=2)
+        assert (family.alpha, family.alpha_grid, family._n_free()) == (2.0, None, 2)
+        (row,) = model_compare(data, [family])
+        assert (row.n_free, row.params) == (2, fit_mle(2.0, data).params)
 
     def test_aic_bic_definitions(self):
         data = sample(PlAptParams(1.0, 2.0, 1.0), 400, seed=6)
@@ -513,6 +522,9 @@ class TestErrors:
             # The fitted theta of a sample of subnormals overflows at its scale.
             (_SUBNORMAL, 2.0, None, _OFF_SCALE.format("6.994331118347938")),
             (_SUBNORMAL, -1.0, None, "alpha must be a positive real, got -1.0"),
+            # A start point is a pair: one entry is not read as half of one, nor a third dropped.
+            (_GOOD, 2.0, (1.0,), "init must be a pair (theta0, beta0), got (1.0,)"),
+            (_GOOD, 2.0, (1.0, 2.0, 3.0), "init must be a pair (theta0, beta0), got (1.0, 2.0, 3.0)"),
         ],
     )
     def test_fit_mle(self, data, alpha, init, message):
@@ -574,6 +586,8 @@ class TestErrors:
             (_GOOD, [0.5, -1.0], (1.0, 0.5), "beta must exceed 1, got 0.5"),
             (_ZEROS, [0.5, 2.0], (1.0, 2.0), "degenerate sample: all observations are zero"),
             (_SUBNORMAL, [0.5, 2.0], None, _OFF_SCALE.format("5.022519904691739")),
+            (_GOOD, [0.5, 2.0], (1.0,), "init must be a pair (theta0, beta0), got (1.0,)"),
+            (_GOOD, [0.5, 2.0], (1.0, 2.0, 3.0), "init must be a pair (theta0, beta0), got (1.0, 2.0, 3.0)"),
         ],
     )
     def test_fit_mle_profile(self, data, grid, init, message):

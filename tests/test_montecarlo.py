@@ -239,10 +239,10 @@ class TestReplicationStreams:
             _replication_states(1, [0, 2**70, rep])
 
     def test_replication_count_beyond_2_32_is_a_validation_error(self):
-        with pytest.raises(DomainError, match=r"reps must lie in \[1, 2\*\*32\], got 4294967297"):
+        with pytest.raises(DomainError, match=r"reps must lie in \[1, 4294967296\], got 4294967297"):
             ExperimentConfig(kind="maxima_gumbel", n=100, reps=2**32 + 1, seed=1, truth=TRUTH)
         assert ExperimentConfig(kind="maxima_gumbel", n=100, reps=2**32, seed=1, truth=TRUTH).reps == 2**32
-        with pytest.raises(DomainError, match=r"replication count must lie in \[1, 2\*\*32\], got 8589934592"):
+        with pytest.raises(DomainError, match=r"reps must lie in \[1, 4294967296\], got 8589934592"):
             maxima_normalization(TRUTH, 1000, 2**33, 1)
 
     def test_sample_seed_is_checked_as_replication_rng_checks_it(self):

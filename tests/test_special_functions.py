@@ -99,6 +99,10 @@ class TestLambertW:
     def test_rejects_non_finite(self):
         with pytest.raises(DomainError):
             lambert_w(NEG, math.nan)
+        # only the W_{-1} branch is implemented; its value is no stand-in for the enum
+        for branch in (-1, "NEGATIVE_ONE"):
+            with pytest.raises(DomainError, match="unknown Lambert branch"):
+                lambert_w(branch, -0.1)
 
     def test_array_in_array_out(self):
         z = np.array([[-0.1, -0.2], [-0.3, -0.05]])
