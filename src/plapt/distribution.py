@@ -12,14 +12,17 @@ kind (scalar in, float out).
 """
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import DomainError, NumericalError
-from .special_functions import _TINY, BRANCH_POINT, LambertBranch, lambert_w
+from .special_functions import _TINY, BRANCH_POINT, _wm1
 
 __all__ = [
     "PlAptParams",
@@ -45,6 +48,15 @@ _T_CAP = 2.0**512
 # and below glibc's mmap threshold, so no call page-faults fresh scratch memory
 # (2**13 to 2**15 tie on the draws benchmark; 2**16 faults and is slower).
 _BLOCK = 2**14
+# _blockwise deals the blocks of a call round-robin to at most one thread per
+# usable core, with at least _THREAD_BLOCKS blocks each: numpy releases the
+# GIL inside each ufunc, so two blocks' W_{-1} run at once, and a call under
+# 2**18 points never pays for starting a thread.
+_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_THREAD_BLOCKS = 8
+# A count used as a float stops at _MAX_COUNT: beyond it not every integer is
+# a float, and past about 1.8e308 none is.
+_MAX_COUNT = 2**53
 
 
 def _integer(name: str, value, low: float = -math.inf, high: float = math.inf) -> int:
@@ -54,7 +66,9 @@ def _integer(name: str, value, low: float = -math.inf, high: float = math.inf) -
         raise TypeError(f"{name} must be an integer, got {value!r}")
     value = int(value)
     if not low <= value <= high:
-        bound = f"be >= {low}" if high == math.inf else f"lie in [{low}, {high}]"
+        # a bound of _MAX_COUNT or more only keeps the count a float: below
+        # its range, a count is told its lower bound alone
+        bound = f"be >= {low}" if value < low and high >= _MAX_COUNT else f"lie in [{low}, {high}]"
         raise DomainError(f"{name} must {bound}, got {value}")
     return value
 
@@ -111,7 +125,7 @@ class OrderStatSpec:
     k: int
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _integer("n", self.n, 1))
+        object.__setattr__(self, "n", _integer("n", self.n, 1, _MAX_COUNT))
         object.__setattr__(self, "k", _integer("k", self.k, 1, self.n))
 
 
@@ -143,13 +157,21 @@ class Sample:
         return int(self.values.size)
 
 
+# The elementwise functions below take 1-d arrays and work in place where
+# they can, so that a block holds few temporaries at a time.
+
+
 def _survival_log(beta: float, t):
     # log of the Pseudo-Lindley survival (1 + t/beta) * exp(-t) at t = theta*x >= 0
-    return np.log1p(t / beta) - t
+    s = t / beta
+    np.log1p(s, out=s)
+    s -= t
+    return s
 
 
 def _pl_sf(beta: float, t):
-    return np.exp(_survival_log(beta, t))
+    s = _survival_log(beta, t)
+    return np.exp(s, out=s)
 
 
 def _log_ratio(alpha):
@@ -160,16 +182,38 @@ def _log_ratio(alpha):
 
 
 def _blockwise(f, x):
-    # f on x as floats: a scalar goes to f whole and comes back a float, an
-    # array in runs of _BLOCK points written into one output of its shape,
-    # bitwise f(x) with only one block's temporaries beside the output.
+    # f on x as floats, f taking and giving 1-d arrays: a scalar goes to f as
+    # one point and comes back a float, an array in runs of _BLOCK points
+    # written into one output of its shape, bitwise f(x) with only one
+    # block's temporaries per thread beside the output.  Each helper thread
+    # runs in a copy of the caller's context, so the caller's np.errstate
+    # holds there.  A thread stops at its first failing block, and the error
+    # of the first failing block of all is raised.
     a = np.asarray(x, dtype=float)
     if a.ndim == 0:
-        return float(f(a))
+        return float(f(a.reshape(1))[0])
     flat = a.ravel()
     out = np.empty(flat.shape)
-    for i in range(0, flat.size, _BLOCK):
-        out[i : i + _BLOCK] = f(flat[i : i + _BLOCK])
+    starts = range(0, flat.size, _BLOCK)
+    threads = max(1, min(_CORES, len(starts) // _THREAD_BLOCKS))
+    errors = {}
+
+    def run(first):
+        for i in starts[first::threads]:
+            try:
+                out[i : i + _BLOCK] = f(flat[i : i + _BLOCK])
+            except Exception as error:
+                errors[i] = error
+                return
+
+    helpers = [threading.Thread(target=contextvars.copy_context().run, args=(run, k)) for k in range(1, threads)]
+    for helper in helpers:
+        helper.start()
+    run(0)
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[min(errors)]
     return out.reshape(a.shape)
 
 
@@ -177,17 +221,18 @@ def _clipped_t(p: PlAptParams, xa):
     # t = theta*x clipped to [0, _T_CAP]; a product that overflows to inf
     # clips to the same limit, so its overflow is no error.
     with np.errstate(over="ignore"):
-        return np.clip(p.theta * xa, 0.0, _T_CAP)
+        t = p.theta * xa
+    return np.clip(t, 0.0, _T_CAP, out=t)
 
 
 def _reliability_arr(p: PlAptParams, xa):
     s = _pl_sf(p.beta, _clipped_t(p, xa))
-    if p.is_alpha_one:
-        out = s
-    else:
-        log_a = math.log(p.alpha)
-        out = (p.alpha / (p.alpha - 1.0)) * (-np.expm1(-log_a * s))
-    return np.where(xa <= 0.0, 1.0, out)
+    if not p.is_alpha_one:  # (alpha/(alpha - 1)) * -expm1(-log(alpha) * s)
+        s *= -math.log(p.alpha)
+        np.negative(np.expm1(s, out=s), out=s)
+        s *= p.alpha / (p.alpha - 1.0)
+    s[xa <= 0.0] = 1.0
+    return s
 
 
 def reliability(p: PlAptParams, x):
@@ -197,17 +242,30 @@ def reliability(p: PlAptParams, x):
 
 def cdf(p: PlAptParams, x):
     """Distribution function; 0 for x <= 0, increasing to 1."""
-    return _blockwise(lambda b: np.where(b <= 0.0, 0.0, 1.0 - _reliability_arr(p, b)), x)
+
+    def block(b):
+        out = np.subtract(1.0, _reliability_arr(p, b))
+        out[b <= 0.0] = 0.0
+        return out
+
+    return _blockwise(block, x)
 
 
 def _pdf_arr(p: PlAptParams, xa):
     t = _clipped_t(p, xa)
-    base = p.theta * (p.beta - 1.0 + t) * np.exp(-t) / p.beta
+    base = np.add(t, p.beta - 1.0)  # theta * (beta - 1 + t) * exp(-t) / beta
+    base *= p.theta
+    base *= np.exp(np.negative(t))
+    base /= p.beta
     # alpha**(1-S) = exp(log(a)*(1-S)), with 1 - S = -expm1(log S) to full
     # relative accuracy near t = 0; both alpha factors are 1 at alpha = 1
-    log_a = math.log(p.alpha)
-    base = base * _log_ratio(p.alpha) * np.exp(log_a * -np.expm1(_survival_log(p.beta, t)))
-    return np.where(xa < 0.0, 0.0, base)
+    base *= _log_ratio(p.alpha)
+    factor = _survival_log(p.beta, t)
+    np.negative(np.expm1(factor, out=factor), out=factor)
+    factor *= math.log(p.alpha)
+    base *= np.exp(factor, out=factor)
+    base[xa < 0.0] = 0.0
+    return base
 
 
 def pdf(p: PlAptParams, x):
@@ -227,9 +285,16 @@ def hazard(p: PlAptParams, x):
         if np.any(b < 0.0):
             raise DomainError("hazard is defined on x >= 0")
         t = _clipped_t(p, b)
-        y = math.log(p.alpha) * _pl_sf(p.beta, t)
+        y = _pl_sf(p.beta, t)
+        y *= math.log(p.alpha)
         ratio = np.divide(y, np.expm1(y), out=np.ones_like(y), where=y != 0.0)
-        return p.theta * (p.beta - 1.0 + t) / (p.beta + t) * ratio
+        del y
+        out = np.add(t, p.beta - 1.0)  # theta * (beta - 1 + t) / (beta + t) * ratio
+        out *= p.theta
+        t += p.beta
+        out /= t
+        out *= ratio
+        return out
 
     return _blockwise(block, x)
 
@@ -255,10 +320,12 @@ def _quantile_from_arg(p: PlAptParams, arg):
     # Exact arguments lie in [-beta*exp(-beta), 0), where W_{-1} >= -beta; one
     # rounded below -1/e (beta near 1, or -inf where v*(1 - alpha)/alpha rounds
     # to -1 at alpha >~ 2**53) is clamped to the branch point: W = -1, Q = 0.
-    arg = np.maximum(arg, BRANCH_POINT)
-    w = lambert_w(LambertBranch.NEGATIVE_ONE, arg)
+    # The clamp and the quantile run in place, on the argument's and on W's buffer.
+    w = _wm1(np.maximum(arg, BRANCH_POINT, out=arg))
     with np.errstate(over="ignore"):  # a quantile beyond the float range is inf
-        return np.maximum((-p.beta - w) / p.theta, 0.0)
+        np.subtract(-p.beta, w, out=w)
+        w /= p.theta
+    return np.maximum(w, 0.0, out=w)
 
 
 def quantile(p: PlAptParams, u):
@@ -271,7 +338,9 @@ def quantile(p: PlAptParams, u):
     def block(b):
         if not np.all((b >= 0.0) & (b < 1.0)):  # nan fails too
             raise DomainError("quantile requires 0 <= u < 1")
-        return np.where(b == 0.0, 0.0, _quantile_from_arg(p, _w_argument(p, 1.0 - b)))
+        q = _quantile_from_arg(p, _w_argument(p, 1.0 - b))
+        q[b == 0.0] = 0.0
+        return q
 
     return _blockwise(block, u)
 
@@ -472,18 +541,21 @@ def order_stat_pdf(p: PlAptParams, spec: OrderStatSpec, x):
         r = _reliability_arr(p, b)
         # A term whose exponent is 0 is skipped, not formed as 0 * log(0) =
         # nan, so the density stays finite where the cdf or the reliability is 0.
-        log_out = log_coef
+        log_out = np.full_like(r, log_coef)
         with np.errstate(divide="ignore"):
             if spec.k > 1:
-                log_out = log_out + (spec.k - 1) * np.log(1.0 - r)
+                log_out += (spec.k - 1) * np.log(1.0 - r)
             if spec.n > spec.k:
-                log_out = log_out + (spec.n - spec.k) * np.log(r)
-        return np.exp(log_out) * _pdf_arr(p, b)
+                log_out += (spec.n - spec.k) * np.log(r)
+        del r  # the density's temporaries come next
+        out = np.exp(log_out, out=log_out)
+        out *= _pdf_arr(p, b)
+        return out
 
     return _blockwise(block, x)
 
 
 def median_order_stat_pdf(p: PlAptParams, m: int, x):
     """Density of the sample median of an odd sample of size n = 2m + 1."""
-    m = _integer("m", m, 1)
+    m = _integer("m", m, 1)  # n = 2m + 1 meets OrderStatSpec's bound
     return order_stat_pdf(p, OrderStatSpec(n=2 * m + 1, k=m + 1), x)

@@ -14,8 +14,8 @@ from typing import Sequence
 import numpy as np
 
 from .distribution import (
-    PlAptParams, Sample, _BLOCK, _MAX_REPS, _blockwise, _first_uniforms, _integer, _log_ratio, _param_error,
-    _positive, _w_argument, tail_quantile,
+    PlAptParams, Sample, _BLOCK, _MAX_COUNT, _MAX_REPS, _blockwise, _first_uniforms, _integer, _log_ratio,
+    _param_error, _positive, _w_argument, tail_quantile,
 )
 from .exceptions import DomainError, NumericalError
 from .inference import _chunks
@@ -437,7 +437,7 @@ def maxima_normalization(p: PlAptParams, n: int, reps: int, seed) -> MaximaResul
     Lambert space, making it exactly independent of theta.  Every alpha,
     alpha = 1 included, is in the Gumbel domain.
     """
-    n = _integer("n", n, 100)
+    n = _integer("n", n, 100, _MAX_COUNT)
     reps = _integer("reps", reps, 1, _MAX_REPS)
     g = np.concatenate([_first_uniforms(seed, chunk) for chunk in _chunks(reps, 1)])
     normalized = _normalized_maxima(p, n, g)

@@ -32,8 +32,9 @@ import numpy as np
 
 from . import __version__
 from .distribution import (
-    PlAptParams, _MAX_REPS, _first_uniforms, _integer, _param_error, _positive, _replication_rngs, _seed_words,
-    _sorted_rows, quantile, replication_rng, tail_quantile,  # replication_rng stays plapt.montecarlo.replication_rng
+    PlAptParams, _MAX_COUNT, _MAX_REPS, _first_uniforms, _integer, _param_error, _positive, _replication_rngs,
+    _seed_words, _sorted_rows, quantile, tail_quantile,
+    replication_rng,  # replication_rng stays plapt.montecarlo.replication_rng
 )
 from .exceptions import DomainError, PlaptError
 from .extremes import WeightSpec, _double_hill_rows, _hill_weights, _normalized_maxima, gumbel_ks_distance
@@ -92,7 +93,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", ExperimentKind(self.kind))
-        object.__setattr__(self, "n", _integer("n", self.n, 100 if self.kind is ExperimentKind.MAXIMA_GUMBEL else 2))
+        low = 100 if self.kind is ExperimentKind.MAXIMA_GUMBEL else 2
+        object.__setattr__(self, "n", _integer("n", self.n, low, _MAX_COUNT))
         object.__setattr__(self, "reps", _integer("reps", self.reps, 1, _MAX_REPS))
         object.__setattr__(self, "seed", _integer("seed", self.seed))
         _seed_words(self.seed)  # the seed rule of sample and replication_rng

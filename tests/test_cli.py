@@ -178,6 +178,15 @@ class TestSampleAndCsv:
         assert (rc, out) == (2, "")
         assert err.splitlines() == [f"error: {message}"]
 
+    def test_count_beyond_the_float_range_is_a_validation_error(self, capsys):
+        # not a traceback from float(n): exit 2 and the count's range
+        big = 10**400
+        rc, out, err = run_cli(capsys, [
+            "experiment", "--kind", "maxima-gumbel", "--alpha", "2", "--beta", "2.5", "--theta", "1.5",
+            "--n", str(big), "--reps", "3", "--seed", "1"])
+        assert (rc, out) == (2, "")
+        assert err.splitlines() == [f"error: n must lie in [100, 9007199254740992], got {big}"]
+
     def test_header_and_crlf_accepted(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_bytes(b"x\r\n1.5\r\n2.5\r\n")

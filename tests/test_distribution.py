@@ -1,5 +1,8 @@
 import math
 import re
+import sys
+import threading
+import time
 import tracemalloc
 
 import mpmath
@@ -28,6 +31,7 @@ from plapt import (
     pdf,
     quantile,
     reliability,
+    run_experiment,
     sample,
     tail_quantile,
 )
@@ -453,6 +457,125 @@ class TestBlockwise:
             tracemalloc.stop()
         assert peak < 2 * a.nbytes
 
+    @pytest.mark.parametrize("fn", list(_DRAWS))
+    @pytest.mark.parametrize("cores", [1, 2, 64])
+    def test_peak_memory_at_any_core_count(self, monkeypatch, cores, fn):
+        # 2**18 points are 16 blocks: 2 threads at 2 cores or more, each with
+        # its block's temporaries, and still about the output's size
+        monkeypatch.setattr(distribution, "_CORES", cores)
+        self.test_peak_memory_about_the_output(fn)
+
+
+def _count_threads(monkeypatch) -> list:
+    # The threads that _blockwise starts, in order, as they start
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    return started
+
+
+class TestThreadedBlocks:
+    """Blocks are dealt round-robin to up to _CORES threads, at least
+    _THREAD_BLOCKS blocks each; _BLOCK = 7 makes small inputs take threads."""
+
+    @pytest.mark.parametrize("p", [P_APT, P_ONE], ids=["apt", "alpha-one"])
+    def test_threads_match_one_pass(self, monkeypatch, p):
+        rng = np.random.default_rng(17)
+        inputs = [(fn, _DRAWS[fn](rng, 7 * 41 + 3)) for fn in _DRAWS]  # 42 blocks of 7
+        one_pass = [fn(p, a) for fn, a in inputs]
+        monkeypatch.setattr(distribution, "_BLOCK", 7)
+        monkeypatch.setattr(distribution, "_CORES", 4)
+        started = _count_threads(monkeypatch)
+        for (fn, a), want in zip(inputs, one_pass):
+            del started[:]
+            got = fn(p, a)
+            assert len(started) == 3, fn.__name__  # 4 threads: the caller and 3 helpers
+            assert np.all(got == want), fn.__name__
+            del started[:]
+            fn(p, a[: 7 * 15])  # 15 blocks: below 2 * _THREAD_BLOCKS, no helper
+            assert started == [], fn.__name__
+
+    def test_first_failing_block_wins_when_a_helper_fails_first(self, monkeypatch):
+        monkeypatch.setattr(distribution, "_BLOCK", 7)
+        monkeypatch.setattr(distribution, "_CORES", 2)
+        started = _count_threads(monkeypatch)
+
+        def f(b):  # block 0 runs on the calling thread, block 1 on the helper
+            if b[0] == 0.0:
+                started[0].join(10.0)  # the helper has failed and stopped
+                raise ValueError(f"block 0, helper alive: {started[0].is_alive()}")
+            if b[0] == 7.0:
+                raise KeyError("block 1")
+            return b
+
+        with pytest.raises(ValueError, match="block 0, helper alive: False"):
+            distribution._blockwise(f, np.arange(16 * 7.0))
+
+    def test_first_failing_block_wins_when_it_is_a_helpers(self, monkeypatch):
+        monkeypatch.setattr(distribution, "_BLOCK", 7)
+        monkeypatch.setattr(distribution, "_CORES", 2)
+        later_failed = threading.Event()
+
+        def f(b):  # block 1 runs on the helper, block 2 on the calling thread
+            if b[0] == 7.0:
+                raise KeyError(f"block 1, after block 2: {later_failed.wait(10.0)}")
+            if b[0] == 14.0:
+                later_failed.set()
+                raise ValueError("block 2")
+            return b
+
+        with pytest.raises(KeyError, match="block 1, after block 2: True"):
+            distribution._blockwise(f, np.arange(16 * 7.0))
+
+    def test_many_threads_with_fast_switching(self, monkeypatch):
+        # 16 threads on fewer cores, switching every microsecond: every block
+        # lands in its place, and of the failing blocks the first one wins,
+        # though the next block, on the next thread, fails sooner
+        u = np.random.default_rng(19).random(3 * 8 * 16 * 3)
+        want = quantile(P_APT, u)  # one block
+
+        def f(b):
+            if np.any(b >= 1.0):
+                time.sleep(0.002 if b.max() == 2.0 else 0.0)
+                raise ValueError(f"u = {b.max()}")
+            return quantile(P_APT, b)
+
+        bad = u.copy()
+        bad[[3 * 17, 3 * 18, 1000]] = 2.0, 3.0, 1.0  # blocks 17, 18 and 333
+        monkeypatch.setattr(distribution, "_BLOCK", 3)
+        monkeypatch.setattr(distribution, "_CORES", 16)
+        started = _count_threads(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                assert np.all(distribution._blockwise(f, u) == want)
+                with pytest.raises(ValueError, match=re.escape("u = 2.0")):
+                    distribution._blockwise(f, bad)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(started) == 2 * 20 * 15
+
+    def test_errstate_holds_in_helper_threads(self, monkeypatch):
+        # exp(-theta*x) underflows at x = 2000; that point lies in block 1,
+        # which a helper thread evaluates, and raises there as it does serially
+        x = np.full(16 * 7, 0.5)
+        x[7 + 3] = 2000.0
+        monkeypatch.setattr(distribution, "_BLOCK", 7)
+        for cores, helpers in [(1, 0), (2, 1)]:
+            monkeypatch.setattr(distribution, "_CORES", cores)
+            started = _count_threads(monkeypatch)
+            assert pdf(P_APT, x)[10] == 0.0
+            with np.errstate(under="raise"):
+                with pytest.raises(FloatingPointError, match="underflow"):
+                    pdf(P_APT, x)
+            assert len(started) == 2 * helpers
+
 
 class TestSample:
     def test_deterministic(self):
@@ -629,3 +752,39 @@ def test_count_outside_its_range_is_a_domain_error(case):
     with pytest.raises(DomainError) as info:
         call(beyond)
     assert str(info.value) == message
+
+
+_HUGE = 10**400  # beyond the float range: float(_HUGE) overflows
+# Each count that is used as a float: a call that takes it, the start of the
+# call's error, the n that the error names for a count v, and the largest
+# count the call accepts (None: a study at that n would not fit in memory)
+_FLOAT_COUNTS = {
+    "OrderStatSpec-n": (lambda v: OrderStatSpec(v, 1), "n must lie in [1, 9007199254740992]", None, 2**53),
+    "median_order_stat_pdf-m": (
+        lambda v: median_order_stat_pdf(P_APT, v, 1.0), "n must lie in [1, 9007199254740992]",
+        lambda m: 2 * m + 1, 2**52 - 1,
+    ),
+    "maxima_normalization-n": (
+        lambda v: maxima_normalization(P_APT, v, 1, 1), "n must lie in [100, 9007199254740992]", None, 2**53
+    ),
+    "ExperimentConfig-evi_coverage-n": (
+        lambda v: ExperimentConfig(kind="evi_coverage", n=v, reps=1, seed=1, truth=P_APT),
+        "n must lie in [2, 9007199254740992]", None, None,
+    ),
+    "run_experiment-maxima_gumbel-n": (
+        lambda v: run_experiment(ExperimentConfig(kind="maxima_gumbel", n=v, reps=1, seed=1, truth=P_APT)),
+        "n must lie in [100, 9007199254740992]", None, 2**53,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_FLOAT_COUNTS))
+def test_count_beyond_the_float_range_is_a_domain_error(case):
+    # not the OverflowError of float(n): the count's range stops at 2**53
+    call, message, n_of, bound = _FLOAT_COUNTS[case]
+    if bound is not None:
+        call(bound)
+    for beyond in ([] if bound is None else [bound + 1]) + [_HUGE]:
+        with pytest.raises(DomainError) as info:
+            call(beyond)
+        assert str(info.value) == f"{message}, got {n_of(beyond) if n_of else beyond}"
