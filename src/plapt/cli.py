@@ -32,6 +32,9 @@ _EXIT_NUMERICAL = 3
 _EXIT_IO = 4
 
 _DEFAULT_US = (0.25, 0.5, 0.75)
+# Values per piece of `plapt sample`'s CSV: the text is written as it is
+# made, never n strings at once.
+_SAMPLE_PIECE = 4096
 
 
 def _fmt(value: float, digits: int | None) -> str:
@@ -152,10 +155,14 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    p = _params_from(args)
-    s = draw_sample(p, args.n, _seed_from(args))
-    lines = ["x"] + [repr(float(v)) for v in s.values]
-    _emit("\n".join(lines), args.output)
+    x = draw_sample(_params_from(args), args.n, _seed_from(args)).values
+
+    def pieces():
+        yield "x"
+        for i in range(0, x.size, _SAMPLE_PIECE):
+            yield "\n" + "\n".join(map(repr, x[i : i + _SAMPLE_PIECE].tolist()))
+
+    _emit(pieces(), args.output)
     return _EXIT_OK
 
 
@@ -352,6 +359,9 @@ def main(argv=None) -> int:
         print(f"numerical error: {exc}", file=sys.stderr)
         return _EXIT_NUMERICAL
     except PlaptError as exc:  # a DomainError or any other package error
+        print(f"error: {exc}", file=sys.stderr)
+        return _EXIT_VALIDATION
+    except MemoryError as exc:  # a count too large to hold, e.g. --n 1e14
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_VALIDATION
     except OSError as exc:

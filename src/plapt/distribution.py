@@ -129,13 +129,13 @@ class OrderStatSpec:
         object.__setattr__(self, "k", _integer("k", self.k, 1, self.n))
 
 
-def _sorted_rows(values: np.ndarray) -> np.ndarray:
-    """Each row (the last axis) of nonempty values sorted ascending, checked
-    as a sample: finite and nonnegative."""
-    v = np.sort(values, axis=-1)
-    if not np.all(np.isfinite(v)):
+def _checked_rows(v: np.ndarray) -> np.ndarray:
+    """v, whose rows (the last axis) are nonempty and sorted ascending,
+    checked as a sample: finite and nonnegative.  Sorted, a row is finite if
+    its two ends are (-inf sorts first, inf and nan last)."""
+    if not (np.isfinite(v[..., 0]).all() and np.isfinite(v[..., -1]).all()):
         raise DomainError("sample values must be finite")
-    if np.any(v[..., 0] < 0.0):
+    if v[..., 0].min() < 0.0:
         raise DomainError("sample values must be nonnegative")
     return v
 
@@ -150,7 +150,15 @@ class Sample:
         v = np.asarray(self.values, dtype=float).ravel()
         if v.size == 0:
             raise DomainError("sample must contain at least one observation")
-        object.__setattr__(self, "values", _sorted_rows(v))
+        object.__setattr__(self, "values", _checked_rows(np.sort(v)))
+
+    @classmethod
+    def _of_sorted(cls, values: np.ndarray) -> "Sample":
+        # A Sample that holds values, a nonempty 1-d float array already
+        # sorted ascending, as it is: checked, not copied or sorted again
+        s = object.__new__(cls)
+        object.__setattr__(s, "values", _checked_rows(values))
+        return s
 
     @property
     def n(self) -> int:
@@ -181,19 +189,24 @@ def _log_ratio(alpha):
     return np.divide(np.log(alpha), alpha - 1.0, out=np.ones_like(alpha), where=alpha != 1.0)
 
 
-def _blockwise(f, x):
+def _blockwise(f, x, out=None):
     # f on x as floats, f taking and giving 1-d arrays: a scalar goes to f as
     # one point and comes back a float, an array in runs of _BLOCK points
     # written into one output of its shape, bitwise f(x) with only one
-    # block's temporaries per thread beside the output.  Each helper thread
-    # runs in a copy of the caller's context, so the caller's np.errstate
-    # holds there.  A thread stops at its first failing block, and the error
-    # of the first failing block of all is raised.
+    # block's temporaries per thread beside the output.  The output is out,
+    # a C-contiguous float array of x's shape, if given; it may be x itself,
+    # as f reads each block before the block is written, and the threads'
+    # blocks are disjoint.  Each helper thread runs in a copy of the caller's
+    # context, so the caller's np.errstate holds there.  A thread stops at
+    # its first failing block, and the error of the first failing block of
+    # all is raised.
     a = np.asarray(x, dtype=float)
     if a.ndim == 0:
         return float(f(a.reshape(1))[0])
     flat = a.ravel()
-    out = np.empty(flat.shape)
+    if out is None:
+        out = np.empty(a.shape)
+    dest = out.reshape(-1)  # a view of out
     starts = range(0, flat.size, _BLOCK)
     threads = max(1, min(_CORES, len(starts) // _THREAD_BLOCKS))
     errors = {}
@@ -201,7 +214,7 @@ def _blockwise(f, x):
     def run(first):
         for i in starts[first::threads]:
             try:
-                out[i : i + _BLOCK] = f(flat[i : i + _BLOCK])
+                dest[i : i + _BLOCK] = f(flat[i : i + _BLOCK])
             except Exception as error:
                 errors[i] = error
                 return
@@ -214,7 +227,7 @@ def _blockwise(f, x):
         helper.join()
     if errors:
         raise errors[min(errors)]
-    return out.reshape(a.shape)
+    return out
 
 
 def _clipped_t(p: PlAptParams, xa):
@@ -309,7 +322,7 @@ def _w_argument(p: PlAptParams, v):
     else:
         with np.errstate(divide="ignore"):  # log1p(-1): see _quantile_from_arg
             arg = (b_exp / math.log(p.alpha)) * np.log1p(v * (1.0 - p.alpha) / p.alpha)
-    if np.any(arg >= 0.0):  # the argument is negative, so only underflow reaches 0
+    if arg.max() >= 0.0:  # the argument is negative, so only underflow reaches 0
         raise NumericalError(
             "Lambert argument underflowed to 0; the tail mass or exp(-beta) is too small"
         )
@@ -328,21 +341,38 @@ def _quantile_from_arg(p: PlAptParams, arg):
     return np.maximum(w, 0.0, out=w)
 
 
+def _quantile_block(p: PlAptParams):
+    # quantile's block function; the domain test reads the block's two
+    # extremes, and only a block holding u = 0 is searched for it
+    def block(b):
+        low = b.min()
+        if not (low >= 0.0 and b.max() < 1.0):  # nan fails either
+            raise DomainError("quantile requires 0 <= u < 1")
+        q = _quantile_from_arg(p, _w_argument(p, 1.0 - b))
+        if low == 0.0:
+            q[b == 0.0] = 0.0
+        return q
+
+    return block
+
+
 def quantile(p: PlAptParams, u):
     """Exact quantile function on 0 <= u < 1 via the W_{-1} Lambert branch.
 
     Satisfies ``cdf(p, quantile(p, u)) == u`` to roundoff and
     ``quantile(p, 0) == 0`` exactly.
     """
+    return _blockwise(_quantile_block(p), u)
 
-    def block(b):
-        if not np.all((b >= 0.0) & (b < 1.0)):  # nan fails too
-            raise DomainError("quantile requires 0 <= u < 1")
-        q = _quantile_from_arg(p, _w_argument(p, 1.0 - b))
-        q[b == 0.0] = 0.0
-        return q
 
-    return _blockwise(block, u)
+def _sorted_quantiles(p: PlAptParams, u: np.ndarray) -> np.ndarray:
+    """The quantiles of the uniforms u, a C-contiguous float array whose
+    rows (the last axis) are nonempty, written over u, each row sorted
+    ascending in place and checked as a sample: u itself, with no n-point
+    array beside it."""
+    _blockwise(_quantile_block(p), u, out=u)
+    u.sort(axis=-1)
+    return _checked_rows(u)
 
 
 def tail_quantile(p: PlAptParams, v):
@@ -354,7 +384,7 @@ def tail_quantile(p: PlAptParams, v):
     """
 
     def block(b):
-        if not np.all((b > 0.0) & (b <= 1.0)):
+        if not (b.min() > 0.0 and b.max() <= 1.0):  # nan fails either
             raise DomainError("tail_quantile requires 0 < v <= 1")
         return _quantile_from_arg(p, _w_argument(p, b))
 
@@ -520,13 +550,16 @@ def sample(p: PlAptParams, n: int, seed) -> Sample:
     The uniform stream comes from numpy's PCG64 generator (stable,
     documented algorithm), so a given seed reproduces the same sample
     across runs and platforms.  The seed is a nonnegative integer, a
-    sequence of them, or a ``numpy.random.Generator`` to draw from.
+    sequence of them, or a ``numpy.random.Generator`` to draw from.  The
+    sample takes one n-point buffer: the uniforms are drawn into it, their
+    quantiles written over them block by block and sorted in place, and
+    the ``Sample`` holds that buffer.
     """
-    n = _integer("n", n, 1)
+    n = _integer("n", n, 1, _MAX_COUNT)
     if not isinstance(seed, np.random.Generator):
         _seed_words(seed)  # the checks replication_rng makes of its seed
     rng = np.random.default_rng(seed)
-    return Sample(quantile(p, rng.random(n)))
+    return Sample._of_sorted(_sorted_quantiles(p, rng.random(n)))
 
 
 def order_stat_pdf(p: PlAptParams, spec: OrderStatSpec, x):

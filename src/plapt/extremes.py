@@ -65,7 +65,7 @@ def a_function(p: PlAptParams, u):
     """
 
     def block(b):
-        if not np.all((b > 0.0) & (b <= 1.0)):
+        if not (b.min() > 0.0 and b.max() <= 1.0):  # nan fails either
             raise DomainError("a_function requires 0 < u <= 1")
         return np.maximum(_w_argument(p, b), -p.beta * math.exp(-p.beta))
 

@@ -33,7 +33,7 @@ import numpy as np
 from . import __version__
 from .distribution import (
     PlAptParams, _MAX_COUNT, _MAX_REPS, _first_uniforms, _integer, _param_error, _positive, _replication_rngs,
-    _seed_words, _sorted_rows, quantile, tail_quantile,
+    _seed_words, _sorted_quantiles, tail_quantile,
     replication_rng,  # replication_rng stays plapt.montecarlo.replication_rng
 )
 from .exceptions import DomainError, PlaptError
@@ -225,7 +225,7 @@ _EVI_FLOATS = ("m_n", "ci_low", "ci_high", "b_n", "target")
 
 def _recovery_columns(cfg: ExperimentConfig, u: np.ndarray) -> dict:
     rows = []  # (error, status, iterations, estimates) of each replication
-    for (fit,) in _fit_rows(_sorted_rows(quantile(cfg.truth, u)), [cfg.truth.alpha]):
+    for (fit,) in _fit_rows(_sorted_quantiles(cfg.truth, u), [cfg.truth.alpha]):
         if isinstance(fit, PlaptError):
             rows.append((str(fit), None, 0, (math.nan,) * len(_RECOVERY_FLOATS)))
         else:
@@ -245,7 +245,7 @@ def _recovery_columns(cfg: ExperimentConfig, u: np.ndarray) -> dict:
 def _model_compare_columns(cfg: ExperimentConfig, u: np.ndarray) -> dict:
     grid = cfg.alpha_grid if cfg.alpha_grid is not None else _DEFAULT_ALPHA_GRID
     candidates = [lindley_family(), pseudo_lindley_family(), pl_apt_family(alpha_grid=grid)]
-    tables = _model_compare_rows(_sorted_rows(quantile(cfg.truth, u)), candidates)  # rows named as _FAMILIES
+    tables = _model_compare_rows(_sorted_quantiles(cfg.truth, u), candidates)  # rows named as _FAMILIES
     winner, error = [], []
     for rows in tables:
         scored = [r for r in rows if r.error is None and math.isfinite(r.aic)]

@@ -45,45 +45,52 @@ def _branch_series(p):
 def _wm1(z):
     """W_{-1} on [-1/e, 0), elementwise on a 1-d array; domain already validated.
 
-    The steps run in place in four buffers of z's size (p, later log_z;
-    series, later e; w; t) and three boolean masks, so that a block holds few
-    temporaries; the comments give each step as one expression, whose
-    operations and their order the in-place steps keep.  The few points
-    near the branch point take their series values by mask at the end.
+    Every point takes the logarithmic asymptote as its guess; the points
+    with d = 1 + e*z <= 1/2, gathered by index, take the branch-point series
+    instead, evaluated on them alone.  The three log-form Newton steps carry
+    m = -w, so that no step negates a block: each is the step on w rewritten
+    by exact identities (-(a - b) = b - a, (-a)*(-b) = a*b, 1 + w = 1 - m),
+    and the result is bitwise that of the step on w.  The steps run in place
+    in four buffers of z's size (d, later log_z; m, later w; t; e); the
+    comments give each step as one expression, whose operations and their
+    order the in-place steps keep.  Below d = 1e-5 the series value is kept
+    as it is, and at d <= 0 the value is -1.
     """
     with np.errstate(all="ignore"):
-        p = np.multiply(z, np.e)
-        p += 1.0  # d = 1 + e*z, the distance above the branch point
-        asymptote, series_only, at_branch = p > 0.5, p < _SERIES_ONLY, p <= 0.0
-        p *= 2.0
+        d = np.multiply(z, np.e)
+        d += 1.0  # the distance above the branch point
+        near = np.flatnonzero(d <= 0.5)
+        d_near = d[near]
+        p = np.multiply(d_near, 2.0)
         np.negative(np.sqrt(p, out=p), out=p)  # p = -sqrt(2d)
         series = _branch_series(p)
-        series_kept = series[series_only]
-        log_z = np.log(np.negative(z, out=p), out=p)
-        w = np.log(np.negative(log_z))  # log_log = log(-log_z)
-        t = np.divide(w, log_z)
-        np.subtract(log_z, w, out=w)
-        w += t  # log_z - log_log + log_log / log_z
-        np.copyto(w, series, where=~asymptote)
+        log_z = np.log(np.negative(z, out=d), out=d)
+        m = np.log(np.negative(log_z))  # log_log = log(-log_z)
+        t = np.divide(m, log_z)
+        np.subtract(m, log_z, out=m)
+        m -= t  # -(log_z - log_log + log_log / log_z)
+        m[near] = np.negative(series, out=p)
         # Over 4.4e6 points from 1 + e*z = 1e-5 down through the subnormals
         # the worst relative error falls from 0.055 to 1e-3, 3e-7 and 3e-14;
         # the last is set by the conditioning 1/|1 + w| near the branch point
         # (a fourth step gives 2.5e-14).  The exp step then brings the
         # residual w*exp(w) - z down to rounding.
-        e = series
-        for _ in range(3):  # w -= (w - log_z + log(-w)) * w / (1 + w)
-            np.subtract(w, log_z, out=t)
-            t += np.log(np.negative(w, out=e), out=e)
-            t *= w
-            t /= np.add(w, 1.0, out=e)
-            w -= t
+        e = np.empty_like(m)
+        for _ in range(3):  # m += (log_z + m - log(m)) * m / (1 - m)
+            np.add(log_z, m, out=t)
+            t -= np.log(m, out=e)
+            t *= m
+            t /= np.subtract(1.0, m, out=e)
+            m += t
+        w = np.negative(m, out=m)
         np.exp(w, out=e)
         np.multiply(w, e, out=t)
         t -= z
         t /= np.multiply(e, np.add(w, 1.0, out=log_z), out=log_z)
         np.subtract(w, t, out=w, where=e >= _TINY)  # w -= (w*e - z) / (e*(1 + w))
-    w[series_only] = series_kept
-    w[at_branch] = -1.0  # within rounding of -1/e itself
+    series_only = d_near < _SERIES_ONLY
+    w[near[series_only]] = series[series_only]
+    w[near[d_near <= 0.0]] = -1.0  # within rounding of -1/e itself
     return w
 
 
@@ -114,6 +121,6 @@ def lambert_w(branch: LambertBranch, z):
     if branch is not LambertBranch.NEGATIVE_ONE:
         raise DomainError(f"unknown Lambert branch: {branch!r}")
     z = np.asarray(z, dtype=float)
-    if not np.all((z >= BRANCH_POINT) & (z < 0.0)):  # nan fails too
+    if z.size and not (z.min() >= BRANCH_POINT and z.max() < 0.0):  # nan fails either
         raise DomainError("W_{-1} branch requires -1/e <= z < 0")
     return _wm1(z.ravel()).reshape(z.shape)[()]  # a 0-d result as a float

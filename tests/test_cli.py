@@ -9,6 +9,7 @@ import pytest
 
 import plapt
 from plapt import PlAptParams, Sample, WeightSpec, double_hill_components, quantile, sample
+from plapt import cli
 from plapt.cli import main, read_numeric_csv
 
 from reference_tables import QUARTILE_US, TABLE_APT, TABLE_PSEUDO
@@ -186,6 +187,34 @@ class TestSampleAndCsv:
             "--n", str(big), "--reps", "3", "--seed", "1"])
         assert (rc, out) == (2, "")
         assert err.splitlines() == [f"error: n must lie in [100, 9007199254740992], got {big}"]
+
+    def test_sample_count_beyond_the_float_range_is_a_validation_error(self, capsys):
+        big = 10**400
+        rc, out, err = run_cli(capsys, [
+            "sample", "--alpha", "2", "--beta", "2.5", "--theta", "1.5", "--n", str(big), "--seed", "1"])
+        assert (rc, out) == (2, "")
+        assert err.splitlines() == [f"error: n must lie in [1, 9007199254740992], got {big}"]
+
+    def test_sample_beyond_memory_is_a_validation_error(self, capsys):
+        # 1e14 points are 728 TiB, beyond the address space: the allocation
+        # fails at once, and its MemoryError is one error line, not a traceback
+        rc, out, err = run_cli(capsys, [
+            "sample", "--alpha", "2", "--beta", "2.5", "--theta", "1.5", "--n", str(10**14), "--seed", "1"])
+        assert (rc, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "TiB" in err
+
+    @pytest.mark.parametrize("piece", [1, 3, 4096, 10**6])
+    def test_sample_csv_is_the_same_in_any_piece_size(self, capsys, monkeypatch, piece):
+        # the CSV is written in pieces of values: its bytes are those of the
+        # whole text made at once
+        n, seed = 5000, 8
+        want = "\n".join(["x", *(repr(v) for v in sample(PlAptParams(2.0, 2.5, 1.5), n, seed).values.tolist())])
+        monkeypatch.setattr(cli, "_SAMPLE_PIECE", piece)
+        rc, out, _ = run_cli(capsys, [
+            "sample", "--alpha", "2", "--beta", "2.5", "--theta", "1.5", "--n", str(n), "--seed", str(seed)])
+        assert rc == 0
+        assert out == want + "\n"
 
     def test_header_and_crlf_accepted(self, tmp_path):
         path = tmp_path / "data.csv"

@@ -600,6 +600,48 @@ class TestSample:
         dist = max(np.max(i / s.n - grid), np.max(grid - (i - 1) / s.n))
         assert dist < 1.358 / math.sqrt(s.n)  # 95% band
 
+    @pytest.mark.parametrize("p", [P_APT, P_ONE], ids=["apt", "alpha-one"])
+    @pytest.mark.parametrize("cores", [1, 4])
+    def test_values_are_the_sorted_quantiles_of_the_uniforms(self, monkeypatch, p, cores):
+        # the quantiles written over the uniforms, in blocks of 7 points on
+        # one thread or four, and sorted in place: bitwise the quantiles of
+        # the uniforms, sorted
+        monkeypatch.setattr(distribution, "_BLOCK", 7)
+        monkeypatch.setattr(distribution, "_CORES", cores)
+        started = _count_threads(monkeypatch)
+        for n, seed in [(1, 5), (7 * 41 + 3, 23), (1000, [4, 2])]:
+            want = np.sort(quantile(p, np.random.default_rng(seed).random(n)))
+            del started[:]
+            got = sample(p, n, seed).values
+            assert got.shape == (n,)
+            assert np.all(got == want)
+            assert len(started) == (0 if n == 1 else cores - 1)
+
+    def test_peak_memory_about_the_output(self):
+        # one n-point buffer holds the uniforms, then their quantiles, sorted
+        # in place; beside it, only the blocks' temporaries
+        n = 2**18
+        sample(P_APT, n, seed=1)  # numpy.random's first-use allocations
+        tracemalloc.start()
+        try:
+            s = sample(P_APT, n, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * s.values.nbytes
+
+    def test_sorted_quantiles_of_rows_in_place(self, monkeypatch):
+        # a study's chunk of uniform rows becomes its sorted quantile rows in
+        # place, threaded across rows, and is checked as a sample
+        monkeypatch.setattr(distribution, "_BLOCK", 7)
+        monkeypatch.setattr(distribution, "_CORES", 2)
+        u = np.random.default_rng(29).random((9, 31))
+        want = np.sort(quantile(P_APT, u), axis=1)
+        assert distribution._sorted_quantiles(P_APT, u) is u
+        assert np.all(u == want)
+        with pytest.raises(DomainError, match="quantile requires"):
+            distribution._sorted_quantiles(P_APT, np.full((2, 3), np.nan))
+
     def test_invalid_inputs(self):
         with pytest.raises(DomainError):
             sample(P_APT, 0, seed=1)
@@ -771,6 +813,7 @@ _FLOAT_COUNTS = {
         lambda v: ExperimentConfig(kind="evi_coverage", n=v, reps=1, seed=1, truth=P_APT),
         "n must lie in [2, 9007199254740992]", None, None,
     ),
+    "sample-n": (lambda v: sample(P_APT, v, 1), "n must lie in [1, 9007199254740992]", None, None),
     "run_experiment-maxima_gumbel-n": (
         lambda v: run_experiment(ExperimentConfig(kind="maxima_gumbel", n=v, reps=1, seed=1, truth=P_APT)),
         "n must lie in [100, 9007199254740992]", None, 2**53,

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import mpmath
@@ -36,7 +37,50 @@ def _relative_error(z):
     return np.abs(lambert_w(NEG, z) - ref) / np.abs(ref)
 
 
+def _z_of_distance(d):
+    # z with 1 + e*z = d, kept inside the domain where rounding crosses -1/e
+    return np.maximum((d - 1.0) / np.e, BRANCH_POINT)
+
+
+def _grid_calls():
+    """Seeded W_{-1} arguments in every band of 1 + e*z: <= 0 (-1/e and its
+    upper neighbours), below 1e-5 (series only), at most 1/2 (series and
+    Newton), above 1/2 (asymptote and Newton, down to the smallest normal)
+    and subnormal z, and both neighbours of each band edge.  The calls are
+    all near the branch point, all asymptotic, and mixed (also as a strided
+    2-d view and one point at a time)."""
+    rng = np.random.default_rng(2026)
+    at_branch = [BRANCH_POINT]
+    for _ in range(8):
+        at_branch.append(np.nextafter(at_branch[-1], 0.0))
+    edges = [(d - 1.0) / np.e for d in (1e-5, 0.5)]
+    edges = [np.nextafter(z, to) for z in edges for to in (-1.0, 0.0)] + edges
+    series_only = _z_of_distance(10.0 ** rng.uniform(-18.0, -5.0, 300))
+    series = _z_of_distance(10.0 ** rng.uniform(-5.0, math.log10(0.5), 300))
+    asymptote = _z_of_distance(rng.uniform(0.5, 1.0, 300))
+    tiny = -(10.0 ** rng.uniform(-307.0, -1.0, 300))
+    subnormal = -rng.uniform(0.0, 2.2e-308, 100) - 5e-324
+    near = np.concatenate([at_branch, series_only, series])
+    far = np.concatenate([asymptote, tiny, subnormal, [-5e-324, -2.2250738585072014e-308]])
+    mixed = rng.permutation(np.concatenate([near, far, edges]))
+    return [near, far, mixed, mixed[: mixed.size // 2 * 2].reshape(-1, 2)[:, ::-1], near[:1], far[:1]]
+
+
+# SHA-256 of lambert_w on _grid_calls(), each result's bytes in turn, as
+# the evaluator gave them before its series was restricted to the points
+# that keep it: every later rewrite must keep each bit
+_GRID_DIGEST = "79a264aee24be20e2e58005644cf9f12ca4ad2d485155f41869a5c452aa62149"
+
+
 class TestLambertW:
+    def test_grid_hashes_as_recorded(self):
+        digest = hashlib.sha256()
+        for z in _grid_calls():
+            digest.update(np.ascontiguousarray(lambert_w(NEG, z)).tobytes())
+        for z in _grid_calls()[2][::97]:
+            digest.update(np.float64(lambert_w(NEG, float(z))).tobytes())
+        assert digest.hexdigest() == _GRID_DIGEST
+
     def test_branch_point(self):
         assert lambert_w(NEG, -math.exp(-1.0)) == -1.0
 
