@@ -330,11 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     expn.set_defaults(func=_cmd_expansion)
 
     exp = subs.add_parser("experiment", help="run a seeded simulation experiment")
-    exp.add_argument(
-        "--kind",
-        required=True,
-        choices=["recovery", "model-compare", "evi-coverage", "maxima-gumbel"],
-    )
+    exp.add_argument("--kind", required=True, choices=[k.value.replace("_", "-") for k in ExperimentKind])
     _add_param_flags(exp, require=False)
     exp.add_argument("--n", type=int, required=True)
     exp.add_argument("--reps", type=int, required=True)

@@ -60,8 +60,8 @@ _MAX_COUNT = 2**53
 
 
 def _integer(name: str, value, low: float = -math.inf, high: float = math.inf) -> int:
-    # A count as an int in [low, high]: a float, integral or not, is refused,
-    # not truncated.  A seed or a replication index is checked for its type only.
+    # An integer (a count, an index, a seed) as an int in [low, high]: a
+    # float, integral or not, is refused, not truncated.
     if not isinstance(value, (int, np.integer)):
         raise TypeError(f"{name} must be an integer, got {value!r}")
     value = int(value)
@@ -129,13 +129,13 @@ class OrderStatSpec:
         object.__setattr__(self, "k", _integer("k", self.k, 1, self.n))
 
 
-def _checked_rows(v: np.ndarray) -> np.ndarray:
-    """v, whose rows (the last axis) are nonempty and sorted ascending,
-    checked as a sample: finite and nonnegative.  Sorted, a row is finite if
-    its two ends are (-inf sorts first, inf and nan last)."""
-    if not (np.isfinite(v[..., 0]).all() and np.isfinite(v[..., -1]).all()):
+def _checked_sorted(v: np.ndarray) -> np.ndarray:
+    """v, a nonempty 1-d float array sorted ascending, checked as a sample:
+    finite and nonnegative.  Sorted, v is finite if its two ends are (-inf
+    sorts first, inf and nan last)."""
+    if not (math.isfinite(v[0]) and math.isfinite(v[-1])):
         raise DomainError("sample values must be finite")
-    if v[..., 0].min() < 0.0:
+    if v[0] < 0.0:
         raise DomainError("sample values must be nonnegative")
     return v
 
@@ -150,14 +150,14 @@ class Sample:
         v = np.asarray(self.values, dtype=float).ravel()
         if v.size == 0:
             raise DomainError("sample must contain at least one observation")
-        object.__setattr__(self, "values", _checked_rows(np.sort(v)))
+        object.__setattr__(self, "values", _checked_sorted(np.sort(v)))
 
     @classmethod
     def _of_sorted(cls, values: np.ndarray) -> "Sample":
         # A Sample that holds values, a nonempty 1-d float array already
         # sorted ascending, as it is: checked, not copied or sorted again
         s = object.__new__(cls)
-        object.__setattr__(s, "values", _checked_rows(values))
+        object.__setattr__(s, "values", _checked_sorted(values))
         return s
 
     @property
@@ -255,13 +255,8 @@ def reliability(p: PlAptParams, x):
 
 def cdf(p: PlAptParams, x):
     """Distribution function; 0 for x <= 0, increasing to 1."""
-
-    def block(b):
-        out = np.subtract(1.0, _reliability_arr(p, b))
-        out[b <= 0.0] = 0.0
-        return out
-
-    return _blockwise(block, x)
+    # the reliability is exactly 1 at x <= 0, where 1 - 1 is +0.0
+    return _blockwise(lambda b: np.subtract(1.0, _reliability_arr(p, b)), x)
 
 
 def _pdf_arr(p: PlAptParams, xa):
@@ -367,12 +362,13 @@ def quantile(p: PlAptParams, u):
 
 def _sorted_quantiles(p: PlAptParams, u: np.ndarray) -> np.ndarray:
     """The quantiles of the uniforms u, a C-contiguous float array whose
-    rows (the last axis) are nonempty, written over u, each row sorted
-    ascending in place and checked as a sample: u itself, with no n-point
-    array beside it."""
+    rows (the last axis) are nonempty, written over u and each row sorted
+    ascending in place: u itself, with no n-point array beside it.  A
+    quantile beyond the float range is inf and sorts last; the rows are
+    not checked here, but where they enter a Sample or a fit."""
     _blockwise(_quantile_block(p), u, out=u)
     u.sort(axis=-1)
-    return _checked_rows(u)
+    return u
 
 
 def tail_quantile(p: PlAptParams, v):
@@ -449,7 +445,8 @@ _MAX_REPS = 1 << 32
 def _replication_states(seed, reps) -> np.ndarray:
     """The (len(reps), 4) uint64 words ``SeedSequence(seed, spawn_key=(rep,))
     .generate_state(4, np.uint64)`` of each rep, for a nonnegative seed (an
-    integer or a sequence of them) and integer reps in [0, 2**32).
+    integer or a sequence of them) and integer reps in [0, 2**32), a bound
+    its callers have checked (a study's chunks are ranges of a bounded count).
 
     numpy's ``SeedSequence(seed)`` mixes the seed, every entropy word but
     the last, the spawn key (rep,), into its pool; the hash constant that
@@ -461,14 +458,8 @@ def _replication_states(seed, reps) -> np.ndarray:
     """
     words = _seed_words(seed)  # the seed rule, and its errors, before numpy's
     pool = np.random.SeedSequence(seed).pool.tolist()
-    # a range as arange, 40 times faster than asarray at 800 reps; an index
-    # beyond int64 makes an object array
+    # a range as arange, 40 times faster than asarray at 800 reps
     r = np.arange(reps.start, reps.stop, reps.step) if isinstance(reps, range) else np.asarray(reps)
-    for i in [] if r.dtype.kind in "iu" else r.flat:
-        _integer("replication index", i)
-    if r.size and (r.min() < 0 or r.max() >= _MAX_REPS):
-        bad = r.min() if r.min() < 0 else r.max()
-        raise DomainError(f"replication index must lie in [0, 2**32), got {bad}")
     # the hash constant the pool ends on, and the four the rep steps it through
     hs = _hash_consts(_INIT_A, _MULT_A, _POOL * (max(_POOL, len(words)) + 1))[-_POOL - 1 :]
     xor, mul, mixed = np.array([hs[:-1], hs[1:], [_MIX_L * p & _MASK32 for p in pool]], np.uint32)
@@ -540,7 +531,8 @@ def replication_rng(seed: int, rep: int) -> np.random.Generator:
     numpy's own ``default_rng(SeedSequence(seed, spawn_key=(rep,)))``, which
     pickles and spawns, for a nonnegative seed and 0 <= rep < 2**32.  Its
     stream is that of the study's replication ``rep``."""
-    _replication_states(seed, (rep,))  # the seed and index rules, and their errors, before numpy's
+    _seed_words(seed)  # the seed rule, and its errors, before numpy's
+    rep = _integer("replication index", rep, 0, _MAX_REPS - 1)
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rep,)))
 
 

@@ -310,7 +310,9 @@ def _fit_rows(x: np.ndarray, alphas: Sequence[float], init=None, max_iter: int =
     """Fit every row of ``x`` at every alpha, each fit a lane of the
     lockstep engine.
 
-    ``x`` is a stack of sorted samples of one size.  Entry ``[r][j]`` of
+    ``x`` is a stack of nonnegative rows of one size, each sorted
+    ascending; a row may end in inf, a study's quantile beyond the float
+    range, and is then flagged as ``Sample`` flags it.  Entry ``[r][j]`` of
     the result is the ``FitResult`` of ``fit_mle(alphas[j], Sample(x[r]),
     init, max_iter=max_iter)``, or the ``PlaptError`` it raises; a repeated
     alpha is fitted once and gets that same result.  All lanes run in one
@@ -329,7 +331,8 @@ def _fit_rows(x: np.ndarray, alphas: Sequence[float], init=None, max_iter: int =
     e = np.frexp(x[:, -1])[1]
     y = np.ldexp(x, -e[:, None])
     out: list[list] = [[None] * len(alphas) for _ in x]
-    # fit_mle's checks, each made once, in its order: too few or all-zero
+    # fit_mle's checks, each made once, in its order: Sample's finiteness
+    # (a sorted row is finite where its last value is), too few or all-zero
     # observations, alpha, the start point.
     alpha_errors = [_param_error("alpha", a) for a in alphas]
     init = None if init is None else (float(init[0]), float(init[1]))
@@ -338,8 +341,9 @@ def _fit_rows(x: np.ndarray, alphas: Sequence[float], init=None, max_iter: int =
     with np.errstate(over="ignore", divide="ignore"):  # zero rows start none
         theta0 = np.ldexp(init[0], e) if init else 1.0 / y.mean(axis=1)
     lanes: dict[tuple, object] = {}  # (row, alpha): None, then the fit
-    for r, (row, zero, t0, e_r) in enumerate(zip(out, (x[:, -1] == 0.0).tolist(), theta0.tolist(), e.tolist())):
-        row_error = few or (zero and DomainError(_ZERO_SAMPLE))
+    for r, (row, top, t0, e_r) in enumerate(zip(out, x[:, -1].tolist(), theta0.tolist(), e.tolist())):
+        infinite = not math.isfinite(top) and DomainError("sample values must be finite")
+        row_error = infinite or few or (top == 0.0 and DomainError(_ZERO_SAMPLE))
         if init and not start_error and not _TINY <= t0 < math.inf:  # theta0 at the row's scale
             row_start_error = DomainError(
                 f"start point {init}: theta0 * 2**{e_r} leaves the normal float range at the sample's scale 2**{e_r}"

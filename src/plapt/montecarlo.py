@@ -34,7 +34,6 @@ from . import __version__
 from .distribution import (
     PlAptParams, _MAX_COUNT, _MAX_REPS, _first_uniforms, _integer, _param_error, _positive, _replication_rngs,
     _seed_words, _sorted_quantiles, tail_quantile,
-    replication_rng,  # replication_rng stays plapt.montecarlo.replication_rng
 )
 from .exceptions import DomainError, PlaptError
 from .extremes import WeightSpec, _double_hill_rows, _hill_weights, _normalized_maxima, gumbel_ks_distance
@@ -518,9 +517,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     replication costs the report a few numbers, not a dict: the summary
     reads the columns, and ``ExperimentReport.records`` and ``to_json``
     turn them into dicts and text only when asked.
-    Per-replication failures (for example a fit that does not converge) are
-    recorded in place, never raised; the report's ``failures`` field and
-    summary ``failure_rate`` count them.
+    Per-replication failures (for example a fit that does not converge, or
+    a sample with a quantile beyond the float range: "sample values must
+    be finite") are recorded in place, never raised; the report's
+    ``failures`` field and summary ``failure_rate`` count them.
     """
     width, draw = _row_draw(cfg)
     columns: dict = {}

@@ -632,7 +632,8 @@ class TestSample:
 
     def test_sorted_quantiles_of_rows_in_place(self, monkeypatch):
         # a study's chunk of uniform rows becomes its sorted quantile rows in
-        # place, threaded across rows, and is checked as a sample
+        # place, threaded across rows; the rows are checked where they are
+        # fitted, so a quantile beyond the float range is inf and sorts last
         monkeypatch.setattr(distribution, "_BLOCK", 7)
         monkeypatch.setattr(distribution, "_CORES", 2)
         u = np.random.default_rng(29).random((9, 31))
@@ -641,6 +642,9 @@ class TestSample:
         assert np.all(u == want)
         with pytest.raises(DomainError, match="quantile requires"):
             distribution._sorted_quantiles(P_APT, np.full((2, 3), np.nan))
+        huge = PlAptParams(2.0, 2.5, 3e-308)
+        u = np.array([[0.999, 0.3, 0.0]])
+        assert distribution._sorted_quantiles(huge, u).tolist() == [[0.0, quantile(huge, 0.3), math.inf]]
 
     def test_invalid_inputs(self):
         with pytest.raises(DomainError):
@@ -652,6 +656,9 @@ class TestSample:
         for values in ([1.0, math.nan], [math.inf]):
             with pytest.raises(DomainError, match="sample values must be finite"):
                 Sample(values)
+        # at theta = 3e-308 the quantile of u above about 0.98 is beyond the float range
+        with pytest.raises(DomainError, match="sample values must be finite"):
+            sample(PlAptParams(2.0, 2.5, 3e-308), 50, seed=1)
 
 
 class TestOrderStatistics:

@@ -398,20 +398,28 @@ class TestLockstep:
         assert any(best is f for f in fits)
 
     def test_mixed_lanes_equal_separate_calls(self):
+        # Beside the three mixed rows, one that ends in inf, as a study's row
+        # does where a quantile leaves the float range: that row alone is
+        # flagged, as Sample flags it.
         rows = _mixed_rows()
+        rows = np.insert(rows, 1, np.append(rows[0, :-1], math.inf), axis=0)
         alphas = [4.0, 1.0, 1.5, 2.0]
-        together = _fit_rows(rows, alphas)
-        for row, fits in zip(rows, together):
-            for a, fit in zip(alphas, fits):
-                _same_fit(fit, fit_mle(a, Sample(row)))
+
+        def finite_rows(together, max_iter=MAX_ITER):
+            assert [str(fit) for fit in together[1]] == ["sample values must be finite"] * len(alphas)
+            with pytest.raises(DomainError, match="^sample values must be finite$"):
+                Sample(rows[1])
+            for row, fits in zip(rows[[0, 2, 3]], together[:1] + together[2:]):
+                for a, fit in zip(alphas, fits):
+                    _same_fit(fit, fit_mle(a, Sample(row), max_iter=max_iter))
+            return together[:1] + together[2:]
+
+        together = finite_rows(_fit_rows(rows, alphas))
         assert [fits[0].status for fits in together] == ["boundary_beta_inf", "boundary_beta_one", "converged"]
         # An iteration limit between the lanes' counts stops some lanes
         # beside others that converge.
         limit = 8
-        limited = _fit_rows(rows, alphas, max_iter=limit)
-        for row, fits in zip(rows, limited):
-            for a, fit in zip(alphas, fits):
-                _same_fit(fit, fit_mle(a, Sample(row), max_iter=limit))
+        limited = finite_rows(_fit_rows(rows, alphas, max_iter=limit), limit)
         statuses = {fit.status for fits in limited for fit in fits}
         assert {"max_iter", "converged"} <= statuses
 

@@ -28,12 +28,13 @@ from plapt import (
     model_compare,
     pl_apt_family,
     pseudo_lindley_family,
+    quantile,
     run_experiment,
     sample,
     tail_quantile,
 )
 from plapt import NumericalError, inference, montecarlo
-from plapt.distribution import _first_uniforms, _replication_rngs, _replication_states, replication_rng
+from plapt.distribution import _first_uniforms, _replication_rngs, replication_rng
 
 TRUTH = PlAptParams(2.0, 2.5, 0.6)
 
@@ -235,8 +236,6 @@ class TestReplicationStreams:
                 np.random.SeedSequence(1, spawn_key=(rep,))
         with pytest.raises(TypeError, match="replication index must be an integer, got"):
             replication_rng(1, rep)
-        with pytest.raises(TypeError, match="replication index must be an integer, got"):
-            _replication_states(1, [0, 2**70, rep])
 
     def test_replication_count_beyond_2_32_is_a_validation_error(self):
         with pytest.raises(DomainError, match=r"reps must lie in \[1, 4294967296\], got 4294967297"):
@@ -274,22 +273,27 @@ class TestReplicationStreams:
         assert seed_seq.entropy == 7 and seed_seq.spawn_key == (3,)
 
     @pytest.mark.parametrize(
-        "seed, reps, message",
+        "seed, rep, message",
         [
-            (-1, [0], "seed must be a nonnegative integer, got -1"),
-            ([1, -2], [0], "seed must be a nonnegative integer, got -2"),
-            (1, [0, -1], "replication index must lie in [0, 2**32), got -1"),
-            (1, [2**32], "replication index must lie in [0, 2**32), got 4294967296"),
-            (1, [3, 2**70], f"replication index must lie in [0, 2**32), got {2**70}"),
+            (-1, 0, "seed must be a nonnegative integer, got -1"),
+            ([1, -2], 0, "seed must be a nonnegative integer, got -2"),
+            (1, -1, "replication index must lie in [0, 4294967295], got -1"),
+            (1, 2**32, "replication index must lie in [0, 4294967295], got 4294967296"),
+            (1, 2**70, f"replication index must lie in [0, 4294967295], got {2**70}"),
         ],
         ids=["negative-seed", "negative-seed-word", "negative-rep", "rep-at-2-32", "rep-beyond-int64"],
     )
-    def test_domain_errors(self, seed, reps, message):
+    def test_domain_errors(self, seed, rep, message):
+        # A seed is checked by replication_rng and where a study derives its
+        # streams; a replication index by replication_rng, as a study's
+        # indices lie below its count, which its configuration bounds.
         with pytest.raises(DomainError) as info:
-            _replication_rngs(seed, reps)
+            replication_rng(seed, rep)
         assert str(info.value) == message
-        with pytest.raises(DomainError):
-            replication_rng(seed, reps[-1])
+        if rep == 0:
+            with pytest.raises(DomainError) as info:
+                _replication_rngs(seed, range(1))
+            assert str(info.value) == message
 
     def test_negative_seed_is_a_validation_error(self):
         with pytest.raises(DomainError, match="seed must be a nonnegative integer, got -1"):
@@ -496,6 +500,36 @@ class TestLockstepStudies:
         report = run_experiment(cfg)
         assert repr(report.records) == repr(tuple(records))
         assert report.to_json() == _report_json(cfg, records)
+
+    @pytest.mark.parametrize("kind", ["recovery", "model_compare"])
+    def test_overflowed_samples_are_recorded_as_failures(self, kind):
+        # At theta = 3e-308 the quantile of u above about 0.98 leaves the
+        # float range; 13 of these 20 samples hold one.  Each of those
+        # replications is recorded as failed, and the others are fitted.
+        truth = PlAptParams(2.0, 2.5, 3e-308)
+        cfg = ExperimentConfig(kind=kind, n=50, reps=20, seed=1, truth=truth)
+        records = run_experiment(cfg).records
+        rows = [np.sort(quantile(truth, replication_rng(cfg.seed, rep).random(cfg.n))) for rep in range(cfg.reps)]
+        overflowed = [rep for rep, row in enumerate(rows) if row[-1] == math.inf]
+        assert len(overflowed) == 13
+        flagged = [r["rep"] for r in records if "sample values must be finite" in (r.get("error") or "")]
+        assert flagged == overflowed
+        if kind == "recovery":
+            fits = []
+            for row in rows:
+                try:
+                    fits.append(fit_mle(truth.alpha, Sample(row)))
+                except PlaptError as exc:
+                    fits.append(exc)
+            assert repr(records) == repr(tuple(_recovery_record(rep, fit) for rep, fit in enumerate(fits)))
+            assert sum(r["ok"] for r in records) == 7
+        else:
+            for rep in overflowed:
+                families = records[rep]["families"]
+                assert families["pseudo_lindley"]["error"] == families["pl_apt"]["error"] == "sample values must be finite"
+                assert families["lindley"]["error"] == (
+                    "Lindley theta 0.0 at mean inf is out of range: beta = 1 + theta rounds to 1"
+                )
 
     def test_model_compare_equals_its_row(self):
         truth = PlAptParams(1.5, 1.5, 1.5)
