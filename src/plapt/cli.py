@@ -37,11 +37,13 @@ _DEFAULT_US = (0.25, 0.5, 0.75)
 _SAMPLE_PIECE = 4096
 
 
-def _fmt(value: float, digits: int | None) -> str:
+def _formatter(digits: int | None):
+    # the text of a printed value: its repr, or --digits significant digits,
+    # checked here, once per command
     if digits is None:
-        return repr(float(value))
+        return lambda value: repr(float(value))
     digits = distribution._integer("--digits", digits, 1)
-    return f"{value:.{digits}g}"
+    return lambda value: f"{value:.{digits}g}"
 
 
 def read_numeric_csv(path: str) -> np.ndarray:
@@ -117,6 +119,7 @@ def _weight_from(args) -> WeightSpec:
 
 def _cmd_eval(args) -> int:
     p = _params_from(args)
+    fmt = _formatter(args.digits)
     fn = {
         "pdf": distribution.pdf,
         "cdf": distribution.cdf,
@@ -127,7 +130,7 @@ def _cmd_eval(args) -> int:
     col = "u" if args.command == "quantile" else "x"
     lines = [f"{col},{args.command}"]
     for pt in points:
-        lines.append(f"{_fmt(pt, args.digits)},{_fmt(fn(p, pt), args.digits)}")
+        lines.append(f"{fmt(pt)},{fmt(fn(p, pt))}")
     _emit("\n".join(lines), args.output)
     return _EXIT_OK
 
@@ -141,15 +144,14 @@ def _cmd_table(args) -> int:
         except ValueError:
             raise DomainError(f"bad alpha:beta pair {token!r}") from None
     us = [float(u) for u in args.u]
+    fmt = _formatter(args.digits)
     header = ["theta", "alpha", "beta"] + [f"q{i + 1}" for i in range(len(us))]
     lines = [",".join(header)]
     for theta in args.thetas:
         for alpha, beta in pairs:
             p = PlAptParams(alpha=alpha, beta=beta, theta=theta)
             qs = [quantile(p, u) for u in us]
-            row = [_fmt(theta, args.digits), _fmt(alpha, args.digits), _fmt(beta, args.digits)]
-            row += [_fmt(q, args.digits) for q in qs]
-            lines.append(",".join(row))
+            lines.append(",".join(fmt(v) for v in (theta, alpha, beta, *qs)))
     _emit("\n".join(lines), args.output)
     return _EXIT_OK
 

@@ -327,9 +327,10 @@ def _w_argument(p: PlAptParams, v):
 def _quantile_from_arg(p: PlAptParams, arg):
     # Exact arguments lie in [-beta*exp(-beta), 0), where W_{-1} >= -beta; one
     # rounded below -1/e (beta near 1, or -inf where v*(1 - alpha)/alpha rounds
-    # to -1 at alpha >~ 2**53) is clamped to the branch point: W = -1, Q = 0.
-    # The clamp and the quantile run in place, on the argument's and on W's buffer.
-    w = _wm1(np.maximum(arg, BRANCH_POINT, out=arg))
+    # to -1 at alpha >~ 2**53) has 1 + e*z <= 0, as e*(-1/e) + 1 rounds to 0,
+    # and _wm1 returns W = -1 wherever 1 + e*z <= 0, so Q = 0.  The quantile
+    # runs in place, on W's buffer.
+    w = _wm1(arg)
     with np.errstate(over="ignore"):  # a quantile beyond the float range is inf
         np.subtract(-p.beta, w, out=w)
         w /= p.theta

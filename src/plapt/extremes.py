@@ -272,37 +272,29 @@ def _double_hill_rows(top: np.ndarray, weights: tuple, target: float | None = No
     """The EviReport statistics of each row of ``top``, a (rows, k+1) stack
     of top order statistics sorted ascending, as float64 columns named by
     ``_EVI_STATS`` (NaN on a row that fails), and the PlaptError that stops
-    each row, or None; ``weights`` is ``_hill_weights(w, k)``."""
+    each row, or None (rows failing alike share one error); ``weights`` is
+    ``_hill_weights(w, k)``."""
     s, f_j, a_n, s_n, _ = weights
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         # Column i is the log-spacing of rank j = k - i, log X_{n-j+1,n} -
-        # log X_{n-j,n}, weighted by f(j).  numpy powers a reversed view in
-        # another loop than contiguous data, which can differ in the last
-        # bit; seeded reports pin the reversed loop's bits, so it is used.
+        # log X_{n-j,n}, weighted by f(j).
         spacings = np.diff(np.log(top), axis=1)
-        terms = f_j[::-1] * (spacings.ravel()[::-1] ** s)[::-1].reshape(spacings.shape)
-    stats: list = []
-    errors: list = []
-    # fsum reads each row's terms through a memoryview, as Python floats
-    # without a list: the same exact sum as over the numpy row, 2.4 times faster
-    rows = zip(top[:, 0].tolist(), top[:, -1].tolist(), np.any(spacings > 0.0, axis=1).tolist(), terms)
-    for lowest, highest, spaced, row_terms in rows:
-        error = None
-        if not (lowest > 0.0 and highest < math.inf):
-            error = DomainError("the top k+1 order statistics must be positive and finite")
-        elif not spaced:
-            error = NumericalError("all top log-spacings are zero (tied observations)")
-        errors.append(error)
-        if error is not None:
-            stats.append((math.nan,) * len(_EVI_STATS))
-            continue
-        t_n = math.fsum(memoryview(row_terms))
+        terms = f_j[::-1] * spacings**s
+        valid = (top[:, 0] > 0.0) & (top[:, -1] < math.inf)  # nan fails either
+        good = valid & np.any(spacings > 0.0, axis=1)
+        # the one loop: fsum reads each good row's terms through a memoryview,
+        # as Python floats without a list, 2.4 times faster than the numpy row
+        t_n = np.full(len(top), math.nan)
+        t_n[good] = [math.fsum(memoryview(row)) for row in terms[good]]
         ratio = t_n / a_n
         half = _Z975 * (s_n / a_n) * ratio
-        z_stat = 0.0 if target is None else (a_n / s_n) * (ratio / target**s - 1.0)
-        ci_low, ci_high = (max(ratio + d, 0.0) ** (1.0 / s) for d in (-half, half))
-        stats.append((t_n, ratio ** (1.0 / s), z_stat, ci_low, ci_high))
-    return dict(zip(_EVI_STATS, np.array(stats).T)), errors
+        z_stat = np.where(good, 0.0, math.nan) if target is None else (a_n / s_n) * (ratio / target**s - 1.0)
+        ci_low, ci_high = (np.maximum(b, 0.0) ** (1.0 / s) for b in (ratio - half, ratio + half))
+        stats = dict(zip(_EVI_STATS, (t_n, ratio ** (1.0 / s), z_stat, ci_low, ci_high)))
+    errors = np.full(len(top), None)
+    errors[~good] = NumericalError("all top log-spacings are zero (tied observations)")
+    errors[~valid] = DomainError("the top k+1 order statistics must be positive and finite")
+    return stats, errors.tolist()
 
 
 def double_hill_components(
@@ -403,9 +395,9 @@ class MaximaResult:
     reps: int
 
     def ecdf(self, x):
-        """Empirical cdf of the normalized maxima."""
+        """Empirical cdf of the normalized maxima; NaN at a NaN point."""
         z = np.sort(self.normalized)
-        return _blockwise(lambda b: np.searchsorted(z, b, side="right") / z.size, x)
+        return _blockwise(lambda b: np.where(np.isnan(b), math.nan, np.searchsorted(z, b, side="right") / z.size), x)
 
 
 def _normalized_maxima(p: PlAptParams, n: int, g) -> np.ndarray:

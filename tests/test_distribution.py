@@ -304,9 +304,9 @@ class TestQuantile:
             tail_quantile(P_APT, 1.5)
 
     def test_branch_point_clamp(self):
-        # At v = 1 the Lambert argument rounds to 5.6e-17 below -1/e; it is
-        # clamped to the branch point, where W = -1 and Q = (1 - beta)/theta < 0
-        # by one ulp of beta, so the quantile is 0.
+        # At v = 1 the Lambert argument rounds to 5.6e-17 below -1/e, where
+        # W_{-1} returns -1 as at the branch point itself, and Q = (1 - beta)/theta
+        # < 0 by one ulp of beta, so the quantile is 0.
         p = PlAptParams(0.01, math.nextafter(1.0, 2.0), 1.0)
         assert distribution._w_argument(p, 1.0) < distribution.BRANCH_POINT
         assert tail_quantile(p, 1.0) == 0.0
@@ -324,7 +324,7 @@ class TestQuantile:
     @pytest.mark.parametrize("alpha", [1e16, 1e17, 1e300])
     def test_huge_alpha(self, alpha):
         # From alpha ~ 2**53 on, v*(1 - alpha)/alpha rounds to -1 at v = 1 and
-        # the Lambert argument to -inf; it is clamped, with no warning (the
+        # the Lambert argument to -inf; W_{-1} is -1 there, with no warning (the
         # suite turns RuntimeWarnings into errors), and Q(0) = 0.
         p = PlAptParams(alpha, 2.0, 1.0)
         assert quantile(p, 0.0) == 0.0

@@ -353,6 +353,92 @@ class TestDoubleHill:
                 WeightSpec(**kwargs)
 
 
+def scalar_double_hill_rows(top, weights, target=None, reversed_power=True):
+    """The per-row loop that computed _double_hill_rows' statistics in Python
+    floats, one row at a time.  Its terms power the spacings through a
+    reversed view, as that loop did, or, with reversed_power=False, as one
+    contiguous array, as the array form does."""
+    s, f_j, a_n, s_n, _ = weights
+    with np.errstate(divide="ignore", invalid="ignore"):
+        spacings = np.diff(np.log(top), axis=1)
+        if reversed_power:
+            powered = (spacings.ravel()[::-1] ** s)[::-1].reshape(spacings.shape)
+        else:
+            powered = spacings**s
+        terms = f_j[::-1] * powered
+    stats, errors = [], []
+    rows = zip(top[:, 0].tolist(), top[:, -1].tolist(), np.any(spacings > 0.0, axis=1).tolist(), terms)
+    for lowest, highest, spaced, row_terms in rows:
+        error = None
+        if not (lowest > 0.0 and highest < math.inf):
+            error = DomainError("the top k+1 order statistics must be positive and finite")
+        elif not spaced:
+            error = NumericalError("all top log-spacings are zero (tied observations)")
+        errors.append(error)
+        if error is not None:
+            stats.append((math.nan,) * 5)
+            continue
+        t_n = math.fsum(row_terms.tolist())
+        ratio = t_n / a_n
+        half = extremes._Z975 * (s_n / a_n) * ratio
+        z_stat = 0.0 if target is None else (a_n / s_n) * (ratio / target**s - 1.0)
+        ci_low, ci_high = (max(ratio + d, 0.0) ** (1.0 / s) for d in (-half, half))
+        stats.append((t_n, ratio ** (1.0 / s), z_stat, ci_low, ci_high))
+    return dict(zip(extremes._EVI_STATS, np.array(stats).T)), errors
+
+
+def _mixed_stack(k, seed):
+    # good rows around one of each failing kind: a nonpositive lowest value,
+    # a row ending in inf, a NaN row and an all-ties row
+    top = np.sort(np.random.default_rng(seed).random((8, k + 1)) ** -0.6, axis=1)
+    top[1, 0] = 0.0
+    top[3, -1] = math.inf
+    top[4] = math.nan
+    top[6] = 2.0
+    return top
+
+
+class TestDoubleHillRows:
+    """The array form of _double_hill_rows against the per-row scalar loop."""
+
+    def _compare(self, w, k, target, seed):
+        top = _mixed_stack(k, seed)
+        weights = extremes._hill_weights(w, k)
+        stats, errors = extremes._double_hill_rows(top, weights, target)
+        want, want_errors = scalar_double_hill_rows(top, weights, target)
+        assert [type(e) for e in errors] == [type(e) for e in want_errors]
+        assert [str(e) for e in errors] == [str(e) for e in want_errors]
+        assert [e is None for e in errors] == [True, False, True, False, False, True, False, True]
+        good = np.array([e is None for e in errors])
+        for col in stats.values():
+            assert col.dtype == float and np.all(np.isnan(col[~good]))
+        return stats, want, good, (top, weights)
+
+    @pytest.mark.parametrize("target", [None, 0.6])
+    @pytest.mark.parametrize("w", [WeightSpec.hill(), WeightSpec.power(0.5), WeightSpec.custom(np.linspace(0.5, 4, 40))])
+    def test_hill_exponent_is_bitwise(self, w, target):
+        stats, want, _, _ = self._compare(w, 40, target, seed=30)
+        for key, col in stats.items():
+            assert np.array_equal(col, want[key], equal_nan=True), key
+
+    @pytest.mark.parametrize("target", [None, 0.6])
+    @pytest.mark.parametrize("s", [0.5, 0.7, 1.5, 2.0])
+    def test_other_exponents_within_rounding(self, s, target):
+        for seed, w in enumerate((WeightSpec.hill(s=s), WeightSpec.power(0.5, s=s))):
+            stats, want, good, (top, weights) = self._compare(w, 60, target, seed=31 + seed)
+            # numpy powers the contiguous spacings in another loop than a
+            # reversed view: each nonnegative term moves by at most 1 ulp, so
+            # the exact sum by at most 2**-52 of itself plus its own rounding
+            t_n, old = stats["t_n"][good], want["t_n"][good]
+            assert np.all(np.abs(t_n - old) <= 2.0**-51 * old)
+            # on the same terms, each statistic is that of the scalar loop to
+            # 1 ulp: numpy's ** against Python's
+            same_terms, _ = scalar_double_hill_rows(top, weights, target, reversed_power=False)
+            for key, col in stats.items():
+                ref = same_terms[key][good]
+                assert np.all(np.abs(col[good] - ref) <= np.spacing(np.abs(ref))), key
+
+
 class TestEviTest:
     def test_target_at_estimate_gives_zero(self):
         rng = np.random.default_rng(18)
@@ -426,6 +512,13 @@ class TestMaximaNormalization:
         assert res.ecdf(math.inf) == 1.0
         mid = res.ecdf(float(np.median(res.normalized)))
         assert 0.4 <= mid <= 0.6
+
+    def test_ecdf_of_nan_is_nan(self):
+        # as cdf reads NaN at NaN; searchsorted alone sorts NaN last, giving 1
+        res = maxima_normalization(PlAptParams(2.0, 2.5, 1.5), n=100, reps=10, seed=1)
+        got = res.ecdf([0.0, math.nan])
+        assert got[0] == np.mean(res.normalized <= 0.0) and math.isnan(got[1])
+        assert math.isnan(res.ecdf(math.nan))
 
     def test_alpha_one(self):
         # the bounds of the alpha != 1 tests above

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plapt import BRANCH_POINT, DomainError, LambertBranch, lambert_w
+from plapt.special_functions import _wm1
 
 NEG = LambertBranch.NEGATIVE_ONE
 EPS = float(np.finfo(float).eps)
@@ -83,6 +84,14 @@ class TestLambertW:
 
     def test_branch_point(self):
         assert lambert_w(NEG, -math.exp(-1.0)) == -1.0
+
+    def test_kernel_is_minus_one_at_and_below_branch_point(self):
+        # 1 + e*z rounds to 0 at the float -1/e and stays <= 0 below it, where
+        # the kernel returns -1: the quantile passes it arguments rounded
+        # below -1/e, and -inf, with no clamp
+        z = np.array([BRANCH_POINT, np.nextafter(BRANCH_POINT, -1.0), -1.0, -math.inf])
+        assert np.e * BRANCH_POINT + 1.0 == 0.0
+        assert np.array_equal(_wm1(z), [-1.0, -1.0, -1.0, -1.0])
 
     def test_known_constructions(self):
         # w*exp(w) = z is satisfied by construction at w = -2 and w = -1.1
