@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainError, NumericalError
-from .special_functions import _TINY, BRANCH_POINT, _wm1
+from .special_functions import _TINY, _wm1
 
 __all__ = [
     "PlAptParams",

@@ -7,6 +7,7 @@ T_n(f, s) with its centering/scaling constants and asymptotic test.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -394,9 +395,14 @@ class MaximaResult:
     n: int
     reps: int
 
+    @functools.cached_property
+    def _sorted(self) -> np.ndarray:
+        # the maxima sorted once, for ecdf; normalized keeps replication order
+        return np.sort(self.normalized)
+
     def ecdf(self, x):
         """Empirical cdf of the normalized maxima; NaN at a NaN point."""
-        z = np.sort(self.normalized)
+        z = self._sorted
         return _blockwise(lambda b: np.where(np.isnan(b), math.nan, np.searchsorted(z, b, side="right") / z.size), x)
 
 

@@ -16,13 +16,16 @@ and ``model_compare`` and the simulation studies the candidates of many
 samples at once.  A lane's arithmetic is elementwise and its sums are row
 sums, so its result does not depend on the lanes fitted beside it.  Each
 distinct (sample, alpha) pair is one lane; the lanes at alpha = 1 trail,
-so that the others alone evaluate the alpha-power term.
+so that the others alone evaluate the alpha-power term.  ``_fit_rows``
+returns the fits as columns over (sample, alpha) (``_Fits``), with each
+fit's error beside them.  Only ``fit_mle``, ``fit_mle_profile`` and
+``model_compare`` build ``FitResult`` and ``ModelCompareRow`` objects
+from them; the studies read the columns.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -172,27 +175,37 @@ class FitResult:
         return self.status == "converged"
 
 
+# A singular, indefinite or infinite Hessian gives NaN or inf entries, and
+# no warning, as in Python floats.
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _covariance(h_tt, h_tb, h_bb, e):
-    # The standard errors and the inverse of the observed information -H of a
-    # fit at scale 2**e, theta scaled back by 2**-e (FitResult's field order);
-    # the inverse is None unless -H is positive definite.
+    # The standard errors and the inverse of the observed information -H of
+    # fits at scale 2**e, theta scaled back by 2**-e (FitResult's field
+    # order), one entry per fit: a (fits, 2, 2) array of inverses.  All are
+    # NaN where -H is not positive definite.  Where it is, the off-diagonal
+    # h_tb/det is never NaN, so an inverse all NaN marks the others.
     det = h_tt * h_bb - h_tb * h_tb
-    if not (h_tt < 0.0 and det > 0.0):
-        return math.nan, math.nan, None
-    cov = np.ldexp(np.array([[-h_bb, h_tb], [h_tb, -h_tt]]) / det, [[-2 * e, -e], [-e, 0]])
-    return float(np.ldexp(math.sqrt(-h_bb / det), -e)), math.sqrt(-h_tt / det), cov
+    definite = (h_tt < 0.0) & (det > 0.0)
+    cov = np.ldexp(np.array([[-h_bb, h_tb], [h_tb, -h_tt]]) / det, np.array([[-2 * e, -e], [-e, 0 * e]]))
+    stderrs = np.ldexp(np.sqrt(-h_bb / det), -e), np.sqrt(-h_tt / det)
+    return (*(np.where(definite, v, math.nan) for v in stderrs), np.moveaxis(np.where(definite, cov, math.nan), -1, 0))
 
 
-def _best(fits: list) -> FitResult:
-    # The highest log-likelihood of a profile's fits, preferring fits that
-    # reached a maximum or a boundary; raises the first error among them.
-    if not fits:
+def _best(status, loglik):
+    # The column of each row's chosen fit in a (rows, alphas) grid of one
+    # profile: that of its first error if it has one, else the highest
+    # log-likelihood, preferring fits that reached a maximum or a boundary,
+    # the first maximal one as max() picks it (NaN included).
+    if not status.shape[1]:
         raise DomainError("alpha grid must be nonempty")
-    for fit in fits:
-        if isinstance(fit, PlaptError):
-            raise fit
-    finished = [f for f in fits if f.status != "max_iter"]
-    return max(finished or fits, key=lambda f: f.loglik)
+    failed = status == _FAILED
+    finished = status != _MAX_ITER
+    candidate = np.where(finished.any(axis=1, keepdims=True), finished, True)
+    best = candidate.argmax(axis=1)
+    rows = np.arange(len(best))
+    for j in range(1, status.shape[1]):
+        best = np.where(candidate[:, j] & (loglik[:, j] > loglik[rows, best]), j, best)
+    return np.where(failed.any(axis=1), failed.argmax(axis=1), best)
 
 
 _CONVERGED, _BETA_ONE, _BETA_INF, _MAX_ITER, _FAILED = range(5)
@@ -306,18 +319,56 @@ def _chunks(count: int, n: int) -> list[range]:
     return [range(k, min(k + size, count)) for k in range(0, count, size)]
 
 
-def _fit_rows(x: np.ndarray, alphas: Sequence[float], init=None, max_iter: int = MAX_ITER) -> list[list]:
+@dataclass(frozen=True, eq=False)
+class _Fits:
+    """The fits of a stack of rows at a list of alphas, as columns: entry
+    ``[r, j]`` of each (rows, alphas) array is the fit of row r at
+    ``alphas[j]``, in the units of the rows.  An entry whose fit raised
+    holds the ``PlaptError`` in ``error``, status ``_FAILED``, NaN values and
+    0 iterations; the standard errors and the (rows, alphas, 2, 2)
+    ``covariance`` are NaN where -H is not positive definite."""
+
+    alphas: list
+    theta: np.ndarray
+    beta: np.ndarray
+    loglik: np.ndarray
+    stderr_theta: np.ndarray
+    stderr_beta: np.ndarray
+    score_theta: np.ndarray
+    score_beta: np.ndarray
+    covariance: np.ndarray
+    status: np.ndarray
+    iterations: np.ndarray
+    error: np.ndarray  # objects: a PlaptError or None
+
+    def result(self, r: int, j: int) -> FitResult:
+        """The ``FitResult`` of entry ``[r, j]``, or raise its error."""
+        if (error := self.error[r, j]) is not None:
+            raise error
+        columns = (self.theta, self.beta, self.loglik, self.stderr_theta, self.stderr_beta)
+        theta, beta, loglik, stderr_theta, stderr_beta = (v[r, j].item() for v in columns)
+        norm = math.hypot(self.score_theta[r, j].item(), self.score_beta[r, j].item())
+        cov = self.covariance[r, j]
+        return FitResult(
+            PlAptParams(self.alphas[j], beta, theta), loglik, norm, self.iterations[r, j].item(),
+            _STATUS[self.status[r, j]], stderr_theta, stderr_beta, None if np.isnan(cov).all() else cov.copy(),
+        )
+
+
+def _fit_rows(x: np.ndarray, alphas: Sequence[float], init=None, max_iter: int = MAX_ITER) -> _Fits:
     """Fit every row of ``x`` at every alpha, each fit a lane of the
-    lockstep engine.
+    lockstep engine, and return the fits as columns (``_Fits``).
 
     ``x`` is a stack of nonnegative rows of one size, each sorted
     ascending; a row may end in inf, a study's quantile beyond the float
-    range, and is then flagged as ``Sample`` flags it.  Entry ``[r][j]`` of
-    the result is the ``FitResult`` of ``fit_mle(alphas[j], Sample(x[r]),
-    init, max_iter=max_iter)``, or the ``PlaptError`` it raises; a repeated
-    alpha is fitted once and gets that same result.  All lanes run in one
-    run of chunks (``_chunks``), those at alpha = 1 last, which skip the
-    alpha-power term.
+    range, and is then flagged as ``Sample`` flags it.  Entry ``[r, j]`` of
+    the result holds what ``fit_mle(alphas[j], Sample(x[r]), init,
+    max_iter=max_iter)`` returns or raises (``_Fits.result`` builds that
+    ``FitResult``); a repeated alpha is fitted once and its entries hold
+    that fit.  All lanes run in one run of chunks (``_chunks``), those at
+    alpha = 1 last, which skip the alpha-power term.  No object is built
+    per fit: only ``fit_mle``, ``fit_mle_profile`` and ``model_compare``
+    build them, from the columns.
 
     Each row is fitted as y = x * 2**-e, its maximum in [0.5, 1), and the
     fit is scaled back to the units of x: a fit to x * 2**k is the fit to x
@@ -327,58 +378,79 @@ def _fit_rows(x: np.ndarray, alphas: Sequence[float], init=None, max_iter: int =
     if init is not None and len(init) != 2:
         raise DomainError(f"init must be a pair (theta0, beta0), got {init!r}")
     alphas = [float(a) for a in alphas]
-    n = x.shape[1]
+    lane_alphas: dict = {}  # one lane column per distinct alpha
+    col = np.array([lane_alphas.setdefault(a, len(lane_alphas)) for a in alphas], int)
+    count, n = x.shape
+    shape = (count, len(lane_alphas))
     e = np.frexp(x[:, -1])[1]
     y = np.ldexp(x, -e[:, None])
-    out: list[list] = [[None] * len(alphas) for _ in x]
-    # fit_mle's checks, each made once, in its order: Sample's finiteness
-    # (a sorted row is finite where its last value is), too few or all-zero
-    # observations, alpha, the start point.
-    alpha_errors = [_param_error("alpha", a) for a in alphas]
     init = None if init is None else (float(init[0]), float(init[1]))
-    start_error = init and (_param_error("beta", init[1]) or _param_error("theta", init[0]))
-    few = n < 2 and DomainError("fitting requires at least two observations")
     with np.errstate(over="ignore", divide="ignore"):  # zero rows start none
         theta0 = np.ldexp(init[0], e) if init else 1.0 / y.mean(axis=1)
-    lanes: dict[tuple, object] = {}  # (row, alpha): None, then the fit
-    for r, (row, top, t0, e_r) in enumerate(zip(out, x[:, -1].tolist(), theta0.tolist(), e.tolist())):
-        infinite = not math.isfinite(top) and DomainError("sample values must be finite")
-        row_error = infinite or few or (top == 0.0 and DomainError(_ZERO_SAMPLE))
-        if init and not start_error and not _TINY <= t0 < math.inf:  # theta0 at the row's scale
-            row_start_error = DomainError(
+    # fit_mle's checks, each made once, in its order: Sample's finiteness
+    # (a sorted row is finite where its last value is), too few or all-zero
+    # observations, alpha, the start point.  The last is written first, so
+    # that each earlier check overwrites it.
+    errors = np.full(shape, None, object)
+    if init and (start_error := _param_error("beta", init[1]) or _param_error("theta", init[0])):
+        errors[:] = start_error
+    elif init:  # theta0 at each row's scale
+        off_scale = ~((_TINY <= theta0) & (theta0 < math.inf))
+        for r, e_r in zip(np.flatnonzero(off_scale).tolist(), e[off_scale].tolist()):
+            errors[r] = DomainError(
                 f"start point {init}: theta0 * 2**{e_r} leaves the normal float range at the sample's scale 2**{e_r}"
             )
-        else:
-            row_start_error = start_error
-        for j, alpha in enumerate(alphas):
-            row[j] = row_error or alpha_errors[j] or row_start_error
-            if row[j] is None:
-                lanes[r, alpha] = None
-    order = sorted(lanes, key=lambda lane: lane[1] == 1.0)
-    for chunk in _chunks(len(order), n):
-        keys = order[chunk.start : chunk.stop]
-        rows, alpha = (list(v) for v in zip(*keys))
-        beta0 = np.full(len(rows), init[1] if init else 2.0)
-        final, status, iterations = _fit_chunk(y[rows], np.array(alpha), theta0[rows], beta0, max_iter)
-        failed = status == _FAILED
-        for key in compress(keys, failed):
-            lanes[key] = NumericalError(_NOT_FINITE)
-        _, m, theta, beta, _, ll, *derivs = final[:, ~failed]
-        (s_t, s_b), hess = _theta_beta(theta, m, *derivs)
-        e_fit = e[rows][~failed]
-        with np.errstate(over="ignore"):  # a score or covariance entry beyond the float range is inf
-            scaled = np.ldexp(theta, -e_fit), ll - (n * math.log(2.0)) * e_fit, np.ldexp(s_t, e_fit)
-            values = (*scaled, beta, s_b, *hess, theta, e_fit, status[~failed], iterations[~failed])
-            for (r, a), *vals in zip(compress(keys, ~failed), *(v.tolist() for v in values)):
-                theta_i, ll_i, s_t_i, beta_i, s_b_i, h_tt, h_tb, h_bb, fitted, e_i, code, its = vals
-                if 0.0 < theta_i < math.inf:
-                    params, norm = PlAptParams(a, beta_i, theta_i), math.hypot(s_t_i, s_b_i)
-                    stderrs = _covariance(h_tt, h_tb, h_bb, e_i)
-                    lanes[r, a] = FitResult(params, ll_i, norm, its, _STATUS[code], *stderrs)
-                else:
-                    lanes[r, a] = DomainError(f"fitted theta {fitted!r} * 2**{-e_i} leaves the float range"
-                                              f" at the sample's scale 2**{e_i}")
-    return [[fit or lanes[r, a] for a, fit in zip(alphas, row)] for r, row in enumerate(out)]
+    for k, alpha in enumerate(lane_alphas):
+        if error := _param_error("alpha", alpha):
+            errors[:, k] = error
+    for r in np.flatnonzero(x[:, -1] == 0.0).tolist():
+        errors[r] = DomainError(_ZERO_SAMPLE)
+    if n < 2:
+        errors[:] = DomainError("fitting requires at least two observations")
+    for r in np.flatnonzero(~np.isfinite(x[:, -1])).tolist():
+        errors[r] = DomainError("sample values must be finite")
+    # The lanes in row order, each row's alphas in grid order, those at alpha = 1 last.
+    lane_r, lane_k = np.nonzero(np.equal(errors, None))
+    lane_alpha = np.array(list(lane_alphas))[lane_k]
+    order = np.argsort(lane_alpha == 1.0, kind="stable")
+    lane_r, lane_k, lane_alpha = lane_r[order], lane_k[order], lane_alpha[order]
+    final = np.empty((11, lane_r.size))
+    codes, steps = np.empty((2, lane_r.size), int)
+    for chunk in _chunks(lane_r.size, n):
+        c, rows = slice(chunk.start, chunk.stop), lane_r[chunk.start : chunk.stop]
+        beta0 = np.full(rows.size, init[1] if init else 2.0)
+        final[:, c], codes[c], steps[c] = _fit_chunk(y[rows], lane_alpha[c], theta0[rows], beta0, max_iter)
+    failed = codes == _FAILED
+    for r, k in zip(lane_r[failed].tolist(), lane_k[failed].tolist()):
+        errors[r, k] = NumericalError(_NOT_FINITE)
+    done = ~failed
+    lane_r, lane_k, codes, steps, e_fit = lane_r[done], lane_k[done], codes[done], steps[done], e[lane_r[done]]
+    _, m, theta, beta, _, ll, *derivs = final[:, done]
+    (s_t, s_b), hess = _theta_beta(theta, m, *derivs)
+    with np.errstate(over="ignore"):  # a score or covariance entry beyond the float range is inf
+        theta_x = np.ldexp(theta, -e_fit)
+        stderr_theta, stderr_beta, cov = _covariance(*hess, e_fit)
+        # in the field order of _Fits
+        floats = np.array(
+            (theta_x, beta, ll - (n * math.log(2.0)) * e_fit, stderr_theta, stderr_beta, np.ldexp(s_t, e_fit), s_b)
+        )
+    # The fitted parameters by PlAptParams' rule.
+    fitted = np.ones(lane_r.size, bool)
+    for i, (t, b) in enumerate(zip(theta_x.tolist(), beta.tolist())):
+        if _param_error("theta", t):
+            t, e_i = theta[i].item(), e_fit[i].item()
+            error = DomainError(f"fitted theta {t!r} * 2**{-e_i} leaves the float range at the sample's scale 2**{e_i}")
+        elif not (error := _param_error("beta", b)):
+            continue
+        errors[lane_r[i], lane_k[i]], fitted[i] = error, False
+    r, k = lane_r[fitted], lane_k[fitted]
+    columns = np.full((len(floats), *shape), math.nan)
+    columns[:, r, k] = floats[:, fitted]
+    covariance = np.full((*shape, 2, 2), math.nan)
+    covariance[r, k] = cov[fitted]
+    status, iterations = np.full(shape, _FAILED), np.zeros(shape, int)
+    status[r, k], iterations[r, k] = codes[fitted], steps[fitted]
+    return _Fits(alphas, *columns[:, :, col], covariance[:, col], status[:, col], iterations[:, col], errors[:, col])
 
 
 def fit_mle(
@@ -434,7 +506,7 @@ def fit_mle(
     NumericalError
         If the Hessian of the log-likelihood is not finite or is singular.
     """
-    return _best(_fit_rows(data.values[None, :], [alpha], init, max_iter)[0])
+    return _fit_rows(data.values[None, :], [alpha], init, max_iter).result(0, 0)
 
 
 def fit_mle_profile(
@@ -449,8 +521,10 @@ def fit_mle_profile(
     together with all per-alpha results.  An alpha repeated in the grid is
     fitted once, and each of its entries is that same ``FitResult``.
     """
-    fits = _fit_rows(data.values[None, :], alpha_grid, init)[0]
-    return _best(fits), fits
+    fits = _fit_rows(data.values[None, :], alpha_grid, init)
+    made: dict = {}  # one FitResult per distinct alpha; the first error in grid order raises
+    profile = [made[a] if a in made else made.setdefault(a, fits.result(0, j)) for j, a in enumerate(fits.alphas)]
+    return profile[_best(fits.status, fits.loglik)[0]], profile
 
 
 @dataclass(frozen=True)
@@ -517,12 +591,13 @@ class ModelCompareRow:
     error: str | None = None
 
 
-def _lindley_rows(x: np.ndarray) -> list:
-    # Theta and log-likelihood of the one-parameter Lindley fit to every row
-    # (or its error): the stationary point is the positive root of
-    # m*theta**2 + (m - 1)*theta - 2 = 0, m = mean, taken in a form that does
-    # not cancel (Ghitany, Atieh & Nadarajah 2008).  A root that leaves
-    # beta = 1 + theta outside (1, inf), as from m = 2e16 up, is flagged.
+def _lindley_rows(x: np.ndarray) -> tuple:
+    # Theta and log-likelihood of the one-parameter Lindley fit to every row,
+    # and each row's error or None (its log-likelihood NaN): the stationary
+    # point is the positive root of m*theta**2 + (m - 1)*theta - 2 = 0,
+    # m = mean, taken in a form that does not cancel (Ghitany, Atieh &
+    # Nadarajah 2008).  A root that leaves beta = 1 + theta outside (1, inf),
+    # as from m = 2e16 up, is flagged.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         m = x.mean(axis=1)
         root_8m = np.sqrt(8.0 * m)
@@ -531,57 +606,62 @@ def _lindley_rows(x: np.ndarray) -> list:
     good = (1.0 + theta > 1.0) & (theta < math.inf)
     t, xs = theta[good], x[good]
     at_one = _alpha_terms(np.ones_like(t), x.shape[1])
-    ll = iter(_lane_derivatives(t, t, 1.0 / (1.0 + t), xs, xs.sum(axis=1), *at_one)[0].tolist())
-    return [
-        (th, next(ll))
-        if ok
-        else DomainError(_ZERO_SAMPLE if zero else f"Lindley theta {th!r} at mean {mean!r} is out of range: "
-                         f"beta = 1 + theta {'overflows' if th == math.inf else 'rounds to 1'}")
-        for th, mean, ok, zero in zip(theta.tolist(), m.tolist(), good.tolist(), (x[:, -1] == 0.0).tolist())
-    ]
+    ll = np.full(theta.size, math.nan)
+    ll[good] = _lane_derivatives(t, t, 1.0 / (1.0 + t), xs, xs.sum(axis=1), *at_one)[0]
+    errors = [None] * theta.size
+    for r in np.flatnonzero(~good).tolist():
+        th, mean = theta[r].item(), m[r].item()
+        errors[r] = DomainError(_ZERO_SAMPLE if x[r, -1] == 0.0 else f"Lindley theta {th!r} at mean {mean!r} is out of "
+                                f"range: beta = 1 + theta {'overflows' if th == math.inf else 'rounds to 1'}")
+    return theta, ll, errors
 
 
-def _information_criteria(loglik: float, n_free: int, n: int) -> tuple[float, float]:
-    """AIC and BIC of a fit with n_free free parameters to n observations."""
+def _information_criteria(loglik, n_free, n: int) -> tuple:
+    """AIC and BIC of fits with n_free free parameters to n observations
+    (floats or arrays)."""
     return 2.0 * n_free - 2.0 * loglik, n_free * math.log(n) - 2.0 * loglik
 
 
-def _compare_row(name: str, n_free: int, n: int, outcome) -> ModelCompareRow:
-    # The table line of one candidate: outcome is a FitResult, a Lindley
-    # (theta, loglik) pair or the exception that stopped the fit.
-    if isinstance(outcome, Exception):
-        return ModelCompareRow(name, 0, math.nan, math.nan, math.nan, False, None, error=str(outcome))
-    if isinstance(outcome, FitResult):
-        ll, params, conv = outcome.loglik, outcome.params, outcome.converged
-        err = "fit did not converge" if outcome.status == "max_iter" else None
-    else:
-        theta, ll = outcome
-        params, conv, err = PlAptParams(1.0, 1.0 + theta, theta), True, None
-    aic, bic = _information_criteria(ll, n_free, n)
-    return ModelCompareRow(name, n_free, ll, aic, bic, converged=conv, params=params, error=err)
-
-
-def _model_compare_rows(x: np.ndarray, candidates: Sequence[FamilySpec]) -> list[list[ModelCompareRow]]:
+def _model_compare_rows(x: np.ndarray, candidates: Sequence[FamilySpec]) -> dict:
     """:func:`model_compare` for every row of x, a stack of sorted samples
-    of one size; the alphas of all candidates are fitted in one call."""
-    n = x.shape[1]
+    of one size, as (rows, candidates) columns: loglik, aic, bic,
+    converged, n_free (0 where the candidate failed, whose params are then
+    not read), params ((alpha, beta, theta) in a last axis) and, per
+    candidate, error (each row's message or None).  The alphas of all
+    candidates are fitted in one call."""
+    count, n = x.shape
     grids = [fam._alphas() for fam in candidates]
     fits = _fit_rows(x, [a for grid in grids for a in grid])
-    lindley = _lindley_rows(x) if any(fam.kind == "lindley" for fam in candidates) else None
-    table = []
-    for r, row_fits in enumerate(fits):
-        row, row_fits = [], iter(row_fits)
-        for fam, grid in zip(candidates, grids):
-            if fam.kind == "lindley":
-                outcome = lindley[r]
-            else:
-                try:
-                    outcome = _best([next(row_fits) for _ in grid])
-                except PlaptError as exc:
-                    outcome = exc
-            row.append(_compare_row(fam.name, fam._n_free(), n, outcome))
-        table.append(row)
-    return table
+    alphas = np.array(fits.alphas)
+    shape, rows = (count, len(candidates)), np.arange(count)
+    loglik, params = np.full(shape, math.nan), np.full((*shape, 3), math.nan)
+    converged, n_free = np.zeros(shape, bool), np.zeros(shape, int)
+    errors = []
+    start = 0
+    for f, (fam, grid) in enumerate(zip(candidates, grids)):
+        if fam.kind == "lindley":
+            theta, loglik[:, f], error = _lindley_rows(x)
+            params[:, f] = np.stack([np.ones_like(theta), 1.0 + theta, theta], axis=1)
+            fitted = converged[:, f] = np.array([err is None for err in error], bool)
+        else:
+            cols = slice(start, start + len(grid))
+            start += len(grid)
+            try:
+                j = cols.start + _best(fits.status[:, cols], fits.loglik[:, cols])
+            except DomainError as exc:  # an empty grid
+                errors.append([str(exc)] * count)
+                continue
+            status = fits.status[rows, j]
+            fitted, converged[:, f] = status != _FAILED, status == _CONVERGED
+            loglik[:, f] = fits.loglik[rows, j]
+            params[:, f] = np.stack([alphas[j], fits.beta[rows, j], fits.theta[rows, j]], axis=1)
+            error = [err or ("fit did not converge" if code == _MAX_ITER else None)
+                     for err, code in zip(fits.error[rows, j].tolist(), status.tolist())]
+        n_free[fitted, f] = fam._n_free()
+        errors.append([None if err is None else str(err) for err in error])
+    aic, bic = _information_criteria(loglik, n_free, n)
+    return {"loglik": loglik, "aic": aic, "bic": bic, "converged": converged, "n_free": n_free, "params": params,
+            "error": errors}
 
 
 def model_compare(data: Sample, candidates: Sequence[FamilySpec]) -> list[ModelCompareRow]:
@@ -591,4 +671,11 @@ def model_compare(data: Sample, candidates: Sequence[FamilySpec]) -> list[ModelC
     limit, contributes a flagged row instead of aborting the table; a fit on
     a boundary is scored with its last iterate.
     """
-    return _model_compare_rows(data.values[None, :], candidates)[0]
+    cols = _model_compare_rows(data.values[None, :], candidates)
+    table = []
+    for f, fam in enumerate(candidates):
+        n_free = cols["n_free"][0, f].item()
+        params = PlAptParams(*cols["params"][0, f].tolist()) if n_free else None
+        scores = (cols[key][0, f].item() for key in ("loglik", "aic", "bic", "converged"))
+        table.append(ModelCompareRow(fam.name, n_free, *scores, params, cols["error"][f][0]))
+    return table

@@ -35,9 +35,12 @@ from .distribution import (
     PlAptParams, _MAX_COUNT, _MAX_REPS, _first_uniforms, _integer, _param_error, _positive, _replication_rngs,
     _seed_words, _sorted_quantiles, tail_quantile,
 )
-from .exceptions import DomainError, PlaptError
+from .exceptions import DomainError
 from .extremes import WeightSpec, _double_hill_rows, _hill_weights, _normalized_maxima, gumbel_ks_distance
-from .inference import _chunks, _fit_rows, _model_compare_rows, lindley_family, pl_apt_family, pseudo_lindley_family
+from .inference import (
+    _FAILED, _MAX_ITER, _STATUS, _chunks, _fit_rows, _model_compare_rows, lindley_family, pl_apt_family,
+    pseudo_lindley_family,
+)
 
 __all__ = [
     "ExperimentKind",
@@ -223,42 +226,40 @@ _EVI_FLOATS = ("m_n", "ci_low", "ci_high", "b_n", "target")
 
 
 def _recovery_columns(cfg: ExperimentConfig, u: np.ndarray) -> dict:
-    rows = []  # (error, status, iterations, estimates) of each replication
-    for (fit,) in _fit_rows(_sorted_quantiles(cfg.truth, u), [cfg.truth.alpha]):
-        if isinstance(fit, PlaptError):
-            rows.append((str(fit), None, 0, (math.nan,) * len(_RECOVERY_FLOATS)))
-        else:
-            error = "fit did not converge" if fit.status == "max_iter" else None
-            estimates = (fit.params.theta, fit.params.beta, fit.stderr_theta, fit.stderr_beta, fit.loglik)
-            rows.append((error, fit.status, fit.iterations, estimates))
-    error, status, iterations, estimates = zip(*rows)
+    fits = _fit_rows(_sorted_quantiles(cfg.truth, u), [cfg.truth.alpha])
+    codes, errors = fits.status[:, 0], fits.error[:, 0].tolist()
+    status = [None if err else _STATUS[code] for err, code in zip(errors, codes.tolist())]
+    estimates = (fits.theta, fits.beta, fits.stderr_theta, fits.stderr_beta, fits.loglik)
     return {
-        "ok": np.array([e is None for e in error]),
-        **dict(zip(_RECOVERY_FLOATS, np.array(estimates).T)),
-        "iterations": np.array(iterations),
-        "status": list(status),
-        "error": list(error),
+        "ok": (codes != _FAILED) & (codes != _MAX_ITER),
+        **{key: v[:, 0] for key, v in zip(_RECOVERY_FLOATS, estimates)},
+        "iterations": fits.iterations[:, 0],
+        "status": status,
+        "error": [
+            str(err) if err else "fit did not converge" if s == "max_iter" else None for err, s in zip(errors, status)
+        ],
     }
 
 
 def _model_compare_columns(cfg: ExperimentConfig, u: np.ndarray) -> dict:
     grid = cfg.alpha_grid if cfg.alpha_grid is not None else _DEFAULT_ALPHA_GRID
     candidates = [lindley_family(), pseudo_lindley_family(), pl_apt_family(alpha_grid=grid)]
-    tables = _model_compare_rows(_sorted_quantiles(cfg.truth, u), candidates)  # rows named as _FAMILIES
-    winner, error = [], []
-    for rows in tables:
-        scored = [r for r in rows if r.error is None and math.isfinite(r.aic)]
-        winner.append(min(scored, key=lambda r: r.aic).name if scored else None)
-        errors = [f"{r.name}: {r.error}" for r in rows if r.error is not None]
-        error.append("; ".join(errors) if errors else None)
     # (replications, families) arrays, families in _FAMILIES order
+    cols = _model_compare_rows(_sorted_quantiles(cfg.truth, u), candidates)
+    family_error = list(zip(*cols["error"]))
+    flagged = np.array([[err is not None for err in errors] for errors in family_error], bool)
+    scored = ~flagged & np.isfinite(cols["aic"])
+    # the first family of least AIC among those scored, as min() picks it
+    best = np.where(scored, cols["aic"], math.inf).argmin(axis=1).tolist()
     return {
-        "ok": np.array([e is None for e in error]),
-        **{key: np.array([[getattr(r, key) for r in rows] for rows in tables]) for key in ("loglik", "aic", "bic")},
-        "converged": np.array([[r.converged for r in rows] for rows in tables]),
-        "family_error": [tuple(r.error for r in rows) for rows in tables],
-        "winner": winner,
-        "error": error,
+        "ok": ~flagged.any(axis=1),
+        **{key: cols[key] for key in ("loglik", "aic", "bic", "converged")},
+        "family_error": family_error,
+        "winner": [_FAMILIES[f] if any_ else None for f, any_ in zip(best, scored.any(axis=1).tolist())],
+        "error": [
+            "; ".join(f"{name}: {err}" for name, err in zip(_FAMILIES, errors) if err is not None) or None
+            for errors in family_error
+        ],
     }
 
 

@@ -520,6 +520,18 @@ class TestMaximaNormalization:
         assert got[0] == np.mean(res.normalized <= 0.0) and math.isnan(got[1])
         assert math.isnan(res.ecdf(math.nan))
 
+    def test_ecdf_reads_a_sorted_copy(self):
+        # normalized stays in replication order, one maximum per stream
+        res = maxima_normalization(PlAptParams(2.0, 2.5, 1.5), n=100, reps=50, seed=3)
+        before = res.normalized.copy()
+        points = np.array([-math.inf, -1.0, 0.0, float(res.normalized[7]), 2.5, math.inf])
+        expected = np.searchsorted(np.sort(before), points, "right") / res.reps
+        assert np.array_equal(res.ecdf(points), expected)
+        assert [res.ecdf(p) for p in points.tolist()] == expected.tolist()
+        assert np.array_equal(res.normalized, before)
+        assert not np.all(np.diff(res.normalized) >= 0.0)
+        assert np.array_equal(res.normalized, maxima_normalization(PlAptParams(2.0, 2.5, 1.5), 100, 50, 3).normalized)
+
     def test_alpha_one(self):
         # the bounds of the alpha != 1 tests above
         p = PlAptParams(1.0, 2.5, 0.6)

@@ -10,6 +10,7 @@ from plapt import (
     DomainError,
     NumericalError,
     PlAptParams,
+    PlaptError,
     Sample,
     fit_mle,
     fit_mle_profile,
@@ -26,7 +27,11 @@ from plapt import (
 )
 from plapt import inference
 from plapt.inference import (
+    _BETA_INF,
+    _BETA_ONE,
+    _CONVERGED,
     _FAILED,
+    _MAX_ITER,
     _STATUS,
     MAX_ITER,
     FamilySpec,
@@ -342,7 +347,7 @@ class TestModelCompare:
         rng = np.random.default_rng(1)
         means = np.concatenate([10.0 ** rng.uniform(-300.0, 15.0, 400), 1.0 + rng.uniform(-1e-3, 1e-3, 50), [1.0, 1e15]])
         with mpmath.workdps(60):
-            for m, (theta, _) in zip(means.tolist(), _lindley_rows(np.repeat(means[:, None], 2, axis=1))):
+            for m, theta in zip(means.tolist(), _lindley_rows(np.repeat(means[:, None], 2, axis=1))[0].tolist()):
                 mm = mpmath.mpf(m)
                 root = (1 - mm + mpmath.sqrt((mm - 1) ** 2 + 8 * mm)) / (2 * mm)
                 assert abs(theta - root) <= 5e-16 * root
@@ -375,6 +380,17 @@ def _same_fit(a, b):
     assert (a.covariance is None) == (b.covariance is None)
     if a.covariance is not None:
         assert np.array_equal(a.covariance, b.covariance)
+
+
+def _entries(fits):
+    # The FitResult, or the error, of every entry of _fit_rows' columns, row by row.
+    def entry(r, j):
+        try:
+            return fits.result(r, j)
+        except PlaptError as exc:
+            return exc
+
+    return [[entry(r, j) for j in range(len(fits.alphas))] for r in range(fits.status.shape[0])]
 
 
 def _mixed_rows():
@@ -414,12 +430,12 @@ class TestLockstep:
                     _same_fit(fit, fit_mle(a, Sample(row), max_iter=max_iter))
             return together[:1] + together[2:]
 
-        together = finite_rows(_fit_rows(rows, alphas))
+        together = finite_rows(_entries(_fit_rows(rows, alphas)))
         assert [fits[0].status for fits in together] == ["boundary_beta_inf", "boundary_beta_one", "converged"]
         # An iteration limit between the lanes' counts stops some lanes
         # beside others that converge.
         limit = 8
-        limited = finite_rows(_fit_rows(rows, alphas, max_iter=limit), limit)
+        limited = finite_rows(_entries(_fit_rows(rows, alphas, max_iter=limit)), limit)
         statuses = {fit.status for fits in limited for fit in fits}
         assert {"max_iter", "converged"} <= statuses
 
@@ -428,10 +444,11 @@ class TestLockstep:
         # alpha is fitted once and gives the same result.
         rows = _mixed_rows()
         alphas = [2.0, 1.0, 1.0 + 5e-9, 2.0, 0.5, 1.0 - 5e-9]
-        together = _fit_rows(rows, alphas)
+        together = _entries(_fit_rows(rows, alphas))
         for row, fits in zip(rows, together):
             for a, fit in zip(alphas, fits):
                 _same_fit(fit, fit_mle(a, Sample(row)))
+            fits = fit_mle_profile(alphas, Sample(row))[1]
             assert fits[0] is fits[3]
 
     def test_model_compare_fits_each_alpha_once(self, monkeypatch):
@@ -448,8 +465,8 @@ class TestLockstep:
         grid = pl_apt_family(alpha_grid=_DEFAULT_ALPHA_GRID)
         table = _model_compare_rows(rows, [lindley_family(), pseudo_lindley_family(), grid])
         assert calls == [len(_DEFAULT_ALPHA_GRID) * len(rows)]
-        for row, (_, pseudo, _) in zip(rows, table):
-            assert pseudo.params == fit_mle(1.0, Sample(row)).params
+        for row, (_, pseudo, _) in zip(rows, table["params"]):
+            assert PlAptParams(*pseudo.tolist()) == fit_mle(1.0, Sample(row)).params
 
     def test_derivatives_of_mixed_lanes_equal_one_lane_calls(self):
         # The alpha = 1 lane sits before a lane off alpha = 1.
@@ -484,13 +501,55 @@ class TestLockstep:
         monkeypatch.setattr(inference, "_LOGLIK_RTOL", -1e-3)
         rows = _mixed_rows()
         alphas = [4.0, 1.0, 2.0]
-        together = _fit_rows(rows, alphas, init)
+        together = _entries(_fit_rows(rows, alphas, init))
         for row, fits in zip(rows, together):
             for a, fit in zip(alphas, fits):
                 _same_fit(fit, fit_mle(a, Sample(row), init))
         fits = [fit for fits in together for fit in fits]
         assert {fit.status for fit in fits} == {"max_iter"}
         assert len({fit.iterations for fit in fits}) > 1
+
+    def test_covariance_columns_equal_one_fit_in_python_floats(self):
+        # _covariance on arrays against the rule it had for one fit, bit for
+        # bit: Hessians of either sign and any scale, beyond the float range,
+        # zero and NaN, at scales 2**e from the subnormals to the overflow.
+        rng = np.random.default_rng(5)
+        h = rng.normal(size=(3, 4000)) * 10.0 ** rng.uniform(-200.0, 200.0, (3, 4000))
+        h[rng.random((3, 4000)) < 0.02] = math.inf
+        h[rng.random((3, 4000)) < 0.02] = -math.inf
+        h[rng.random((3, 4000)) < 0.02] = 0.0
+        h[rng.random((3, 4000)) < 0.01] = math.nan
+        h[2, :1000] = h[0, :1000] * 1e-3  # near-singular and definite ones
+        h[1, :1000] = 0.0
+        e = rng.integers(-1074, 1025, 4000).astype(np.int32)
+        stderr_theta, stderr_beta, cov = inference._covariance(*h, e)
+        for i, (h_tt, h_tb, h_bb, e_i) in enumerate(zip(*h.tolist(), e.tolist())):
+            det = h_tt * h_bb - h_tb * h_tb
+            if not (h_tt < 0.0 and det > 0.0):
+                assert math.isnan(stderr_theta[i]) and math.isnan(stderr_beta[i]) and np.isnan(cov[i]).all()
+                continue
+            with np.errstate(over="ignore", invalid="ignore"):  # inf / inf
+                one = np.ldexp(np.array([[-h_bb, h_tb], [h_tb, -h_tt]]) / det, [[-2 * e_i, -e_i], [-e_i, 0]])
+                se_t = float(np.ldexp(math.sqrt(-h_bb / det), -e_i))
+            se_b = math.sqrt(-h_tt / det)
+            assert np.array_equal(cov[i], one, equal_nan=True) and not np.isnan(cov[i, 0, 1])
+            assert np.array_equal([stderr_theta[i], stderr_beta[i]], [se_t, se_b], equal_nan=True)
+
+    def test_best_picks_as_max_picks(self):
+        # _best on a (rows, alphas) grid against the rule it had for one
+        # profile's list of fits: the first error, else max() over the fits
+        # not at max_iter (all of them if none), ties and NaN included.
+        rng = np.random.default_rng(9)
+        for width in (1, 2, 5):
+            status = rng.choice([_CONVERGED, _BETA_ONE, _BETA_INF, _MAX_ITER, _MAX_ITER, _FAILED], (3000, width),
+                                p=[0.3, 0.1, 0.1, 0.2, 0.2, 0.1])
+            loglik = rng.choice([-3.0, -2.0, -1.0, -math.inf, math.nan], (3000, width))
+            for j, codes, ll in zip(inference._best(status, loglik).tolist(), status.tolist(), loglik.tolist()):
+                failed = [i for i, code in enumerate(codes) if code == _FAILED]
+                finished = [i for i, code in enumerate(codes) if code != _MAX_ITER]
+                assert j == (failed[0] if failed else max(finished or range(width), key=ll.__getitem__))
+        with pytest.raises(DomainError, match="^alpha grid must be nonempty$"):
+            inference._best(np.zeros((1, 0), int), np.zeros((1, 0)))
 
     def test_failed_lane_does_not_stop_the_others(self):
         data = sample(PlAptParams(2.0, 2.5, 0.6), 300, seed=3)

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import hashlib
 import json
@@ -35,6 +34,8 @@ from plapt import (
 )
 from plapt import NumericalError, inference, montecarlo
 from plapt.distribution import _first_uniforms, _replication_rngs, replication_rng
+from plapt.inference import _BETA_INF, _FAILED, _fit_rows
+from plapt.montecarlo import _DEFAULT_ALPHA_GRID
 
 TRUTH = PlAptParams(2.0, 2.5, 0.6)
 
@@ -482,6 +483,17 @@ def _report_json(cfg, records, summary=None):
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=True)
 
 
+# SHA-256 of the report JSON of two studies at truth _BOUNDARY_TRUTH, seed
+# 1000, recorded before the fits were kept as columns (numpy 2.4.6,
+# x86-64): 4 of the 20 recovery fits end at beta -> 1, and one pl_apt lane
+# of the model_compare profiles at beta -> inf.
+_BOUNDARY_TRUTH = PlAptParams(0.5, 1.1, 0.6)
+_BOUNDARY_DIGESTS = {
+    "recovery": (50, 20, "45d83e5d166a357b43a86a050ff5d6bf57fe04691aa31720dda261cfac5a5562"),
+    "model_compare": (1000, 6, "5990252f4b2ed6aea54621a0a2fd33331c5be69f9dfa4b099f780ea151263793"),
+}
+
+
 class TestLockstepStudies:
     # The studies stack their replications into lockstep fits; every
     # replication must come out as if it were fitted on its own.
@@ -530,6 +542,47 @@ class TestLockstepStudies:
                 assert families["lindley"]["error"] == (
                     "Lindley theta 0.0 at mean inf is out of range: beta = 1 + theta rounds to 1"
                 )
+
+    @pytest.mark.parametrize("kind", list(_BOUNDARY_DIGESTS))
+    def test_boundary_fits_hash_as_before(self, kind):
+        n, reps, digest = _BOUNDARY_DIGESTS[kind]
+        cfg = ExperimentConfig(kind=kind, n=n, reps=reps, seed=1000, truth=_BOUNDARY_TRUTH)
+        report = run_experiment(cfg)
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+        if kind == "recovery":
+            assert report.summary["status_counts"] == {"converged": 16, "boundary_beta_one": 4}
+        else:
+            rows = np.stack([sample(cfg.truth, n, replication_rng(cfg.seed, rep)).values for rep in range(reps)])
+            assert np.count_nonzero(_fit_rows(rows, _DEFAULT_ALPHA_GRID).status == _BETA_INF) == 1
+
+    def test_recovery_at_max_iter_equals_per_replication_fits(self, monkeypatch):
+        # A tolerance that asks every step to gain 0.1 % of |loglik| ends
+        # every fit at max_iter, after its own number of steps
+        # (test_no_ascent_exit); the columns keep each fit's estimates.
+        monkeypatch.setattr(inference, "_LOGLIK_RTOL", -1e-3)
+        cfg = ExperimentConfig(kind="recovery", n=50, reps=20, seed=1000, truth=_BOUNDARY_TRUTH)
+        report = run_experiment(cfg)
+        samples = [sample(cfg.truth, cfg.n, replication_rng(cfg.seed, rep)) for rep in range(cfg.reps)]
+        fits = [fit_mle(cfg.truth.alpha, data) for data in samples]
+        assert repr(report.records) == repr(tuple(_recovery_record(rep, fit) for rep, fit in enumerate(fits)))
+        assert {fit.status for fit in fits} == {"max_iter"} and len({fit.iterations for fit in fits}) > 1
+        assert report.columns["iterations"].tolist() == [fit.iterations for fit in fits]
+        for key, value in (
+            ("theta_hat", lambda fit: fit.params.theta), ("beta_hat", lambda fit: fit.params.beta),
+            ("stderr_theta", lambda fit: fit.stderr_theta), ("stderr_beta", lambda fit: fit.stderr_beta),
+            ("loglik", lambda fit: fit.loglik),
+        ):
+            assert np.array_equal(report.columns[key], [value(fit) for fit in fits], equal_nan=True)
+
+    def test_fit_without_positive_definite_information(self):
+        # Replication 3 ends at beta -> 1 where -H is not positive definite:
+        # no standard errors and no covariance, alone and in the study.
+        truth = PlAptParams(1.0, 1.1, 0.6)
+        fit = fit_mle(truth.alpha, sample(truth, 50, replication_rng(1003, 3)))
+        assert fit.status == "boundary_beta_one" and fit.covariance is None
+        assert math.isnan(fit.stderr_theta) and math.isnan(fit.stderr_beta)
+        report = run_experiment(ExperimentConfig(kind="recovery", n=50, reps=4, seed=1003, truth=truth))
+        assert repr(report.records[3]) == repr(_recovery_record(3, fit))
 
     def test_model_compare_equals_its_row(self):
         truth = PlAptParams(1.5, 1.5, 1.5)
@@ -623,16 +676,19 @@ _ODD = 'a "quoted" \\ back\\slash,\tcaf\u00e9 \u2603 \U0001f600\nend'
 
 
 def _odd_fits(fit_rows):
-    # fit_rows with an error carrying _ODD on every third row and an
-    # infinite stderr and log-likelihood on the next
+    # fit_rows with an error carrying _ODD on every third row (its entries
+    # as fit_rows leaves a failed fit) and an infinite stderr and
+    # log-likelihood on the next
     def rows(x, alphas, *args, **kwargs):
-        out = fit_rows(x, alphas, *args, **kwargs)
-        for r, row in enumerate(out):
-            if r % 3 == 0:
-                row[:] = [DomainError(_ODD)] * len(row)
-            elif r % 3 == 1 and not isinstance(row[0], PlaptError):
-                row[0] = dataclasses.replace(row[0], stderr_theta=math.inf, loglik=-math.inf)
-        return out
+        fits = fit_rows(x, alphas, *args, **kwargs)
+        third = np.arange(len(x)) % 3
+        fits.error[third == 0] = DomainError(_ODD)
+        fits.status[third == 0], fits.iterations[third == 0] = _FAILED, 0
+        for name in ("theta", "beta", "loglik", "stderr_theta", "stderr_beta", "score_theta", "score_beta", "covariance"):
+            getattr(fits, name)[third == 0] = math.nan
+        second = (third == 1) & (fits.status[:, 0] != _FAILED)
+        fits.stderr_theta[second, 0], fits.loglik[second, 0] = math.inf, -math.inf
+        return fits
 
     return rows
 
