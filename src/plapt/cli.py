@@ -50,11 +50,12 @@ def read_numeric_csv(path: str) -> np.ndarray:
     """Read a single-column numeric CSV (optional header, LF or CRLF).
 
     Raises DomainError naming the offending 1-based line for negative
-    values, extra columns, or unparseable data rows.
+    values, extra columns, text that is not UTF-8, or unparseable data rows.
     """
     values: list[float] = []
     header_allowed = True
-    with open(path, "r", encoding="utf-8-sig", newline=None) as fh:
+    # an undecodable byte is read as a lone surrogate, U+DC80..U+DCFF, and refused with its line
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape", newline=None) as fh:
         for lineno, raw in enumerate(fh, start=1):
             text = raw.strip()
             if not text:
@@ -64,6 +65,8 @@ def read_numeric_csv(path: str) -> np.ndarray:
             try:
                 v = float(text)
             except ValueError:
+                if any("\udc80" <= c <= "\udcff" for c in text):
+                    raise DomainError(f"line {lineno}: not UTF-8 text") from None
                 if header_allowed:
                     header_allowed = False
                     continue
@@ -319,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     evi = subs.add_parser("evi", help="double-Hill extreme-value-index report")
     evi.add_argument("--input", required=True)
     evi.add_argument("--k", type=int, required=True)
-    evi.add_argument("--s", type=float, default=1.0)
+    evi.add_argument("--s", type=float, default=WeightSpec.s)
     evi.add_argument("--tau", type=float, default=None, help="power weights j**tau (default Hill)")
     evi.add_argument("--target", type=float, default=None)
     evi.add_argument("--output", default=None)
@@ -337,8 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--n", type=int, required=True)
     exp.add_argument("--reps", type=int, required=True)
     exp.add_argument("--seed", type=int, default=None, help=f"default from ${SEED_ENV_VAR} or 0")
-    exp.add_argument("--k-exponent", type=float, default=0.6)
-    exp.add_argument("--s", type=float, default=1.0)
+    exp.add_argument("--k-exponent", type=float, default=ExperimentConfig.k_exponent)
+    exp.add_argument("--s", type=float, default=WeightSpec.s)
     exp.add_argument("--tau", type=float, default=None)
     exp.add_argument("--pareto-gamma", type=float, default=None)
     exp.add_argument("--alpha-grid", type=float, nargs="+", default=None)

@@ -18,9 +18,10 @@ sums, so its result does not depend on the lanes fitted beside it.  Each
 distinct (sample, alpha) pair is one lane; the lanes at alpha = 1 trail,
 so that the others alone evaluate the alpha-power term.  ``_fit_rows``
 returns the fits as columns over (sample, alpha) (``_Fits``), with each
-fit's error beside them.  Only ``fit_mle``, ``fit_mle_profile`` and
-``model_compare`` build ``FitResult`` and ``ModelCompareRow`` objects
-from them; the studies read the columns.
+fit's error beside them, and ``_Fits.outcomes`` names each fit's status
+and message.  Only ``fit_mle``, ``fit_mle_profile`` and ``model_compare``
+build ``FitResult`` and ``ModelCompareRow`` objects from them; the
+studies read the columns.
 """
 from __future__ import annotations
 
@@ -209,7 +210,9 @@ def _best(status, loglik):
 
 
 _CONVERGED, _BETA_ONE, _BETA_INF, _MAX_ITER, _FAILED = range(5)
-_STATUS = ("converged", "boundary_beta_one", "boundary_beta_inf", "max_iter")
+# The status name and message of each code (a raised fit's message is its error's text)
+_STATUS = np.array(("converged", "boundary_beta_one", "boundary_beta_inf", "max_iter", None), object)
+_MESSAGE = np.array((None, None, None, "fit did not converge", None), object)
 _NOT_FINITE = "Hessian of the log-likelihood is not finite or is singular"
 _ZERO_SAMPLE = "degenerate sample: all observations are zero"
 
@@ -340,6 +343,15 @@ class _Fits:
     status: np.ndarray
     iterations: np.ndarray
     error: np.ndarray  # objects: a PlaptError or None
+
+    def outcomes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each entry's status name (None where its fit raised) and message
+        (the error's text, "fit did not converge" at the iteration limit,
+        else None), as two (rows, alphas) object arrays."""
+        messages = _MESSAGE[self.status]
+        raised = np.not_equal(self.error, None)
+        messages[raised] = [str(err) for err in self.error[raised]]
+        return _STATUS[self.status], messages
 
     def result(self, r: int, j: int) -> FitResult:
         """The ``FitResult`` of entry ``[r, j]``, or raise its error."""
@@ -593,11 +605,11 @@ class ModelCompareRow:
 
 def _lindley_rows(x: np.ndarray) -> tuple:
     # Theta and log-likelihood of the one-parameter Lindley fit to every row,
-    # and each row's error or None (its log-likelihood NaN): the stationary
-    # point is the positive root of m*theta**2 + (m - 1)*theta - 2 = 0,
-    # m = mean, taken in a form that does not cancel (Ghitany, Atieh &
-    # Nadarajah 2008).  A root that leaves beta = 1 + theta outside (1, inf),
-    # as from m = 2e16 up, is flagged.
+    # and an object array of each row's error message or None (its
+    # log-likelihood NaN): the stationary point is the positive root of
+    # m*theta**2 + (m - 1)*theta - 2 = 0, m = mean, taken in a form that
+    # does not cancel (Ghitany, Atieh & Nadarajah 2008).  A root that leaves
+    # beta = 1 + theta outside (1, inf), as from m = 2e16 up, is flagged.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         m = x.mean(axis=1)
         root_8m = np.sqrt(8.0 * m)
@@ -608,11 +620,11 @@ def _lindley_rows(x: np.ndarray) -> tuple:
     at_one = _alpha_terms(np.ones_like(t), x.shape[1])
     ll = np.full(theta.size, math.nan)
     ll[good] = _lane_derivatives(t, t, 1.0 / (1.0 + t), xs, xs.sum(axis=1), *at_one)[0]
-    errors = [None] * theta.size
+    errors = np.full(theta.size, None, object)
     for r in np.flatnonzero(~good).tolist():
         th, mean = theta[r].item(), m[r].item()
-        errors[r] = DomainError(_ZERO_SAMPLE if x[r, -1] == 0.0 else f"Lindley theta {th!r} at mean {mean!r} is out of "
-                                f"range: beta = 1 + theta {'overflows' if th == math.inf else 'rounds to 1'}")
+        errors[r] = (_ZERO_SAMPLE if x[r, -1] == 0.0 else f"Lindley theta {th!r} at mean {mean!r} is out of "
+                     f"range: beta = 1 + theta {'overflows' if th == math.inf else 'rounds to 1'}")
     return theta, ll, errors
 
 
@@ -626,39 +638,38 @@ def _model_compare_rows(x: np.ndarray, candidates: Sequence[FamilySpec]) -> dict
     """:func:`model_compare` for every row of x, a stack of sorted samples
     of one size, as (rows, candidates) columns: loglik, aic, bic,
     converged, n_free (0 where the candidate failed, whose params are then
-    not read), params ((alpha, beta, theta) in a last axis) and, per
-    candidate, error (each row's message or None).  The alphas of all
-    candidates are fitted in one call."""
+    not read), params ((alpha, beta, theta) in a last axis) and error (the
+    message or None, objects).  The alphas of all candidates are fitted in
+    one call."""
     count, n = x.shape
     grids = [fam._alphas() for fam in candidates]
     fits = _fit_rows(x, [a for grid in grids for a in grid])
+    messages = fits.outcomes()[1]
     alphas = np.array(fits.alphas)
     shape, rows = (count, len(candidates)), np.arange(count)
     loglik, params = np.full(shape, math.nan), np.full((*shape, 3), math.nan)
     converged, n_free = np.zeros(shape, bool), np.zeros(shape, int)
-    errors = []
+    errors = np.full(shape, None, object)
     start = 0
     for f, (fam, grid) in enumerate(zip(candidates, grids)):
         if fam.kind == "lindley":
-            theta, loglik[:, f], error = _lindley_rows(x)
+            theta, loglik[:, f], errors[:, f] = _lindley_rows(x)
             params[:, f] = np.stack([np.ones_like(theta), 1.0 + theta, theta], axis=1)
-            fitted = converged[:, f] = np.array([err is None for err in error], bool)
+            fitted = converged[:, f] = np.equal(errors[:, f], None)
         else:
             cols = slice(start, start + len(grid))
             start += len(grid)
             try:
                 j = cols.start + _best(fits.status[:, cols], fits.loglik[:, cols])
             except DomainError as exc:  # an empty grid
-                errors.append([str(exc)] * count)
+                errors[:, f] = str(exc)
                 continue
             status = fits.status[rows, j]
             fitted, converged[:, f] = status != _FAILED, status == _CONVERGED
             loglik[:, f] = fits.loglik[rows, j]
             params[:, f] = np.stack([alphas[j], fits.beta[rows, j], fits.theta[rows, j]], axis=1)
-            error = [err or ("fit did not converge" if code == _MAX_ITER else None)
-                     for err, code in zip(fits.error[rows, j].tolist(), status.tolist())]
+            errors[:, f] = messages[rows, j]
         n_free[fitted, f] = fam._n_free()
-        errors.append([None if err is None else str(err) for err in error])
     aic, bic = _information_criteria(loglik, n_free, n)
     return {"loglik": loglik, "aic": aic, "bic": bic, "converged": converged, "n_free": n_free, "params": params,
             "error": errors}
@@ -677,5 +688,5 @@ def model_compare(data: Sample, candidates: Sequence[FamilySpec]) -> list[ModelC
         n_free = cols["n_free"][0, f].item()
         params = PlAptParams(*cols["params"][0, f].tolist()) if n_free else None
         scores = (cols[key][0, f].item() for key in ("loglik", "aic", "bic", "converged"))
-        table.append(ModelCompareRow(fam.name, n_free, *scores, params, cols["error"][f][0]))
+        table.append(ModelCompareRow(fam.name, n_free, *scores, params, cols["error"][0, f]))
     return table

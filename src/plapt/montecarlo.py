@@ -11,8 +11,9 @@ fix the k + 1 smallest of n uniform tail masses (evi_coverage).  The one
 uniform is computed straight from the stream's seed words, bit-identical
 to the stream's own first draw, with no generator.
 Replications run a chunk of rows at a time, and the kind's row function
-reduces the stack to columns, one entry per replication (an ok mask,
-float64 arrays of estimates, lists of statuses and error strings):
+reduces the stack to columns, numpy arrays with one entry per
+replication (an ok mask, float64 estimates, object arrays of statuses,
+winners and error strings):
 rerunning, or chunks of another size, change nothing.  The summary reads
 the columns.  One description of each kind's record turns them into the
 record dicts of ``ExperimentReport.records``, built on access, or into the
@@ -37,10 +38,7 @@ from .distribution import (
 )
 from .exceptions import DomainError
 from .extremes import WeightSpec, _double_hill_rows, _hill_weights, _normalized_maxima, gumbel_ks_distance
-from .inference import (
-    _FAILED, _MAX_ITER, _STATUS, _chunks, _fit_rows, _model_compare_rows, lindley_family, pl_apt_family,
-    pseudo_lindley_family,
-)
+from .inference import _chunks, _fit_rows, _model_compare_rows, lindley_family, pl_apt_family, pseudo_lindley_family
 
 __all__ = [
     "ExperimentKind",
@@ -137,31 +135,13 @@ _KIND_FIELDS = (
 )
 
 
-class _Records:
-    # ExperimentReport.records: a tuple of record dicts given to the
-    # constructor (as dataclasses.replace gives them), or else, by default,
-    # the dicts built from the report's columns on each access.
-
-    def __get__(self, report, owner=None):
-        if report is None:
-            return None  # the field's default
-        if report.__dict__["_records"] is not None:
-            return report.__dict__["_records"]
-        records = _RECORDS[ExperimentKind(report.config["kind"])]
-        return tuple(records(report.columns, range(report.config["reps"]), _Values))
-
-    def __set__(self, report, records):
-        report.__dict__["_records"] = records
-
-
 @dataclass(frozen=True, eq=False)
 class ExperimentReport:
     """Summary statistics and provenance of a study, with its
     per-replication results held as columns: ``columns`` maps a name to a
-    numpy array or a list with one entry per replication, in replication
-    order.  ``records`` builds one dict per replication from them on each
-    access (records given to the constructor replace those dicts, not the
-    columns); ``json_chunks`` writes the report from the columns."""
+    numpy array (object arrays for strings) with one entry per replication,
+    in replication order.  ``records`` builds one dict per replication from
+    them on each access; ``json_chunks`` writes the report from them."""
 
     config: dict
     seed: int
@@ -169,7 +149,12 @@ class ExperimentReport:
     summary: dict
     failures: int
     columns: dict
-    records: tuple | None = _Records()
+
+    @property
+    def records(self) -> tuple:
+        """One dict per replication, built from the columns."""
+        records = _RECORDS[ExperimentKind(self.config["kind"])]
+        return tuple(records(self.columns, range(self.config["reps"]), _Values))
 
     def json_chunks(self) -> Iterator[str]:
         """The report's JSON text in pieces, byte for byte ``json.dumps`` of
@@ -222,22 +207,19 @@ _EVI_FLOATS = ("m_n", "ci_low", "ci_high", "b_n", "target")
 
 # The row function of each kind turns a chunk's stack of rows into its
 # columns, one entry per replication of the chunk: an "ok" mask, float64
-# arrays and lists of strings (None where a record has no such field).
+# arrays and object arrays of strings (None where a record has no such field).
 
 
 def _recovery_columns(cfg: ExperimentConfig, u: np.ndarray) -> dict:
     fits = _fit_rows(_sorted_quantiles(cfg.truth, u), [cfg.truth.alpha])
-    codes, errors = fits.status[:, 0], fits.error[:, 0].tolist()
-    status = [None if err else _STATUS[code] for err, code in zip(errors, codes.tolist())]
+    status, error = (v[:, 0] for v in fits.outcomes())
     estimates = (fits.theta, fits.beta, fits.stderr_theta, fits.stderr_beta, fits.loglik)
     return {
-        "ok": (codes != _FAILED) & (codes != _MAX_ITER),
+        "ok": np.equal(error, None),
         **{key: v[:, 0] for key, v in zip(_RECOVERY_FLOATS, estimates)},
         "iterations": fits.iterations[:, 0],
         "status": status,
-        "error": [
-            str(err) if err else "fit did not converge" if s == "max_iter" else None for err, s in zip(errors, status)
-        ],
+        "error": error,
     }
 
 
@@ -246,20 +228,19 @@ def _model_compare_columns(cfg: ExperimentConfig, u: np.ndarray) -> dict:
     candidates = [lindley_family(), pseudo_lindley_family(), pl_apt_family(alpha_grid=grid)]
     # (replications, families) arrays, families in _FAMILIES order
     cols = _model_compare_rows(_sorted_quantiles(cfg.truth, u), candidates)
-    family_error = list(zip(*cols["error"]))
-    flagged = np.array([[err is not None for err in errors] for errors in family_error], bool)
+    flagged = np.not_equal(cols["error"], None)
     scored = ~flagged & np.isfinite(cols["aic"])
     # the first family of least AIC among those scored, as min() picks it
-    best = np.where(scored, cols["aic"], math.inf).argmin(axis=1).tolist()
+    best = np.where(scored, cols["aic"], math.inf).argmin(axis=1)
     return {
         "ok": ~flagged.any(axis=1),
         **{key: cols[key] for key in ("loglik", "aic", "bic", "converged")},
-        "family_error": family_error,
-        "winner": [_FAMILIES[f] if any_ else None for f, any_ in zip(best, scored.any(axis=1).tolist())],
-        "error": [
+        "family_error": cols["error"],
+        "winner": np.where(scored.any(axis=1), np.array(_FAMILIES, object)[best], None),
+        "error": np.array([
             "; ".join(f"{name}: {err}" for name, err in zip(_FAMILIES, errors) if err is not None) or None
-            for errors in family_error
-        ],
+            for errors in cols["error"].tolist()
+        ], object),
     }
 
 
@@ -283,15 +264,16 @@ def _evi_coverage_columns(cfg: ExperimentConfig, rows: np.ndarray) -> dict:
     else:
         top, target = tail_quantile(cfg.truth, v), 1.0 / cfg.truth.theta
     stats, errors = _double_hill_rows(np.sort(top, axis=1), cfg._weights)
+    error = np.array([None if e is None else str(e) for e in errors], object)
     return {
-        "ok": np.array([e is None for e in errors]),
+        "ok": np.equal(error, None),
         "m_n": stats["m_n"],
         "ci_low": stats["ci_low"],
         "ci_high": stats["ci_high"],
         "b_n": np.full(len(errors), cfg._weights[4]),
         "target": np.full(len(errors), target),
         "covered": (stats["ci_low"] <= target) & (target <= stats["ci_high"]),
-        "error": [None if e is None else str(e) for e in errors],
+        "error": error,
     }
 
 
@@ -337,7 +319,7 @@ def _model_compare_records(cols: dict, reps: range, enc) -> Iterator:
     compared = enc.obj(("rep", "ok", "families", "winner"))
     failed = enc.obj(("rep", "ok", "families", "winner", "error"))
     # the families of every replication in turn, each in _FAMILIES order
-    family_errors = [e for errors in cols["family_error"] for e in errors]
+    family_errors = cols["family_error"].ravel().tolist()
     floats = (enc.floats(cols[key].ravel()) for key in ("loglik", "aic", "bic"))
     values = zip(family_errors, enc.strs(family_errors), *floats, enc.bools(cols["converged"].ravel().tolist()))
     families = [fitted(*v) if e is None else flagged(*v, text) for e, text, *v in values]
@@ -477,7 +459,7 @@ def _summarize(cfg: ExperimentConfig, columns: dict) -> dict:
     n_ok = int(np.count_nonzero(ok))
     summary: dict = {"failure_rate": 1.0 - n_ok / cfg.reps}
     if cfg.kind is ExperimentKind.RECOVERY:
-        converged = np.array([s == "converged" for s in columns["status"]], bool)
+        converged = columns["status"] == "converged"
         summary["theta"] = _param_summary(columns["theta_hat"][converged], cfg.truth.theta)
         summary["beta"] = _param_summary(columns["beta_hat"][converged], cfg.truth.beta)
         summary["status_counts"] = dict(Counter(s for s in columns["status"] if s is not None))
@@ -487,7 +469,7 @@ def _summarize(cfg: ExperimentConfig, columns: dict) -> dict:
     elif cfg.kind is ExperimentKind.MODEL_COMPARE:
         names = sorted(_FAMILIES) if n_ok else []
         summary["mean_aic"] = {name: float(np.mean(columns["aic"][ok, _FAMILIES.index(name)])) for name in names}
-        wins = Counter(w for w, good in zip(columns["winner"], ok.tolist()) if good)
+        wins = Counter(columns["winner"][ok].tolist())
         summary["win_fraction"] = {name: wins[name] / n_ok for name in names}
     elif cfg.kind is ExperimentKind.EVI_COVERAGE:
         mean, sd = _mean_sd(columns["m_n"][ok])
@@ -527,9 +509,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     columns: dict = {}
     for reps in _chunks(cfg.reps, width):
         for name, col in _ROW_COLUMNS[cfg.kind](cfg, draw(reps)).items():
-            if isinstance(col, list):
-                columns.setdefault(name, []).extend(col)
-                continue
             if name not in columns:
                 columns[name] = np.empty((cfg.reps, *col.shape[1:]), col.dtype)
             columns[name][reps.start : reps.stop] = col

@@ -237,6 +237,17 @@ class TestSampleAndCsv:
             rc, _, err = run_cli(capsys, ["fit", "--input", str(path), "--alpha", "1"])
             assert (rc, err.splitlines()) == (2, [f"error: {message}"])
 
+    def test_non_utf8_text_names_its_line(self, tmp_path, capsys):
+        # a bad data row, a bad header, and a bad byte more than one read
+        # buffer into the file, whose line counts from the file's start
+        path = tmp_path / "bad.csv"
+        for data, line in ((b"x\n1.0\n\xff2.0\n", 3), (b"\xe9t\xe9\n1.0\n", 1),
+                           (b"x\n" + b"1.0\r\n" * 5000 + b"2.0\xc3\n", 5002)):
+            path.write_bytes(data)
+            for argv in (["fit", "--alpha", "2"], ["evi", "--k", "1"]):
+                rc, _, err = run_cli(capsys, [*argv, "--input", str(path)])
+                assert (rc, err.splitlines()) == (2, [f"error: line {line}: not UTF-8 text"])
+
     def test_empty_file_is_validation_error(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"
         path.write_text("")
@@ -459,6 +470,14 @@ class TestExpansionAndExperiment:
             assert out == ""
             assert "--alpha, --beta and --theta" in err
 
+
+    def test_parser_defaults_are_the_library_defaults(self):
+        parser = cli.build_parser()
+        evi = parser.parse_args(["evi", "--input", "x.csv", "--k", "1"])
+        exp = parser.parse_args(["experiment", "--kind", "recovery", "--n", "10", "--reps", "1"])
+        config = plapt.ExperimentConfig(kind="recovery", n=10, reps=1, seed=0, truth=PlAptParams(2.0, 2.5, 1.5))
+        assert evi.s == exp.s == WeightSpec.hill().s == WeightSpec.power(0.5).s
+        assert exp.k_exponent == config.k_exponent
 
     def test_experiment_non_finite_k_exponent_rejected(self, capsys):
         base = ["experiment", "--kind", "evi-coverage", "--pareto-gamma", "0.5",

@@ -439,6 +439,26 @@ class TestLockstep:
         statuses = {fit.status for fits in limited for fit in fits}
         assert {"max_iter", "converged"} <= statuses
 
+    def test_outcomes_name_each_entry_as_fit_mle_does(self):
+        # One grid with every outcome: an iteration limit of 20 falls
+        # between the lanes' counts (19 to 21 at alpha 4 and 1; a limit of
+        # 3 stops every lane), and alpha -1, an all-zero row and a row
+        # ending in inf raise.
+        rows = _mixed_rows()
+        rows = np.vstack([rows, np.zeros(rows.shape[1]), np.append(rows[0, :-1], math.inf)])
+        alphas, limit = [4.0, 1.0, -1.0, 1.5], 20
+        names, messages = _fit_rows(rows, alphas, max_iter=limit).outcomes()
+        assert set(names.ravel().tolist()) == set(_STATUS.tolist())
+        for r, row in enumerate(rows):
+            for j, a in enumerate(alphas):
+                try:
+                    fit = fit_mle(a, Sample(row), max_iter=limit)
+                except PlaptError as exc:
+                    assert (names[r, j], messages[r, j]) == (None, str(exc))
+                else:
+                    message = "fit did not converge" if fit.status == "max_iter" else None
+                    assert (names[r, j], messages[r, j]) == (fit.status, message)
+
     def test_seam_and_repeated_alphas_in_one_call(self):
         # Lanes on both sides of alpha = 1 share the chunks; a repeated
         # alpha is fitted once and gives the same result.

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import json
@@ -783,6 +784,20 @@ class TestReportWriter:
         # the same keys in the same order, values of the same types and bits
         _, report = _case_report(case, monkeypatch)
         assert hashlib.sha256(repr(report.records).encode()).hexdigest() == _RECORD_DIGESTS[case]
+
+    @pytest.mark.parametrize("case", ["recovery-nan-stderr", "model-compare-family-errors", "evi-tied-spacings"])
+    def test_records_survive_dataclasses_replace(self, case, monkeypatch):
+        # a replaced field leaves the records, and their section of the
+        # report text, as the columns give them, NaN and errors included
+        _, report = _case_report(case, monkeypatch)
+        changed = dataclasses.replace(report, summary={})
+
+        def record_text(r):
+            return r.to_json().partition('"records": ')[2].partition('"seed": ')[0]
+
+        assert repr(changed.records) == repr(report.records)
+        assert record_text(changed) == record_text(report)
+        assert changed.summary == {} != report.summary
 
     @pytest.mark.parametrize("kind", list(_GOLDEN))
     def test_report_spans_chunks_and_pieces(self, kind, monkeypatch):
