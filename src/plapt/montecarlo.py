@@ -135,13 +135,31 @@ _KIND_FIELDS = (
 )
 
 
+class _Records:
+    # ExperimentReport.records: a tuple of record dicts given to the
+    # constructor (as dataclasses.replace gives them), or else, by default,
+    # the dicts built from the report's columns on each access.
+
+    def __get__(self, report, owner=None):
+        if report is None:
+            return None  # the field's default
+        if report.__dict__["_records"] is not None:
+            return report.__dict__["_records"]
+        records = _RECORDS[ExperimentKind(report.config["kind"])]
+        return tuple(records(report.columns, range(report.config["reps"]), _Values))
+
+    def __set__(self, report, records):
+        report.__dict__["_records"] = records
+
+
 @dataclass(frozen=True, eq=False)
 class ExperimentReport:
     """Summary statistics and provenance of a study, with its
     per-replication results held as columns: ``columns`` maps a name to a
-    numpy array (object arrays for strings) with one entry per replication,
-    in replication order.  ``records`` builds one dict per replication from
-    them on each access; ``json_chunks`` writes the report from them."""
+    numpy array (object arrays for strings), one entry per replication, in
+    replication order.  ``records`` builds one dict per replication from
+    them on each access (records given to the constructor replace those
+    dicts, not the columns); ``json_chunks`` writes from the columns."""
 
     config: dict
     seed: int
@@ -149,12 +167,7 @@ class ExperimentReport:
     summary: dict
     failures: int
     columns: dict
-
-    @property
-    def records(self) -> tuple:
-        """One dict per replication, built from the columns."""
-        records = _RECORDS[ExperimentKind(self.config["kind"])]
-        return tuple(records(self.columns, range(self.config["reps"]), _Values))
+    records: tuple | None = _Records()
 
     def json_chunks(self) -> Iterator[str]:
         """The report's JSON text in pieces, byte for byte ``json.dumps`` of
