@@ -4,8 +4,8 @@ Three parameters: a power-transform shape ``alpha > 0``, a Pseudo-Lindley
 shape ``beta > 1`` and a rate ``theta > 0``.  ``alpha == 1`` recovers the
 plain Pseudo-Lindley distribution and, with ``beta == 1 + theta``, the
 Lindley distribution.  The quantile function is exact through the W_{-1}
-branch of the Lambert W function, which makes inverse-transform sampling
-and tail analysis cheap.
+branch of the Lambert W function, solved for theta*x from log s, which
+makes inverse-transform sampling and tail analysis cheap.
 
 All evaluation functions accept scalars or arrays and preserve the input
 kind (scalar in, float out).
@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DomainError, NumericalError
-from .special_functions import _TINY, _wm1
+from .exceptions import DomainError
+from .special_functions import _TINY, _theta_x
 
 __all__ = [
     "PlAptParams",
@@ -50,7 +50,7 @@ _T_CAP = 2.0**512
 _BLOCK = 2**14
 # _blockwise deals the blocks of a call round-robin to at most one thread per
 # usable core, with at least _THREAD_BLOCKS blocks each: numpy releases the
-# GIL inside each ufunc, so two blocks' W_{-1} run at once, and a call under
+# GIL inside each ufunc, so two blocks' quantiles run at once, and a call under
 # 2**18 points never pays for starting a thread.
 _CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _THREAD_BLOCKS = 8
@@ -83,7 +83,7 @@ def _positive(name: str, value) -> float:
 
 def _param_error(name: str, value: float) -> DomainError | None:
     # The error of one parameter value, or None: beta > 1, theta > 0 and alpha a
-    # positive normal float (at a subnormal alpha the Lambert argument overflows).
+    # positive normal float (at a subnormal alpha, v*(1 - alpha)/alpha overflows).
     low, rule = (1.0, "exceed 1") if name == "beta" else (0.0, "be a positive real")
     if not (math.isfinite(value) and value > low):
         return DomainError(f"{name} must {rule}, got {value}")
@@ -97,7 +97,7 @@ class PlAptParams:
     """Validated parameter triple (alpha, beta, theta).
 
     theta is a rate (units 1/x): quantiles scale exactly as 1/theta because
-    theta never enters the Lambert argument.
+    theta enters a quantile only as its final division.
     """
 
     alpha: float
@@ -307,53 +307,51 @@ def hazard(p: PlAptParams, x):
     return _blockwise(block, x)
 
 
-def _w_argument(p: PlAptParams, v):
-    # W_{-1} argument of the quantile Q(1 - v) at tail mass v; free of theta,
-    # so quantiles scale exactly as 1/theta.  The fused log1p form is exact at
-    # v=1 and keeps full precision as v -> 0, where a difference of logs cancels.
-    b_exp = p.beta * math.exp(-p.beta)
+def _tail_log_s(p: PlAptParams, v):
+    """log s <= 0 of the Pseudo-Lindley survival mass s at each tail mass v
+    in (0, 1] of a 1-d array: s = log1p(q)/-log(alpha), q = v*(1 - alpha)/alpha,
+    and s = v at alpha = 1.  Below |q| = 2**-1012, where s may be subnormal
+    (|log alpha| < 710) and log1p(q) = q, log s = log v - log(alpha*log(alpha)/(alpha - 1)).
+    s is 1 at v = 1; rounding above that (+inf where q rounds to -1) is cut to 1.
+    """
     if p.is_alpha_one:
-        arg = -b_exp * v
-    else:
-        with np.errstate(divide="ignore"):  # log1p(-1): see _quantile_from_arg
-            arg = (b_exp / math.log(p.alpha)) * np.log1p(v * (1.0 - p.alpha) / p.alpha)
-    if arg.max() >= 0.0:  # the argument is negative, so only underflow reaches 0
-        raise NumericalError(
-            "Lambert argument underflowed to 0; the tail mass or exp(-beta) is too small"
-        )
-    return arg
+        return np.log(v)
+    k = (1.0 - p.alpha) / p.alpha
+    with np.errstate(divide="ignore"):  # log1p(-1), and log(0) of an underflowed s, both replaced
+        log_s = np.multiply(v, k)
+        np.log1p(log_s, out=log_s)
+        log_s *= -1.0 / math.log(p.alpha)
+        np.log(log_s, out=log_s)
+    tiny = 2.0**-1012 / abs(k)
+    if v.min() < tiny:
+        i = np.flatnonzero(v < tiny)
+        log_s[i] = np.log(v[i]) - math.log(p.alpha * float(_log_ratio(p.alpha)))
+    if v.max() == 1.0:
+        log_s[v == 1.0] = 0.0
+    return np.minimum(log_s, 0.0, out=log_s)
 
 
-def _quantile_from_arg(p: PlAptParams, arg):
-    # Exact arguments lie in [-beta*exp(-beta), 0), where W_{-1} >= -beta; one
-    # rounded below -1/e (beta near 1, or -inf where v*(1 - alpha)/alpha rounds
-    # to -1 at alpha >~ 2**53) has 1 + e*z <= 0, as e*(-1/e) + 1 rounds to 0,
-    # and _wm1 returns W = -1 wherever 1 + e*z <= 0, so Q = 0.  The quantile
-    # runs in place, on W's buffer.
-    w = _wm1(arg)
-    with np.errstate(over="ignore"):  # a quantile beyond the float range is inf
-        np.subtract(-p.beta, w, out=w)
-        w /= p.theta
-    return np.maximum(w, 0.0, out=w)
+def _tail_quantile_arr(p: PlAptParams, v):
+    # Q(1 - v) = t/theta from the theta*x kernel, so quantiles scale exactly as
+    # 1/theta; a quantile beyond the float range is inf
+    t = _theta_x(p.beta, _tail_log_s(p, v))
+    with np.errstate(over="ignore"):
+        t /= p.theta
+    return t
 
 
 def _quantile_block(p: PlAptParams):
-    # quantile's block function; the domain test reads the block's two
-    # extremes, and only a block holding u = 0 is searched for it
+    # quantile's block function; the domain test reads the block's two extremes
     def block(b):
-        low = b.min()
-        if not (low >= 0.0 and b.max() < 1.0):  # nan fails either
+        if not (b.min() >= 0.0 and b.max() < 1.0):  # nan fails either
             raise DomainError("quantile requires 0 <= u < 1")
-        q = _quantile_from_arg(p, _w_argument(p, 1.0 - b))
-        if low == 0.0:
-            q[b == 0.0] = 0.0
-        return q
+        return _tail_quantile_arr(p, 1.0 - b)
 
     return block
 
 
 def quantile(p: PlAptParams, u):
-    """Exact quantile function on 0 <= u < 1 via the W_{-1} Lambert branch.
+    """Exact quantile function on 0 <= u < 1, Q(u) = Q(1 - v) at v = 1 - u.
 
     Satisfies ``cdf(p, quantile(p, u)) == u`` to roundoff and
     ``quantile(p, 0) == 0`` exactly.
@@ -375,15 +373,15 @@ def _sorted_quantiles(p: PlAptParams, u: np.ndarray) -> np.ndarray:
 def tail_quantile(p: PlAptParams, v):
     """Upper-tail quantile Q(1 - v) for tail mass 0 < v <= 1.
 
-    Evaluates the Lambert argument directly in the tail variable, so tiny
-    tail masses (v down to the underflow threshold) lose no precision to
-    forming 1 - v.
+    Solves for theta*Q from log s, s the Pseudo-Lindley survival mass at
+    v, so tail masses down to v = 5e-324 lose no precision to forming
+    1 - v or a Lambert argument; ``tail_quantile(p, 1) == 0`` exactly.
     """
 
     def block(b):
         if not (b.min() > 0.0 and b.max() <= 1.0):  # nan fails either
             raise DomainError("tail_quantile requires 0 < v <= 1")
-        return _quantile_from_arg(p, _w_argument(p, b))
+        return _tail_quantile_arr(p, b)
 
     return _blockwise(block, v)
 

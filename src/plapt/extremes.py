@@ -16,11 +16,11 @@ import numpy as np
 
 from .distribution import (
     PlAptParams, Sample, _BLOCK, _MAX_COUNT, _MAX_REPS, _blockwise, _first_uniforms, _integer, _log_ratio,
-    _param_error, _positive, _w_argument, tail_quantile,
+    _param_error, _positive, _tail_log_s, tail_quantile,
 )
 from .exceptions import DomainError, NumericalError
 from .inference import _chunks
-from .special_functions import LambertBranch, lambert_w
+from .special_functions import _theta_x
 
 __all__ = [
     "ExtremalExpansion",
@@ -49,7 +49,7 @@ def tail_constant(alpha: float, beta: float) -> float:
     C = (1 - alpha) * beta * exp(-beta) / (alpha * log(alpha)) is negative
     for every alpha and beta that ``PlAptParams`` accepts, and others raise
     its ``DomainError``; C(1, beta) = -beta * exp(-beta), its limit at the
-    Pseudo-Lindley law.
+    Pseudo-Lindley law.  As a float, C underflows to -0.0 from beta of about 745.
     """
     error = _param_error("alpha", alpha) or _param_error("beta", beta)
     if error:
@@ -60,15 +60,19 @@ def tail_constant(alpha: float, beta: float) -> float:
 def a_function(p: PlAptParams, u):
     """W-argument A(alpha, beta, u) of the upper-tail quantile Q(1 - u).
 
-    Lies in [-beta * exp(-beta), 0), inside (-1/e, 0), for u in (0, 1]
-    (rounding below, or -inf at alpha >~ 2**53, is clamped) and behaves as
-    u * C(alpha, beta) as u -> 0; at alpha = 1 it is exactly u * C.
+    Lies in [-beta * exp(-beta), 0), inside (-1/e, 0), for u in (0, 1] and
+    behaves as u * C(alpha, beta) as u -> 0; at alpha = 1 it is exactly
+    u * C.  Where A underflows to 0 it raises ``NumericalError``.
     """
 
     def block(b):
         if not (b.min() > 0.0 and b.max() <= 1.0):  # nan fails either
             raise DomainError("a_function requires 0 < u <= 1")
-        return np.maximum(_w_argument(p, b), -p.beta * math.exp(-p.beta))
+        s = b if p.is_alpha_one else np.exp(_tail_log_s(p, b))
+        a = np.multiply(s, -p.beta * math.exp(-p.beta))
+        if a.max() == 0.0:
+            raise NumericalError("A(alpha, beta, u) underflows to 0 below the float range")
+        return a
 
     return _blockwise(block, u)
 
@@ -97,29 +101,31 @@ def extremal_quantile(p: PlAptParams, u: float) -> ExtremalExpansion:
     """Asymptotic expansion of Q(1 - u) for small tail mass u.
 
     Applies the four-term logarithmic series of W_{-1} to the exact
-    argument A(alpha, beta, u), so the error decreases monotonically as
-    u -> 0 (within 1e-2 of the exact quantile already at u = 1e-10 across
-    the tested parameter range, alpha = 1 included).
+    argument A(alpha, beta, u), taken as log(-A) = log(beta) - beta + log s,
+    so the error decreases monotonically as u -> 0 (within 1e-2 of the
+    exact quantile already at u = 1e-10 across the tested parameter range,
+    alpha = 1 included).  No term has a beta to cancel, so every beta holds.
     """
     u = float(u)
     if not 0.0 < u <= 0.1:
         raise DomainError(f"extremal_quantile requires 0 < u <= 0.1, got {u}")
-    arg = a_function(p, u)
-    log_z = math.log(-arg)
+    log_beta, log_s = math.log(p.beta), float(_tail_log_s(p, np.array([u]))[0])
+    log_z = log_beta - p.beta + log_s
     log_log = math.log(-log_z)
-    w = log_z - log_log + log_log / log_z + log_log * (log_log - 2.0) / (2.0 * log_z * log_z)
-    value = (-p.beta - w) / p.theta
-
-    c_ab = tail_constant(p.alpha, p.beta)
-    c0 = (-p.beta - math.log(-c_ab)) / p.theta
-    log_inv_u = math.log(1.0 / u)
+    # -beta - w for w = log_z - log_log + log_log/log_z + ..., with -beta - log_z = -log(beta) - log s
+    t = log_log - (log_beta + log_s) - log_log / log_z - log_log * (log_log - 2.0) / (2.0 * log_z * log_z)
+    value = t / p.theta
+    log_alpha_ratio = math.log(p.alpha * float(_log_ratio(p.alpha)))
+    c0 = (log_alpha_ratio - log_beta) / p.theta  # (-beta - log(-C))/theta
+    log_inv_u = -math.log(u)
     components = {
         "constant": c0,
         "log": log_inv_u / p.theta,
         "loglog": math.log(log_inv_u) / p.theta,
-        "inv_log": math.log(-c_ab) / (p.theta * log_inv_u),
+        "inv_log": (log_beta - p.beta - log_alpha_ratio) / (p.theta * log_inv_u),  # log(-C)/(theta log(1/u))
     }
     components["remainder"] = value - sum(components.values())
+    c_ab = tail_constant(p.alpha, p.beta)
     return ExtremalExpansion(params=p, u=u, value=value, c_ab=c_ab, c0=c0, components=components)
 
 
@@ -411,13 +417,13 @@ def _normalized_maxima(p: PlAptParams, n: int, g) -> np.ndarray:
 
     The maximum of n uniforms has tail mass -expm1(log(g)/n) (Devroye 1986,
     ch. V), which is 1 at g = 0 and positive for every g < 1.  The
-    normalization is taken in Lambert space, exactly independent of theta.
+    normalization is taken in t = theta*x, exactly independent of theta.
     """
     with np.errstate(divide="ignore"):  # log(0) = -inf gives tail mass 1
         v = -np.expm1(np.log(g) / n)
-    # the maxima's W_{-1} and, last, that of Q(1 - 1/n), in one call
-    w = lambert_w(LambertBranch.NEGATIVE_ONE, _w_argument(p, np.append(v, 1.0 / n)))
-    return w[-1] - w[:-1]
+    # the maxima's theta*x and, last, that of Q(1 - 1/n), in one kernel call
+    t = _theta_x(p.beta, _tail_log_s(p, np.append(v, 1.0 / n)))
+    return t[:-1] - t[-1]
 
 
 def maxima_normalization(p: PlAptParams, n: int, reps: int, seed) -> MaximaResult:
@@ -431,8 +437,8 @@ def maxima_normalization(p: PlAptParams, n: int, reps: int, seed) -> MaximaResul
     time in integer array arithmetic, with no generator: results are
     reproducible, each maximum depends on nothing but its own stream, and
     the cost does not grow with n.  All maxima go through one
-    W_{-1} call.  The normalization theta * (X_max - Q(1-1/n)) is computed in
-    Lambert space, making it exactly independent of theta.  Every alpha,
+    kernel call.  The normalization theta * (X_max - Q(1-1/n)) is computed in
+    t = theta*x, making it exactly independent of theta.  Every alpha,
     alpha = 1 included, is in the Gumbel domain.
     """
     n = _integer("n", n, 100, _MAX_COUNT)

@@ -446,15 +446,15 @@ def _fit_rows(x: np.ndarray, alphas: Sequence[float], init=None, max_iter: int =
         floats = np.array(
             (theta_x, beta, ll - (n * math.log(2.0)) * e_fit, stderr_theta, stderr_beta, np.ldexp(s_t, e_fit), s_b)
         )
-    # The fitted parameters by PlAptParams' rule.
-    fitted = np.ones(lane_r.size, bool)
-    for i, (t, b) in enumerate(zip(theta_x.tolist(), beta.tolist())):
-        if _param_error("theta", t):
-            t, e_i = theta[i].item(), e_fit[i].item()
-            error = DomainError(f"fitted theta {t!r} * 2**{-e_i} leaves the float range at the sample's scale 2**{e_i}")
-        elif not (error := _param_error("beta", b)):
-            continue
-        errors[lane_r[i], lane_k[i]], fitted[i] = error, False
+    # The fitted parameters by PlAptParams' rule, _param_error's as one mask;
+    # only the lanes that fail it have their message formatted.
+    theta_ok = (theta_x > 0.0) & (theta_x < math.inf)
+    fitted = theta_ok & (beta > 1.0) & (beta < math.inf)
+    for i in np.flatnonzero(~fitted).tolist():
+        t, e_i = theta[i].item(), e_fit[i].item()
+        errors[lane_r[i], lane_k[i]] = _param_error("beta", beta[i].item()) if theta_ok[i] else DomainError(
+            f"fitted theta {t!r} * 2**{-e_i} leaves the float range at the sample's scale 2**{e_i}"
+        )
     r, k = lane_r[fitted], lane_k[fitted]
     columns = np.full((len(floats), *shape), math.nan)
     columns[:, r, k] = floats[:, fitted]

@@ -1,11 +1,12 @@
-"""The W_{-1} branch of the real Lambert W function.
+"""The theta*x kernel of the quantiles, and the W_{-1} branch of the real Lambert W function.
 
-The quantile machinery of the package rests on W_{-1} on [-1/e, 0).  Its
-evaluator takes a fixed number of steps: the branch-point series or the
-logarithmic asymptote as the initial guess, three Newton steps on
-w + log(-w) = log(-z) (Iacono & Boyd 2017), which need no exp and so stay
-accurate down to subnormal z, and one Newton step on w*exp(w) = z wherever
-exp(w) is a normal float.
+Every quantile is Q(1 - v) = t/theta, where t = theta*Q >= 0 solves
+t - log1p(t/beta) = -log s, s the Pseudo-Lindley survival mass at tail
+mass v: t = -beta - W_{-1}(-beta*exp(-beta)*s), and W_{-1}(z) = -1 - t at
+beta = 1, s = -e*z.  ``_theta_x`` solves for t from log s by Newton steps in
+t (Corless et al. 1996; Iacono & Boyd 2017 take them in log form), which
+form neither z nor exp(-t), so t keeps its relative accuracy for every beta
+and down to s = 5e-324.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ BRANCH_POINT = -math.exp(-1.0)  # -1/e, where the two real branches meet
 # Series of W_{-1} about the branch point in p = -sqrt(2*(1 + e*z)).
 _BRANCH_COEFFS = (-1.0, 1.0, -1.0 / 3.0, 11.0 / 72.0, -43.0 / 540.0, 769.0 / 17280.0)
 # Below this distance from the branch point the series alone is already at
-# machine accuracy and Newton's denominator 1 + w is too ill-conditioned to help.
+# machine accuracy, and Newton steps would only add the rounding of log s.
 _SERIES_ONLY = 1e-5
 _TINY = float(np.finfo(float).tiny)  # smallest normal float
 
@@ -34,64 +35,50 @@ class LambertBranch(enum.Enum):
     NEGATIVE_ONE = -1
 
 
-def _branch_series(p):
-    w = np.full_like(p, _BRANCH_COEFFS[-1])
-    for c in _BRANCH_COEFFS[-2::-1]:
-        w *= p
-        w += c
-    return w
+def _theta_x(beta: float, log_s):
+    """The t >= 0 with t - log1p(t/beta) = -log s, elementwise on a 1-d array
+    of log s <= 0, for a shift beta >= 1: t = -beta - W_{-1}(-beta*exp(-beta)*s).
 
-
-def _wm1(z):
-    """W_{-1} on [-1/e, 0), elementwise on a 1-d array; domain already validated.
-
-    Every point takes the logarithmic asymptote as its guess; the points
-    with d = 1 + e*z <= 1/2, gathered by index, take the branch-point series
-    instead, evaluated on them alone.  The three log-form Newton steps carry
-    m = -w, so that no step negates a block: each is the step on w rewritten
-    by exact identities (-(a - b) = b - a, (-a)*(-b) = a*b, 1 + w = 1 - m),
-    and the result is bitwise that of the step on w.  The steps run in place
-    in four buffers of z's size (d, later log_z; m, later w; t; e); the
-    comments give each step as one expression, whose operations and their
-    order the in-place steps keep.  Below d = 1e-5 the series value is kept
-    as it is, and at d <= 0 the value is -1.
+    With a = -log s, the points at distance d = 1 + e*z = -expm1(c - a),
+    c = 1 + log(beta) - beta, at most 1/2 above the branch point take the
+    branch-point series as their guess, t = (1 - beta) - (1 + W_{-1}), and
+    the others the fixed-point step g(a), g(t) = a + log1p(t/beta).  Four
+    Newton steps t -= (t - g)*(beta + t)/(beta + t - 1) follow.  Below
+    d = 1e-5 the series value is kept, and at s = 1 t is 0 exactly; a float
+    log s below 0 is at most log(1 - 2**-53), where t is already positive.
     """
-    with np.errstate(all="ignore"):
-        d = np.multiply(z, np.e)
-        d += 1.0  # the distance above the branch point
-        near = np.flatnonzero(d <= 0.5)
-        d_near = d[near]
-        p = np.multiply(d_near, 2.0)
+    c = math.log(beta) - (beta - 1.0)
+    with np.errstate(all="ignore"):  # Newton steps at the branch point itself, whose t is the series'
+        a = np.subtract(0.0, log_s)  # +0.0, not -0.0, at s = 1
+        t = np.multiply(a, 1.0 / beta)
+        np.log1p(t, out=t)
+        t += a
+        near = np.flatnonzero(a <= c + math.log(2.0))
+        a_near = a[near]
+        d = np.subtract(c, a_near)
+        np.negative(np.expm1(d, out=d), out=d)
+        p = np.multiply(d, 2.0)
         np.negative(np.sqrt(p, out=p), out=p)  # p = -sqrt(2d)
-        series = _branch_series(p)
-        log_z = np.log(np.negative(z, out=d), out=d)
-        m = np.log(np.negative(log_z))  # log_log = log(-log_z)
-        t = np.divide(m, log_z)
-        np.subtract(m, log_z, out=m)
-        m -= t  # -(log_z - log_log + log_log / log_z)
-        m[near] = np.negative(series, out=p)
-        # Over 4.4e6 points from 1 + e*z = 1e-5 down through the subnormals
-        # the worst relative error falls from 0.055 to 1e-3, 3e-7 and 3e-14;
-        # the last is set by the conditioning 1/|1 + w| near the branch point
-        # (a fourth step gives 2.5e-14).  The exp step then brings the
-        # residual w*exp(w) - z down to rounding.
-        e = np.empty_like(m)
-        for _ in range(3):  # m += (log_z + m - log(m)) * m / (1 - m)
-            np.add(log_z, m, out=t)
-            t -= np.log(m, out=e)
-            t *= m
-            t /= np.subtract(1.0, m, out=e)
-            m += t
-        w = np.negative(m, out=m)
-        np.exp(w, out=e)
-        np.multiply(w, e, out=t)
-        t -= z
-        t /= np.multiply(e, np.add(w, 1.0, out=log_z), out=log_z)
-        np.subtract(w, t, out=w, where=e >= _TINY)  # w -= (w*e - z) / (e*(1 + w))
-    series_only = d_near < _SERIES_ONLY
-    w[near[series_only]] = series[series_only]
-    w[near[d_near <= 0.0]] = -1.0  # within rounding of -1/e itself
-    return w
+        series = np.full_like(p, _BRANCH_COEFFS[-1])  # 1 + W_{-1}, by Horner down to the linear term
+        for coeff in _BRANCH_COEFFS[-2:0:-1]:
+            series *= p
+            series += coeff
+        series *= p
+        np.subtract(1.0 - beta, series, out=series)
+        series[a_near <= 0.0] = 0.0
+        t[near] = series
+        g, r = np.empty_like(t), np.empty_like(t)
+        for _ in range(4):  # t = g - (t - g)/(t + beta - 1), in place
+            np.multiply(t, 1.0 / beta, out=g)
+            np.log1p(g, out=g)
+            g += a
+            np.add(t, beta - 1.0, out=r)
+            t -= g
+            t /= r
+            np.subtract(g, t, out=t)
+    series_only = d < _SERIES_ONLY
+    t[near[series_only]] = series[series_only]
+    return t
 
 
 def lambert_w(branch: LambertBranch, z):
@@ -123,4 +110,11 @@ def lambert_w(branch: LambertBranch, z):
     z = np.asarray(z, dtype=float)
     if z.size and not (z.min() >= BRANCH_POINT and z.max() < 0.0):  # nan fails either
         raise DomainError("W_{-1} branch requires -1/e <= z < 0")
-    return _wm1(z.ravel()).reshape(z.shape)[()]  # a 0-d result as a float
+    zf = z.ravel()
+    w = np.subtract(-1.0, _theta_x(1.0, np.log(-zf) + 1.0))  # log s = log(-e*z), 0 at the float -1/e
+    # log(-z) rounds by up to half an ulp of w; one Newton step on w*exp(w) = z
+    # takes it out, where exp(w) is normal and 1 + w far from 0
+    with np.errstate(all="ignore"):
+        e = np.exp(w)
+        np.subtract(w, (w * e - zf) / (e * (w + 1.0)), out=w, where=(e >= _TINY) & (w <= -2.0))
+    return w.reshape(z.shape)[()]  # a 0-d result as a float

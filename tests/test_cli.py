@@ -414,11 +414,23 @@ class TestExpansionAndExperiment:
         assert set(rows[0]["components"]) == {"constant", "log", "loglog", "inv_log", "remainder"}
 
     def test_expansion_underflow_exit_code(self, capsys):
+        # at u = 5e-324 the Lambert argument underflows, but the expansion
+        # works in logs and never forms it
         rc, out, err = run_cli(
             capsys, ["expansion", "--alpha", "2", "--beta", "2.5", "--theta", "1.5", "--u", "5e-324"]
         )
-        assert (rc, out) == (3, "")
-        assert "Lambert argument underflowed" in err
+        assert (rc, err) == (0, "")
+        (row,) = json.loads(out)
+        assert abs(row["value"] - plapt.tail_quantile(PlAptParams(2.0, 2.5, 1.5), 5e-324)) < 1e-2
+
+    def test_expansion_past_the_underflow_of_c(self, capsys):
+        # from beta of about 745 the float C(alpha, beta) is -0.0; log(-C) is
+        # formed in logs, so the terms stay finite and sum to the value
+        rc, out, err = run_cli(capsys, ["expansion", "--alpha", "2", "--beta", "800", "--theta", "1", "--u", "1e-10"])
+        assert (rc, err) == (0, "")
+        (row,) = json.loads(out)
+        assert sum(row["components"].values()) == pytest.approx(row["value"], rel=1e-14)
+        assert abs(row["value"] - plapt.tail_quantile(PlAptParams(2.0, 800.0, 1.0), 1e-10)) < 1e-2
 
     def test_experiment_deterministic_through_cli(self, tmp_path, capsys):
         args = [

@@ -15,7 +15,6 @@ from plapt import distribution
 from plapt import (
     DomainError,
     ExperimentConfig,
-    NumericalError,
     OrderStatSpec,
     PlAptParams,
     Sample,
@@ -45,6 +44,17 @@ P_ONE = PlAptParams(1.0, 1.1, 0.6)
 
 def params_grid():
     return [PlAptParams(a, b, th) for th, a, b in ALL_TRIPLES]
+
+
+def _mp_tail_quantile(p, v):
+    """Q(1 - v) at 50 digits: t = theta*Q solves t - log1p(t/beta) = -log s,
+    s = log1p(v*(1 - alpha)/alpha)/-log(alpha) the Pseudo-Lindley survival mass."""
+    with mpmath.workdps(50):
+        a, b, v = mpmath.mpf(p.alpha), mpmath.mpf(p.beta), mpmath.mpf(v)
+        log_s = mpmath.log(v) if p.alpha == 1.0 else mpmath.log(-mpmath.log1p(v * (1 - a) / a) / mpmath.log(a))
+        # -beta - W_{-1}(-beta*exp(-beta)*s), in the log form of the equation
+        t = mpmath.findroot(lambda t: t - mpmath.log1p(t / b) + log_s, -log_s + mpmath.log1p(-log_s / b) + 1)
+        return float(t / mpmath.mpf(p.theta))
 
 
 class TestParams:
@@ -305,22 +315,23 @@ class TestQuantile:
             tail_quantile(P_APT, 1.5)
 
     def test_branch_point_clamp(self):
-        # At v = 1 the Lambert argument rounds to 5.6e-17 below -1/e, where
-        # W_{-1} returns -1 as at the branch point itself, and Q = (1 - beta)/theta
-        # < 0 by one ulp of beta, so the quantile is 0.
+        # At beta = 1 + 2**-52, next to the branch point, s = 1 at v = 1 gives
+        # Q = 0 exactly, u = 5e-324 rounds to v = 1 and so gives 0 too, and
+        # small quantiles keep their relative accuracy against 50 digits.
         p = PlAptParams(0.01, math.nextafter(1.0, 2.0), 1.0)
-        assert distribution._w_argument(p, 1.0) < plapt.BRANCH_POINT
         assert tail_quantile(p, 1.0) == 0.0
         assert quantile(p, 5e-324) == 0.0
+        for v in (0.5, 1e-10, 1e-300):
+            want = _mp_tail_quantile(p, v)
+            assert abs(tail_quantile(p, v) - want) <= 1e-14 * want, v
 
     def test_tail_quantile_down_to_underflow(self):
+        # log s stays finite down to the smallest subnormal tail mass, so no
+        # tail mass of (0, 1] underflows, and each keeps its precision
         p = PlAptParams(2.0, 2.5, 1.5)
-        # The Lambert argument at v = 1e-320 is the subnormal -1.48e-321, with
-        # about 3 significant digits, so only 1e-5 of the 50-digit value holds.
-        assert tail_quantile(p, 1e-320) == pytest.approx(495.23429350541144864, rel=1e-5)
-        # below v ~ 2e-323 the Lambert argument rounds to 0
-        with pytest.raises(NumericalError, match="underflowed"):
-            tail_quantile(p, 1e-323)
+        assert tail_quantile(p, 1e-320) == pytest.approx(495.23429350541144864, rel=1e-14)
+        for v in (1e-323, 5e-324):
+            assert tail_quantile(p, v) == pytest.approx(_mp_tail_quantile(p, v), rel=1e-14)
 
     @pytest.mark.parametrize("alpha", [1e16, 1e17, 1e300])
     def test_huge_alpha(self, alpha):
@@ -333,6 +344,33 @@ class TestQuantile:
         assert a_function(p, 1.0) == -2.0 * math.exp(-2.0)
         u = np.array([0.0, 1e-12, 1e-3, 0.5, 0.999999])
         assert np.max(np.abs(cdf(p, quantile(p, u)) - u)) <= 1e-10
+
+
+class TestWholeParameterSpace:
+    """The quantiles solve for theta*x from log s, so they hold for every
+    beta that PlAptParams accepts and for every tail mass down to 5e-324."""
+
+    @pytest.mark.parametrize("beta", [1.0 + 1e-9, 2.5, 709.0, 744.0, 1e6, 1e300])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_roundtrip_at_any_beta(self, alpha, beta):
+        p = PlAptParams(alpha, beta, 1.0)
+        u = np.linspace(0.01, 0.99, 99)
+        assert np.max(np.abs(cdf(p, quantile(p, u)) - u)) <= 1e-10
+
+    @pytest.mark.parametrize("p", [(2.0, 2.5, 1.5), (0.5, 1.1, 0.6), (1.0, 1.5, 3.0), (2.0, 1e6, 1.0)], ids=str)
+    def test_tail_quantile_against_mpmath_down_to_the_smallest_subnormal(self, p):
+        p = PlAptParams(*p)
+        v = np.geomspace(5e-324, 0.5, 60)
+        got = tail_quantile(p, v)
+        want = np.array([_mp_tail_quantile(p, x) for x in v.tolist()])
+        assert np.max(np.abs(got - want) / want) <= 1e-14
+
+    def test_exact_zero_at_both_ends(self):
+        extremes = [(a, b, 1.0) for a in (1e-300, 0.01, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 3.0, 1e300)
+                    for b in (math.nextafter(1.0, 2.0), 1.0 + 1e-9, 1.5, 2.678, 2.7, 1e6)]
+        for p in params_grid() + [PlAptParams(*t) for t in extremes]:
+            for q in (quantile(p, 0.0), tail_quantile(p, 1.0), tail_quantile(p, np.array([0.5, 1.0]))[1]):
+                assert q == 0.0 and math.copysign(1.0, q) == 1.0, p
 
 
 class TestExactAlphaOne:
@@ -437,8 +475,8 @@ class TestBlockwise:
         with pytest.raises(DomainError):
             quantile(P_APT, u)
         v = np.full(15, 0.5)
-        v[-1] = 5e-324  # the Lambert argument underflows to 0
-        with pytest.raises(NumericalError, match="underflowed"):
+        v[-1] = 0.0
+        with pytest.raises(DomainError):
             tail_quantile(PlAptParams(2.0, 2.5, 1.5), v)
         x = np.full(15, 0.5)
         x[-1] = -0.5

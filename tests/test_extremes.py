@@ -165,9 +165,44 @@ class TestExtremalQuantile:
 @pytest.mark.parametrize("alpha", [2.0, 1.0])
 @pytest.mark.parametrize("function", [tail_quantile, a_function, extremal_quantile], ids=lambda f: f.__name__)
 def test_underflowed_lambert_argument_is_a_numerical_error(function, alpha):
-    # at u = 5e-324 the Lambert argument rounds to 0, outside [-beta*exp(-beta), 0)
-    with pytest.raises(NumericalError, match="Lambert argument underflowed"):
-        function(PlAptParams(alpha, 2.5, 1.5), 5e-324)
+    # At u = 5e-324 the Lambert argument A rounds to 0: a_function, which
+    # returns it, raises; the quantile and its expansion never form it and
+    # hold there (tests/test_distribution.py checks the quantile against 50 digits).
+    p = PlAptParams(alpha, 2.5, 1.5)
+    if function is a_function:
+        with pytest.raises(NumericalError, match="underflows"):
+            a_function(p, 5e-324)
+        return
+    want = tail_quantile(p, 5e-324)
+    assert 490.0 < want < math.inf
+    if function is extremal_quantile:
+        e = extremal_quantile(p, 5e-324)
+        assert abs(e.value - want) < 1e-2
+        assert sum(e.components.values()) == pytest.approx(e.value, rel=1e-14)
+
+
+class TestLargeBeta:
+    """From beta of about 745, beta*exp(-beta) and the float C(alpha, beta)
+    underflow to 0; the quantiles, the expansion and the maxima, which work
+    in t = theta*x and in logs, hold for every beta."""
+
+    def test_expansion_past_the_underflow_of_c(self):
+        p = PlAptParams(2.0, 800.0, 1.0)
+        assert tail_constant(2.0, 800.0) == 0.0
+        e = extremal_quantile(p, 1e-10)
+        assert abs(e.value - tail_quantile(p, 1e-10)) < 1e-2
+        assert sum(e.components.values()) == pytest.approx(e.value, rel=1e-14)
+        assert e.c0 == pytest.approx(math.log(2.0 * math.log(2.0)) - math.log(800.0), rel=1e-15)
+        with pytest.raises(NumericalError, match="underflows"):
+            a_function(p, 0.5)
+
+    def test_normalized_maxima_at_beta_one_million(self):
+        p, n = PlAptParams(2.0, 1e6, 1.0), 10**4
+        g = np.array([0.0, 0.3, 0.9, 0.999999])
+        with np.errstate(divide="ignore"):  # g = 0 is the maximum of tail mass 1
+            x_max = tail_quantile(p, -np.expm1(np.log(g) / n))
+        want = p.theta * (x_max - tail_quantile(p, 1.0 / n))
+        assert np.allclose(extremes._normalized_maxima(p, n, g), want, rtol=1e-13, atol=1e-13)
 
 
 class TestPiVariation:

@@ -138,6 +138,16 @@ class TestRecovery:
         rmse = math.sqrt(float(np.mean((betas - truth.beta) ** 2)))
         assert report.summary["beta"]["rmse"] == pytest.approx(rmse)
 
+    def test_runs_where_exp_minus_beta_underflows(self):
+        # exp(-760) is 0 as a float; the samples are drawn in t = theta*x from
+        # log s, so every replication draws and is fitted (at n = 50 beta is
+        # not identified this far out, and its fits scatter or reach beta -> inf)
+        truth = PlAptParams(2.0, 760.0, 1.0)
+        report = run_experiment(ExperimentConfig(kind="recovery", n=50, reps=20, seed=1, truth=truth))
+        assert len(report.records) == 20 and report.failures == 0
+        assert sum(report.summary["status_counts"].values()) == 20
+        assert all(math.isfinite(r["theta_hat"]) and math.isfinite(r["loglik"]) for r in report.records)
+
     def test_recovery_is_sane(self):
         cfg = ExperimentConfig(kind="recovery", n=2000, reps=10, seed=7, truth=TRUTH)
         report = run_experiment(cfg)
@@ -182,12 +192,12 @@ class TestReportContract:
 
 
 # SHA-256 of run_experiment(cfg).to_json() at seed 1 for each kind, recorded
-# before the streams of a chunk were derived in one pass (numpy 2.4.6, x86-64).
+# when the quantiles were first solved for theta*x (numpy 2.4.6, x86-64).
 _GOLDEN = {
-    "recovery": (200, 5, "fb2bac736c69ccf95045bbdb0fdf60faa8d6e31649bb8fb324e5ec5ba2da7500"),
-    "model_compare": (200, 3, "b665d3514d518f7065b45b153a0d57b7bb49e1216b50ad4e5d5dac9e9270a75d"),
-    "evi_coverage": (1000, 5, "83cdcea06d428030996ae5a96e40ed779cf5a196be1cdd5415058e5f42cd38d2"),
-    "maxima_gumbel": (1000, 50, "9f11af9f049bb9494104434665250f9f594ce6b266b7649ab39c1dd4de882929"),
+    "recovery": (200, 5, "edc31e137375796d11652bd0b0ae2ce8cfcb04c68f68f40638ce222e4f99697c"),
+    "model_compare": (200, 3, "62e872bd385aae1310b66935994390cc85284c83daa39704ce858245fa5be0cb"),
+    "evi_coverage": (1000, 5, "45841b12178c6cb732aeec8f3ef1ebb581f1137d26aee6d54bd35624b9fceba7"),
+    "maxima_gumbel": (1000, 50, "5f4b502c100a4e8559a5a0d45c495a4cac9b398ce2963601ad01ccb231a5bda8"),
 }
 _SEEDS = [
     0, 1, 2**32 - 1, 2**32, 2**128 - 1, 2**128, 2**200 + 3, [3, 2**40, 0],
@@ -485,13 +495,13 @@ def _report_json(cfg, records, summary=None):
 
 
 # SHA-256 of the report JSON of two studies at truth _BOUNDARY_TRUTH, seed
-# 1000, recorded before the fits were kept as columns (numpy 2.4.6,
-# x86-64): 4 of the 20 recovery fits end at beta -> 1, and one pl_apt lane
-# of the model_compare profiles at beta -> inf.
+# 1000, recorded when the quantiles were first solved for theta*x (numpy
+# 2.4.6, x86-64): 4 of the 20 recovery fits end at beta -> 1, and one pl_apt
+# lane of the model_compare profiles at beta -> inf.
 _BOUNDARY_TRUTH = PlAptParams(0.5, 1.1, 0.6)
 _BOUNDARY_DIGESTS = {
-    "recovery": (50, 20, "45d83e5d166a357b43a86a050ff5d6bf57fe04691aa31720dda261cfac5a5562"),
-    "model_compare": (1000, 6, "5990252f4b2ed6aea54621a0a2fd33331c5be69f9dfa4b099f780ea151263793"),
+    "recovery": (50, 20, "80d727a7da176ac1fedabc0760131ef169311eb8b9cb41e82e0633bc49a63326"),
+    "model_compare": (1000, 6, "d10646c1dcac92b70f0dc38cf0f80c8d7e8365ccef0beaa3afbfc9c788936fc6"),
 }
 
 
@@ -736,16 +746,16 @@ def _case_report(case, monkeypatch):
     return cfg, run_experiment(cfg)
 
 
-# SHA-256 of repr(report.records) of some writer cases, recorded when a
-# report held one dict per replication (numpy 2.4.6, x86-64)
+# SHA-256 of repr(report.records) of some writer cases, recorded when the
+# quantiles were first solved for theta*x (numpy 2.4.6, x86-64)
 _RECORD_DIGESTS = {
-    "recovery-golden": "1b49cf1de4274cc4bdd6c50d41424ecee135a05169ebdbce1d08213ecc97da98",
-    "model_compare-golden": "d1167774514e02822ef51a4b74aa04b86204dce77c103b2ebd218a696b7fefdb",
-    "evi_coverage-golden": "099c23731f9f4ec6a796e96c3dacd04108ee6cf79fca3dc29dc82a0f3881882b",
-    "maxima_gumbel-golden": "7a128b666d30e2a7117c000a9512b5ffae90108191212f3a38e2b2dabbe64cb8",
-    "recovery-nan-stderr": "a05c20aa6b3df6d561eb9e8152b41f3b1a0a5f93af21dbf0e51b7cb5acbdef74",
+    "recovery-golden": "f9b6f57906b088f3c519887e73659859791949e5e635d928eee5793a50547036",
+    "model_compare-golden": "e73c4e3b5e540244e23dc8d4c796f26a8245f85a9aacddd83fafbf6fee30679b",
+    "evi_coverage-golden": "77307ca6e9538fe7e02d703d963e46c1b22bf68888b7be99aa4c8c994a1b49a9",
+    "maxima_gumbel-golden": "0f8da01c83d9c686d1276adf3758aefccce91dbe590f7d6345716c0ba5e204b7",
+    "recovery-nan-stderr": "663ac6eb987edc1fb0f845cb1a2e27417b6270454ba06ac12377b3af24aa5043",
     "recovery-max-iter": "38f29ff8735d388a8060de33f7e5ac3a3745dbe0cbfb553b710a8ba9c82d8fc9",
-    "model-compare-family-errors": "c44d352693a253fc07f4fa42076079964ca83d58257aa686585f7cf2e0bad7ee",
+    "model-compare-family-errors": "6992c50876ac652f26eaa2243bde968135d206e356c4cfaa05ff7a1ec44f5167",
     "evi-tied-spacings": "e44da8a122343e5914cbab6426c68ff3550c868dae6dc51aa67ac6d15d95408e",
 }
 

