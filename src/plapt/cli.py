@@ -131,9 +131,8 @@ def _cmd_eval(args) -> int:
     }[args.command]
     points = args.u if args.command == "quantile" else args.x
     col = "u" if args.command == "quantile" else "x"
-    lines = [f"{col},{args.command}"]
-    for pt in points:
-        lines.append(f"{fmt(pt)},{fmt(fn(p, pt))}")
+    values = fn(p, np.array(points)).tolist()  # elementwise: one call for all the points
+    lines = [f"{col},{args.command}"] + [f"{fmt(pt)},{fmt(v)}" for pt, v in zip(points, values)]
     _emit("\n".join(lines), args.output)
     return _EXIT_OK
 
@@ -146,14 +145,14 @@ def _cmd_table(args) -> int:
             pairs.append((float(a), float(b)))
         except ValueError:
             raise DomainError(f"bad alpha:beta pair {token!r}") from None
-    us = [float(u) for u in args.u]
+    us = np.array(args.u, dtype=float)
     fmt = _formatter(args.digits)
     header = ["theta", "alpha", "beta"] + [f"q{i + 1}" for i in range(len(us))]
     lines = [",".join(header)]
     for theta in args.thetas:
         for alpha, beta in pairs:
             p = PlAptParams(alpha=alpha, beta=beta, theta=theta)
-            qs = [quantile(p, u) for u in us]
+            qs = quantile(p, us).tolist()
             lines.append(",".join(fmt(v) for v in (theta, alpha, beta, *qs)))
     _emit("\n".join(lines), args.output)
     return _EXIT_OK
@@ -359,10 +358,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return _EXIT_NUMERICAL
-    except PlaptError as exc:  # a DomainError or any other package error
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_VALIDATION
-    except MemoryError as exc:  # a count too large to hold, e.g. --n 1e14
+    except (PlaptError, MemoryError) as exc:  # any other package error, or a count too large to hold
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_VALIDATION
     except OSError as exc:

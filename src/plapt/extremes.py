@@ -1,9 +1,10 @@
 """Tail asymptotics and extreme-value-index estimation.
 
 Covers the asymptotic expansion of the upper-tail quantile, a numeric
-check that the family sits in the Gumbel max-domain of attraction, the
-normalization of simulated maxima, and the double-indexed Hill statistic
-T_n(f, s) with its centering/scaling constants and asymptotic test.
+check that the family sits in the Gumbel max-domain of attraction (on the
+exact auxiliary scale 1/h(Q(1 - u))), the normalization of simulated
+maxima, and the double-indexed Hill statistic T_n(f, s) with its
+centering/scaling constants and asymptotic test.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .distribution import (
     PlAptParams, Sample, _BLOCK, _MAX_COUNT, _MAX_REPS, _blockwise, _first_uniforms, _integer, _log_ratio,
-    _param_error, _positive, _tail_log_s, tail_quantile,
+    _param_error, _positive, _tail_log_s, hazard, tail_quantile,
 )
 from .exceptions import DomainError, NumericalError
 from .inference import _chunks
@@ -134,7 +135,7 @@ class PiVariationPoint:
     """One grid point of the Gumbel-domain residual check."""
 
     u: float
-    scale: float  # s(u) = u * Q'(1-u), by central differences
+    scale: float  # s(u) = u * Q'(1-u), exactly 1/h(Q(1-u))
     residual: float  # (Q(1-lambda*u) - Q(1-u))/s(u) + log(lambda)
 
 
@@ -145,27 +146,29 @@ def pi_variation_check(
 
     The limit of (Q(1-lambda*u) - Q(1-u)) / s(u) as u -> 0 is -log(lambda),
     so the reported residual r(u) must shrink toward 0 down the grid.  The
-    auxiliary scale s(u) is evaluated by central finite differences of the
-    exact quantile with relative step u/100; a point where that step
-    underflows or the scale degenerates raises ``NumericalError``.  Every
-    alpha, alpha = 1 included, lies in the Gumbel domain.
+    auxiliary scale s(u) = u * Q'(1-u) = R(Q)/f(Q) is exactly 1/h(Q(1 - u)),
+    the reciprocal hazard (de Haan and Ferreira 2006, ch. 1).  The
+    quantiles and the hazard are taken in t = theta*x at theta = 1, by one
+    call on the masses u and lambda*u and one at t(u), so the residual is
+    exactly independent of theta and no quantile can overflow; only a
+    scale beyond the float range, at a theta below about 1e-308, is inf.
+    Every alpha, alpha = 1 included, lies in the Gumbel domain.
     """
     lam = _positive("lambda", lam)
-    points = []
-    log_lam = math.log(lam)
-    for u in u_grid:
-        u = float(u)
-        if not 0.0 < u < 1e-2:
-            raise DomainError(f"grid values must lie in (0, 1e-2), got {u}")
-        if not lam * u < 1.0:
-            raise DomainError(f"lambda*u must stay below 1, got {lam * u}")
-        h = u / 100.0
-        scale = u * (tail_quantile(p, u - h) - tail_quantile(p, u + h)) / (2.0 * h) if h > 0.0 else 0.0
-        if not (math.isfinite(scale) and scale > 0.0):
-            raise NumericalError(f"finite-difference scale degenerated at u={u}")
-        residual = (tail_quantile(p, lam * u) - tail_quantile(p, u)) / scale + log_lam
-        points.append(PiVariationPoint(u=u, scale=scale, residual=residual))
-    return points
+    u = np.asarray(u_grid, dtype=float).ravel()
+    for v in u.tolist():
+        if not 0.0 < v < 1e-2:
+            raise DomainError(f"grid values must lie in (0, 1e-2), got {v}")
+        if not lam * v < 1.0:
+            raise DomainError(f"lambda*u must stay below 1, got {lam * v}")
+    unit = PlAptParams(p.alpha, p.beta, 1.0)
+    t = tail_quantile(unit, np.concatenate([u, lam * u]))
+    t_u, t_lam = np.split(t, 2)
+    h_t = hazard(unit, t_u)
+    with np.errstate(over="ignore"):  # a scale beyond the float range (theta below about 1e-308) is inf
+        scale = 1.0 / h_t / p.theta
+    residual = (t_lam - t_u) * h_t + math.log(lam)
+    return [PiVariationPoint(*point) for point in zip(u.tolist(), scale.tolist(), residual.tolist())]
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,24 @@ class TestEvalCommands:
             assert rc == 0
             assert out.startswith("x," + name)
 
+    @pytest.mark.parametrize(
+        "name, flag, points",
+        [
+            ("quantile", "--u", (0.0, 1e-300, 0.25, 0.5, 0.999999999)),
+            ("hazard", "--x", (0.0, 1e-300, 0.5, 30.0, 1e300)),
+        ],
+    )
+    def test_every_point_is_the_library_value(self, capsys, name, flag, points):
+        # all points go through one call; each line must read as the point's own call
+        rc, out, _ = run_cli(
+            capsys, [name, "--alpha", "0.5", "--beta", "1.1", "--theta", "0.6", flag, *map(repr, points)]
+        )
+        assert rc == 0
+        p = PlAptParams(0.5, 1.1, 0.6)
+        fn = getattr(plapt, name)
+        want = [f"{flag[2:]},{name}"] + [f"{pt!r},{fn(p, pt)!r}" for pt in points]
+        assert out.splitlines() == want
+
     def test_validation_exit_code(self, capsys):
         rc, _, err = run_cli(
             capsys,

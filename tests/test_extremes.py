@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
@@ -16,6 +17,7 @@ from plapt import (
     evi_asymptotic_test,
     extremal_quantile,
     gumbel_ks_distance,
+    hazard,
     maxima_normalization,
     pi_variation_check,
     quantile,
@@ -232,14 +234,44 @@ class TestPiVariation:
         with pytest.raises(DomainError, match="lambda\\*u must stay below 1, got 1.0"):
             pi_variation_check(P, 200.0, [5e-3])
 
-    def test_step_underflow(self):
-        # At u = 3e-323 the step u/100 underflows to 0: no scale, and no division by it
+    @pytest.mark.parametrize(
+        "p", [PlAptParams(2.0, 2.5, 1.5), PlAptParams(0.5, 1.1, 0.6), PlAptParams(1.0, 1.5, 3.0)], ids=str
+    )
+    def test_scale_is_the_reciprocal_hazard(self, p):
+        # s(u) = u * Q'(1 - u) = R(Q)/f(Q) at 40 digits, t = theta*Q solving
+        # t - log1p(t/beta) = -log s, s the Pseudo-Lindley survival mass at u
+        with mpmath.workdps(40):
+            a, b, th = (mpmath.mpf(v) for v in (p.alpha, p.beta, p.theta))
+            for point in pi_variation_check(p, 2.0, [1e-3, 1e-8]):
+                u = mpmath.mpf(point.u)
+                log_s = mpmath.log(u if a == 1 else -mpmath.log1p(u * (1 - a) / a) / mpmath.log(a))
+                t = mpmath.findroot(lambda t: t - mpmath.log1p(t / b) + log_s, -log_s + 1)
+                surv = (1 + t / b) * mpmath.exp(-t)
+                dens = th * (b - 1 + t) * mpmath.exp(-t) / b
+                if a != 1:
+                    dens *= mpmath.log(a) / (a - 1) * a ** (1 - surv)
+                    surv = a / (1 - a) * mpmath.expm1(-mpmath.log(a) * surv)
+                want = float(surv / dens)
+                assert abs(point.scale - want) <= 1e-14 * want, point.u
+
+    def test_tiny_masses(self):
+        # down to the smallest subnormal mass, the scale is 1/h(Q(1 - u)) and the residual finite
         p = PlAptParams(2.0, 2.5, 1.5)
-        with pytest.raises(NumericalError, match="finite-difference scale degenerated at u=3e-323"):
-            pi_variation_check(p, 2.0, [3e-323])
-        # a subnormal step still gives a scale
-        (point,) = pi_variation_check(p, 2.0, [1e-320])
-        assert point.scale == 0.675
+        for point in pi_variation_check(p, 2.0, [5e-324, 3e-323, 1e-320]):
+            assert abs(point.scale * hazard(p, tail_quantile(p, point.u)) - 1.0) <= 4.4e-16
+            assert math.isfinite(point.residual)
+
+    def test_residual_is_theta_free(self):
+        grid = [1e-3, 1e-8, 5e-324]
+        want = [point.residual for point in pi_variation_check(PlAptParams(2.0, 2.5, 1.5), 2.0, grid)]
+        for theta in (1e-308, 1e300, 5e-324):
+            points = pi_variation_check(PlAptParams(2.0, 2.5, theta), 2.0, grid)
+            assert [point.residual for point in points] == want
+            # at a subnormal theta the scale is beyond the float range
+            assert [0.0 < point.scale < math.inf for point in points] == [theta != 5e-324] * len(grid)
+
+    def test_empty_grid(self):
+        assert pi_variation_check(P, 2.0, []) == []
 
     @pytest.mark.parametrize("beta", [1.1, 1.5, 2.5])
     def test_alpha_one(self, beta):
