@@ -214,7 +214,7 @@ def _cmd_evi(args) -> int:
         "n": data.n,
         "weight": {"kind": w.kind, "s": w.s, "tau": w.tau},
         "an_sn_ratio": report.an_sn_ratio,
-        **dataclasses.asdict(report),  # k, t_n, a_n, s_n, b_n, m_n, z_stat, ci_low, ci_high
+        **dataclasses.asdict(report),  # k, t_n, a_n, s_n, b_n, m_n, ci_low, ci_high
     }
     if test is not None:
         payload["test"] = {

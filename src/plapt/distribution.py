@@ -48,6 +48,9 @@ _T_CAP = 2.0**512
 # and below glibc's mmap threshold, so no call page-faults fresh scratch memory
 # (2**13 to 2**15 tie on the draws benchmark; 2**16 faults and is slower).
 _BLOCK = 2**14
+# Values a chunk of a stack of rows holds: fits run their lanes, and studies
+# their replications, in chunks of at most this many values (``_chunks``).
+CHUNK_ELEMENTS = 1 << 16
 # _blockwise deals the blocks of a call round-robin to at most one thread per
 # usable core, with at least _THREAD_BLOCKS blocks each: numpy releases the
 # GIL inside each ufunc, so two blocks' quantiles run at once, and a call under
@@ -228,6 +231,13 @@ def _blockwise(f, x, out=None):
     if errors:
         raise errors[min(errors)]
     return out
+
+
+def _chunks(count: int, n: int) -> list[range]:
+    """Consecutive runs of ``count`` rows of ``n`` values, at most
+    ``CHUNK_ELEMENTS`` values a run (one row if a row is longer)."""
+    size = max(1, CHUNK_ELEMENTS // n)
+    return [range(k, min(k + size, count)) for k in range(0, count, size)]
 
 
 def _clipped_t(p: PlAptParams, xa):

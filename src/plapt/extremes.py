@@ -4,7 +4,8 @@ Covers the asymptotic expansion of the upper-tail quantile, a numeric
 check that the family sits in the Gumbel max-domain of attraction (on the
 exact auxiliary scale 1/h(Q(1 - u))), the normalization of simulated
 maxima, and the double-indexed Hill statistic T_n(f, s) with its
-centering/scaling constants and asymptotic test.
+centering/scaling constants and asymptotic test, whose z statistic is
+formed only against a hypothesised index, by ``evi_asymptotic_test``.
 """
 from __future__ import annotations
 
@@ -16,11 +17,10 @@ from typing import Sequence
 import numpy as np
 
 from .distribution import (
-    PlAptParams, Sample, _BLOCK, _MAX_COUNT, _MAX_REPS, _blockwise, _first_uniforms, _integer, _log_ratio,
-    _param_error, _positive, _tail_log_s, hazard, tail_quantile,
+    PlAptParams, Sample, _BLOCK, _MAX_COUNT, _MAX_REPS, _blockwise, _chunks, _first_uniforms, _integer,
+    _log_ratio, _param_error, _positive, _tail_log_s, hazard, tail_quantile,
 )
 from .exceptions import DomainError, NumericalError
-from .inference import _chunks
 from .special_functions import _theta_x
 
 __all__ = [
@@ -245,7 +245,6 @@ class EviReport:
     s_n: float
     b_n: float
     m_n: float
-    z_stat: float
     ci_low: float
     ci_high: float
 
@@ -274,16 +273,12 @@ def _hill_weights(w: WeightSpec, k: int) -> tuple:
     return s, f_j, a_n, s_n, float(np.max(g_j)) / s_n
 
 
-# The per-row statistics of ``_double_hill_rows``, in its columns' order
-_EVI_STATS = ("t_n", "m_n", "z_stat", "ci_low", "ci_high")
-
-
-def _double_hill_rows(top: np.ndarray, weights: tuple, target: float | None = None) -> tuple[dict, list]:
-    """The EviReport statistics of each row of ``top``, a (rows, k+1) stack
-    of top order statistics sorted ascending, as float64 columns named by
-    ``_EVI_STATS`` (NaN on a row that fails), and the PlaptError that stops
-    each row, or None (rows failing alike share one error); ``weights`` is
-    ``_hill_weights(w, k)``."""
+def _double_hill_rows(top: np.ndarray, weights: tuple) -> tuple[dict, np.ndarray]:
+    """The data statistics t_n, m_n, ci_low and ci_high of each row of
+    ``top``, a (rows, k+1) stack of top order statistics sorted ascending, as
+    float64 columns (NaN on a row that fails), and an object array of the
+    PlaptError that stops each row, or None (rows failing alike share one
+    error); ``weights`` is ``_hill_weights(w, k)``."""
     s, f_j, a_n, s_n, _ = weights
     with np.errstate(all="ignore"):
         # Column i is the log-spacing of rank j = k - i, log X_{n-j+1,n} -
@@ -298,18 +293,15 @@ def _double_hill_rows(top: np.ndarray, weights: tuple, target: float | None = No
         t_n[good] = [math.fsum(memoryview(row)) for row in terms[good]]
         ratio = t_n / a_n
         half = _Z975 * (s_n / a_n) * ratio
-        z_stat = np.where(good, 0.0, math.nan) if target is None else (a_n / s_n) * (ratio / target**s - 1.0)
         ci_low, ci_high = (np.maximum(b, 0.0) ** (1.0 / s) for b in (ratio - half, ratio + half))
-        stats = dict(zip(_EVI_STATS, (t_n, ratio ** (1.0 / s), z_stat, ci_low, ci_high)))
-    errors = np.full(len(top), None)
+        stats = {"t_n": t_n, "m_n": ratio ** (1.0 / s), "ci_low": ci_low, "ci_high": ci_high}
+    errors = np.full(len(top), None, object)
     errors[~good] = NumericalError("all top log-spacings are zero (tied observations)")
     errors[~valid] = DomainError("the top k+1 order statistics must be positive and finite")
-    return stats, errors.tolist()
+    return stats, errors
 
 
-def double_hill_components(
-    data: Sample, w: WeightSpec, k: int, target: float | None = None
-) -> EviReport:
+def double_hill_components(data: Sample, w: WeightSpec, k: int) -> EviReport:
     """Compute T_n, a_n, s_n, B_n and M_n(f, s) from the top k spacings.
 
     Parameters
@@ -321,26 +313,22 @@ def double_hill_components(
         Weight family (f, s).
     k : int
         Number of top spacings, 1 <= k <= n-1.
-    target : float, optional
-        Extreme-value index g under test (on the same scale as m_n); the z
-        statistic is (a_n/s_n) * ((t_n/a_n)/g**s - 1), standard normal in
-        the limit when g is the true index.  Without a target z_stat is
-        zero and the confidence interval is the inferential output.
+
+    The confidence interval is the inferential output; a z statistic needs
+    a hypothesised index, and :func:`evi_asymptotic_test` forms it.
 
     Raises
     ------
     DomainError
         On k out of range, weights that do not give positive finite f(1..k),
-        a_n and s_n, nonpositive top order statistics or a target that is
-        not a positive real.
+        a_n and s_n, or nonpositive top order statistics.
     NumericalError
         When every top spacing is zero (tied observations).
     """
     n = data.n
     k = _integer("k", k, 1, n - 1)
-    target = None if target is None else _positive("target", target)
     weights = _hill_weights(w, k)
-    stats, (error,) = _double_hill_rows(data.values[None, n - k - 1 :], weights, target)
+    stats, (error,) = _double_hill_rows(data.values[None, n - k - 1 :], weights)
     if error is not None:
         raise error
     _, _, a_n, s_n, b_n = weights
@@ -353,27 +341,26 @@ class EviTestResult:
 
     z_stat: float
     p_value: float
-    an_sn_ratio: float
-    b_n: float
-    lindeberg_warning: bool  # set when b_n > 0.5, i.e. B_n -> 0 is implausible
+    lindeberg_warning: bool  # set when report.b_n > 0.5, i.e. B_n -> 0 is implausible
     report: EviReport
 
 
 def evi_asymptotic_test(data: Sample, w: WeightSpec, k: int, target: float) -> EviTestResult:
-    """Test m_n against a caller-supplied target on the m_n scale.
+    """Test m_n against a hypothesised index g = target on the m_n scale.
 
-    Reads the z statistic of :func:`double_hill_components` at that target
-    and adds a two-sided normal p-value.  The report carries a_n/s_n and
-    b_n so the caller can judge whether the asymptotic regime (a_n/s_n
-    small, b_n small) is plausible.
+    The z statistic (a_n/s_n) * ((t_n/a_n)/g**s - 1), from the report of
+    :func:`double_hill_components`, is standard normal in the limit when g
+    is the true index; the p-value is two-sided.  The report carries
+    a_n/s_n and b_n so the caller can judge whether the asymptotic regime
+    (a_n/s_n small, b_n small) is plausible.  A target that is not a
+    positive real is a DomainError.
     """
-    rep = double_hill_components(data, w, k, target=float(target))
-    p_value = math.erfc(abs(rep.z_stat) / math.sqrt(2.0))
+    target = _positive("target", target)
+    rep = double_hill_components(data, w, k)
+    z_stat = (rep.a_n / rep.s_n) * (rep.t_n / rep.a_n / target**w.s - 1.0)
     return EviTestResult(
-        z_stat=rep.z_stat,
-        p_value=p_value,
-        an_sn_ratio=rep.an_sn_ratio,
-        b_n=rep.b_n,
+        z_stat=z_stat,
+        p_value=math.erfc(abs(z_stat) / math.sqrt(2.0)),
         lindeberg_warning=rep.b_n > 0.5,
         report=rep,
     )

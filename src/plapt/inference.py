@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distribution import PlAptParams, Sample, _integer, _log_ratio, _param_error
+from .distribution import PlAptParams, Sample, _chunks, _integer, _log_ratio, _param_error
 from .exceptions import DomainError, NumericalError, PlaptError
 from .special_functions import _TINY
 
@@ -58,8 +58,6 @@ _MAX_HALVINGS = 30
 _MAX_STEP = 4.0
 # Near a maximum a Newton step gains less than the rounding error of the sum.
 _LOGLIK_RTOL = 1e-13
-# Lanes times observations fitted in lockstep; larger stacks run in chunks.
-CHUNK_ELEMENTS = 1 << 16
 
 
 def _alpha_terms(alpha, n: int) -> tuple:
@@ -313,13 +311,6 @@ def _fit_chunk(x, alpha, theta, beta, max_iter):
         counts[0] += up
         counts[1] = np.where(up, 0, counts[1] + 1)
     return final, status, iterations
-
-
-def _chunks(count: int, n: int) -> list[range]:
-    """Consecutive runs of ``count`` rows of ``n`` values, at most
-    ``CHUNK_ELEMENTS`` values a run (one row if a row is longer)."""
-    size = max(1, CHUNK_ELEMENTS // n)
-    return [range(k, min(k + size, count)) for k in range(0, count, size)]
 
 
 @dataclass(frozen=True, eq=False)

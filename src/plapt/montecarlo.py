@@ -33,12 +33,12 @@ import numpy as np
 
 from . import __version__
 from .distribution import (
-    PlAptParams, _MAX_COUNT, _MAX_REPS, _first_uniforms, _integer, _param_error, _positive, _replication_rngs,
-    _seed_words, _sorted_quantiles, tail_quantile,
+    PlAptParams, _MAX_COUNT, _MAX_REPS, _chunks, _first_uniforms, _integer, _param_error, _positive,
+    _replication_rngs, _seed_words, _sorted_quantiles, tail_quantile,
 )
 from .exceptions import DomainError
 from .extremes import WeightSpec, _double_hill_rows, _hill_weights, _normalized_maxima, gumbel_ks_distance
-from .inference import _chunks, _fit_rows, _model_compare_rows, lindley_family, pl_apt_family, pseudo_lindley_family
+from .inference import _fit_rows, _model_compare_rows, lindley_family, pl_apt_family, pseudo_lindley_family
 
 __all__ = [
     "ExperimentKind",
@@ -504,7 +504,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     recovery and model_compare, one uniform for maxima_gumbel, k + 2
     variates for evi_coverage) from its own stream, bit for bit
     ``default_rng(SeedSequence(cfg.seed, spawn_key=(rep,)))`` (reps <=
-    2**32), a chunk of replications (``inference._chunks``, sized by the row
+    2**32), a chunk of replications (``distribution._chunks``, sized by the row
     width) at a time: the chunk's streams are derived in one pass (for
     maxima_gumbel, each stream's first uniform is computed straight from its
     seed words, with no generator), and the kind's row function turns the

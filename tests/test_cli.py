@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import plapt
-from plapt import PlAptParams, Sample, WeightSpec, double_hill_components, quantile, sample
+from plapt import PlAptParams, Sample, WeightSpec, double_hill_components, evi_asymptotic_test, quantile, sample
 from plapt import cli
 from plapt.cli import main, read_numeric_csv
 
@@ -408,14 +408,25 @@ class TestEvi:
         assert "weights must be positive and finite" in err
 
     def test_target_adds_test_block(self, tmp_path, capsys):
-        path, _ = self._write_pareto(tmp_path, seed=3)
+        path, values = self._write_pareto(tmp_path, seed=3)
         rc, out, _ = run_cli(
             capsys, ["evi", "--input", str(path), "--k", "100", "--target", "0.5"]
         )
         assert rc == 0
         payload = json.loads(out)
         assert 0.0 <= payload["test"]["p_value"] <= 1.0
-        assert payload["z_stat"] == payload["test"]["z_stat"]
+        assert "z_stat" not in payload
+        test = evi_asymptotic_test(Sample(values), WeightSpec.hill(), k=100, target=0.5)
+        assert payload["test"] == {
+            "target": 0.5, "z_stat": test.z_stat, "p_value": test.p_value, "lindeberg_warning": test.lindeberg_warning
+        }
+
+    def test_no_target_prints_no_test(self, tmp_path, capsys):
+        path, _ = self._write_pareto(tmp_path, seed=3)
+        rc, out, _ = run_cli(capsys, ["evi", "--input", str(path), "--k", "100"])
+        assert rc == 0
+        payload = json.loads(out)
+        assert set(payload) == {"n", "weight", "an_sn_ratio", "k", "t_n", "a_n", "s_n", "b_n", "m_n", "ci_low", "ci_high"}
 
 
 class TestExpansionAndExperiment:

@@ -331,11 +331,6 @@ class TestDoubleHill:
         assert rep1.s_n == rep2.s_n
         assert rep1.b_n == rep2.b_n
 
-    def test_default_target_zeroes_z(self):
-        rng = np.random.default_rng(15)
-        rep = double_hill_components(Sample(rng.random(200) + 1.0), WeightSpec.hill(), k=30)
-        assert rep.z_stat == 0.0
-
     def test_domain_errors(self):
         rng = np.random.default_rng(16)
         data = Sample(rng.random(100) + 0.5)
@@ -360,11 +355,12 @@ class TestDoubleHill:
         top[1] = 2.0  # tied top values
         top[3, 0] = 0.0  # a nonpositive top value
         w = WeightSpec.power(0.5, s=0.7)
-        stats, errors = extremes._double_hill_rows(top, extremes._hill_weights(w, k), target=0.6)
+        stats, errors = extremes._double_hill_rows(top, extremes._hill_weights(w, k))
+        assert errors.dtype == object
         assert isinstance(errors[1], NumericalError) and isinstance(errors[3], DomainError)
         for r, (row, got) in enumerate(zip(top, errors)):
             try:
-                want = double_hill_components(Sample(row), w, k, target=0.6)
+                want = double_hill_components(Sample(row), w, k)
             except PlaptError as exc:
                 assert type(got) is type(exc) and str(got) == str(exc)
                 assert all(math.isnan(col[r]) for col in stats.values())
@@ -422,9 +418,10 @@ class TestDoubleHill:
 
 def scalar_double_hill_rows(top, weights, target=None, reversed_power=True):
     """The per-row loop that computed _double_hill_rows' statistics in Python
-    floats, one row at a time.  Its terms power the spacings through a
-    reversed view, as that loop did, or, with reversed_power=False, as one
-    contiguous array, as the array form does."""
+    floats, one row at a time, with the z statistic at target (NaN without
+    one).  Its terms power the spacings through a reversed view, as that
+    loop did, or, with reversed_power=False, as one contiguous array, as the
+    array form does."""
     s, f_j, a_n, s_n, _ = weights
     with np.errstate(divide="ignore", invalid="ignore"):
         spacings = np.diff(np.log(top), axis=1)
@@ -448,10 +445,10 @@ def scalar_double_hill_rows(top, weights, target=None, reversed_power=True):
         t_n = math.fsum(row_terms.tolist())
         ratio = t_n / a_n
         half = extremes._Z975 * (s_n / a_n) * ratio
-        z_stat = 0.0 if target is None else (a_n / s_n) * (ratio / target**s - 1.0)
+        z_stat = math.nan if target is None else (a_n / s_n) * (ratio / target**s - 1.0)
         ci_low, ci_high = (max(ratio + d, 0.0) ** (1.0 / s) for d in (-half, half))
         stats.append((t_n, ratio ** (1.0 / s), z_stat, ci_low, ci_high))
-    return dict(zip(extremes._EVI_STATS, np.array(stats).T)), errors
+    return dict(zip(("t_n", "m_n", "z_stat", "ci_low", "ci_high"), np.array(stats).T)), errors
 
 
 def _mixed_stack(k, seed):
@@ -466,19 +463,24 @@ def _mixed_stack(k, seed):
 
 
 class TestDoubleHillRows:
-    """The array form of _double_hill_rows against the per-row scalar loop."""
+    """The array form of _double_hill_rows, and at a target the z statistic
+    of evi_asymptotic_test on each good row, against the per-row scalar loop."""
 
     def _compare(self, w, k, target, seed):
         top = _mixed_stack(k, seed)
         weights = extremes._hill_weights(w, k)
-        stats, errors = extremes._double_hill_rows(top, weights, target)
+        stats, errors = extremes._double_hill_rows(top, weights)
         want, want_errors = scalar_double_hill_rows(top, weights, target)
         assert [type(e) for e in errors] == [type(e) for e in want_errors]
         assert [str(e) for e in errors] == [str(e) for e in want_errors]
         assert [e is None for e in errors] == [True, False, True, False, False, True, False, True]
         good = np.array([e is None for e in errors])
+        assert set(stats) == {"t_n", "m_n", "ci_low", "ci_high"}
         for col in stats.values():
             assert col.dtype == float and np.all(np.isnan(col[~good]))
+        if target is not None:
+            stats = {**stats, "z_stat": np.full(len(top), math.nan)}
+            stats["z_stat"][good] = [evi_asymptotic_test(Sample(row), w, k, target).z_stat for row in top[good]]
         return stats, want, good, (top, weights)
 
     @pytest.mark.parametrize("target", [None, 0.6])
@@ -519,7 +521,7 @@ class TestEviTest:
         rng = np.random.default_rng(19)
         data = Sample(rng.random(500) ** -0.5)
         res_small_k = evi_asymptotic_test(data, WeightSpec.hill(), k=2, target=0.5)
-        assert res_small_k.b_n > 0.5
+        assert res_small_k.report.b_n > 0.5
         assert res_small_k.lindeberg_warning
         res_large_k = evi_asymptotic_test(data, WeightSpec.hill(), k=100, target=0.5)
         assert not res_large_k.lindeberg_warning
@@ -535,7 +537,6 @@ class TestEviTest:
             for r in range(reps):
                 data = Sample(rng.random(n) ** -gamma)
                 res = evi_asymptotic_test(data, WeightSpec.hill(s), k=k, target=gamma)
-                assert res.z_stat == res.report.z_stat
                 assert 0.0 <= res.p_value <= 1.0
                 z[r] = res.z_stat
             assert abs(z.mean()) <= 0.25, (gamma, s, z.mean())
@@ -549,8 +550,6 @@ class TestEviTest:
         for target in (-1.0, math.inf, math.nan):
             with pytest.raises(DomainError, match=f"target must be a positive real, got {target}"):
                 evi_asymptotic_test(data, WeightSpec.hill(), k=10, target=target)
-            with pytest.raises(DomainError, match=f"target must be a positive real, got {target}"):
-                double_hill_components(data, WeightSpec.hill(), k=10, target=target)
 
 
 class TestMaximaNormalization:

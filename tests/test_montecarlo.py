@@ -33,7 +33,7 @@ from plapt import (
     sample,
     tail_quantile,
 )
-from plapt import NumericalError, inference, montecarlo
+from plapt import NumericalError, distribution, inference, montecarlo
 from plapt.distribution import _first_uniforms, _replication_rngs, replication_rng
 from plapt.inference import _BETA_INF, _FAILED, _fit_rows
 from plapt.montecarlo import _DEFAULT_ALPHA_GRID
@@ -646,8 +646,8 @@ class TestLockstepStudies:
         assert montecarlo._row_draw(cfg)[0] == width
         one_chunk = run_experiment(cfg).to_json()
         # three replications, and three lanes of the engine, a chunk
-        monkeypatch.setattr(inference, "CHUNK_ELEMENTS", 3 * width)
-        assert inference._chunks(7, width) == [range(0, 3), range(3, 6), range(6, 7)]
+        monkeypatch.setattr(distribution, "CHUNK_ELEMENTS", 3 * width)
+        assert distribution._chunks(7, width) == [range(0, 3), range(3, 6), range(6, 7)]
         assert run_experiment(cfg).to_json() == one_chunk
 
     def test_evi_tail_masses_follow_the_law_of_n_uniforms(self):
@@ -705,8 +705,8 @@ def _odd_fits(fit_rows):
 
 
 def _odd_evi(double_hill_rows):
-    def rows(top, weights, target=None):
-        stats, errors = double_hill_rows(top, weights, target)
+    def rows(top, weights):
+        stats, errors = double_hill_rows(top, weights)
         for r in range(len(errors)):
             if r % 3 == 0:
                 errors[r] = NumericalError(_ODD)
@@ -814,7 +814,7 @@ class TestReportWriter:
         cfg = ExperimentConfig(kind=kind, n=200, reps=11, seed=21, truth=TRUTH)
         whole = run_experiment(cfg).to_json()
         width = montecarlo._row_draw(cfg)[0]
-        monkeypatch.setattr(inference, "CHUNK_ELEMENTS", 3 * width)  # four chunks of replications
+        monkeypatch.setattr(distribution, "CHUNK_ELEMENTS", 3 * width)  # four chunks of replications
         monkeypatch.setattr(montecarlo, "_WRITE_ROWS", 4)  # records written four at a time
         report = run_experiment(cfg)
         pieces = list(report.json_chunks())
