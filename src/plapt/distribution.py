@@ -44,19 +44,21 @@ __all__ = [
 # survival are 0 and (beta - 1 + t)/(beta + t) is 1 (beta < 2**459): every
 # function is at its limit, and theta*(beta - 1 + t) is finite for theta < 2**511.
 _T_CAP = 2.0**512
-# Points per block of the elementwise pipelines: 128 KiB temporaries stay in L2
-# and below glibc's mmap threshold, so no call page-faults fresh scratch memory
-# (2**13 to 2**15 tie on the draws benchmark; 2**16 faults and is slower).
-_BLOCK = 2**14
+# Points per block of the elementwise pipelines.  Each of a block's numpy
+# calls must outlast the GIL handoff that a second thread forces on it: at
+# 2**14 points two threads ran a 2**18-point quantile no faster than one.  At
+# 2**16 a thread's temporaries double, and two threads would take that
+# quantile's peak memory to 2.5 times its output.
+_BLOCK = 2**15
 # Values a chunk of a stack of rows holds: fits run their lanes, and studies
 # their replications, in chunks of at most this many values (``_chunks``).
 CHUNK_ELEMENTS = 1 << 16
 # _blockwise deals the blocks of a call round-robin to at most one thread per
-# usable core, with at least _THREAD_BLOCKS blocks each: numpy releases the
-# GIL inside each ufunc, so two blocks' quantiles run at once, and a call under
-# 2**18 points never pays for starting a thread.
+# usable core, with at least _THREAD_BLOCKS full blocks each: numpy releases
+# the GIL inside each ufunc, so two blocks' quantiles run at once, and a call
+# under 2**18 points never pays for starting a thread.
 _CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-_THREAD_BLOCKS = 8
+_THREAD_BLOCKS = 4
 # A count used as a float stops at _MAX_COUNT: beyond it not every integer is
 # a float, and past about 1.8e308 none is.
 _MAX_COUNT = 2**53
@@ -172,16 +174,16 @@ class Sample:
 # they can, so that a block holds few temporaries at a time.
 
 
-def _survival_log(beta: float, t):
+def _survival_log(beta: float, t, out=None):
     # log of the Pseudo-Lindley survival (1 + t/beta) * exp(-t) at t = theta*x >= 0
-    s = t / beta
+    s = np.divide(t, beta, out=out)
     np.log1p(s, out=s)
     s -= t
     return s
 
 
-def _pl_sf(beta: float, t):
-    s = _survival_log(beta, t)
+def _pl_sf(beta: float, t, out=None):
+    s = _survival_log(beta, t, out)
     return np.exp(s, out=s)
 
 
@@ -193,31 +195,33 @@ def _log_ratio(alpha):
 
 
 def _blockwise(f, x, out=None):
-    # f on x as floats, f taking and giving 1-d arrays: a scalar goes to f as
-    # one point and comes back a float, an array in runs of _BLOCK points
-    # written into one output of its shape, bitwise f(x) with only one
-    # block's temporaries per thread beside the output.  The output is out,
-    # a C-contiguous float array of x's shape, if given; it may be x itself,
-    # as f reads each block before the block is written, and the threads'
-    # blocks are disjoint.  Each helper thread runs in a copy of the caller's
-    # context, so the caller's np.errstate holds there.  A thread stops at
-    # its first failing block, and the error of the first failing block of
-    # all is raised.
+    # f on x as floats, f(b, o) writing its values at the 1-d block b into
+    # o, the block's slice of the output: a scalar goes to f as one point
+    # and comes back a float, an array in runs of _BLOCK points of one output
+    # of its shape, bitwise f on all of x with only one block's temporaries
+    # per thread beside the output.  The output is out, a C-contiguous float
+    # array of x's shape, if given; it may be x itself, where f reads each
+    # point of b before it writes o there, and the threads' blocks are
+    # disjoint.  Each helper thread runs in a copy of the caller's context,
+    # so the caller's np.errstate holds there.  A thread stops at its first
+    # failing block, and the error of the first failing block of all is raised.
     a = np.asarray(x, dtype=float)
     if a.ndim == 0:
-        return float(f(a.reshape(1))[0])
+        one = np.empty(1)
+        f(a.reshape(1), one)
+        return float(one[0])
     flat = a.ravel()
     if out is None:
         out = np.empty(a.shape)
     dest = out.reshape(-1)  # a view of out
     starts = range(0, flat.size, _BLOCK)
-    threads = max(1, min(_CORES, len(starts) // _THREAD_BLOCKS))
+    threads = max(1, min(_CORES, flat.size // (_THREAD_BLOCKS * _BLOCK)))
     errors = {}
 
     def run(first):
         for i in starts[first::threads]:
             try:
-                dest[i : i + _BLOCK] = f(flat[i : i + _BLOCK])
+                f(flat[i : i + _BLOCK], dest[i : i + _BLOCK])
             except Exception as error:
                 errors[i] = error
                 return
@@ -248,8 +252,9 @@ def _clipped_t(p: PlAptParams, xa):
     return np.clip(t, 0.0, _T_CAP, out=t)
 
 
-def _reliability_arr(p: PlAptParams, xa):
-    s = _pl_sf(p.beta, _clipped_t(p, xa))
+def _reliability_arr(p: PlAptParams, xa, out=None):
+    # written into out, if given, a float array of xa's size apart from it
+    s = _pl_sf(p.beta, _clipped_t(p, xa), out)
     if not p.is_alpha_one:  # (alpha/(alpha - 1)) * -expm1(-log(alpha) * s)
         s *= -math.log(p.alpha)
         np.negative(np.expm1(s, out=s), out=s)
@@ -260,20 +265,23 @@ def _reliability_arr(p: PlAptParams, xa):
 
 def reliability(p: PlAptParams, x):
     """Survival probability 1 - cdf; exactly complementary to :func:`cdf`."""
-    return _blockwise(lambda b: _reliability_arr(p, b), x)
+    return _blockwise(lambda b, o: _reliability_arr(p, b, o), x)
 
 
 def cdf(p: PlAptParams, x):
     """Distribution function; 0 for x <= 0, increasing to 1."""
     # the reliability is exactly 1 at x <= 0, where 1 - 1 is +0.0
-    return _blockwise(lambda b: np.subtract(1.0, _reliability_arr(p, b)), x)
+    return _blockwise(lambda b, o: np.subtract(1.0, _reliability_arr(p, b, o), out=o), x)
 
 
-def _pdf_arr(p: PlAptParams, xa):
+def _pdf_arr(p: PlAptParams, xa, out=None):
+    # written into out, if given, a float array of xa's size apart from it
     t = _clipped_t(p, xa)
-    base = np.add(t, p.beta - 1.0)  # theta * (beta - 1 + t) * exp(-t) / beta
+    base = np.add(t, p.beta - 1.0, out=out)  # theta * (beta - 1 + t) * exp(-t) / beta
     base *= p.theta
-    base *= np.exp(np.negative(t))
+    e = np.negative(t)
+    base *= np.exp(e, out=e)
+    del e
     base /= p.beta
     # alpha**(1-S) = exp(log(a)*(1-S)), with 1 - S = -expm1(log S) to full
     # relative accuracy near t = 0; both alpha factors are 1 at alpha = 1
@@ -288,7 +296,7 @@ def _pdf_arr(p: PlAptParams, xa):
 
 def pdf(p: PlAptParams, x):
     """Density; 0 for x < 0 and positive on the support [0, inf)."""
-    return _blockwise(lambda b: _pdf_arr(p, b), x)
+    return _blockwise(lambda b, o: _pdf_arr(p, b, o), x)
 
 
 def hazard(p: PlAptParams, x):
@@ -299,20 +307,20 @@ def hazard(p: PlAptParams, x):
     stays finite arbitrarily far into the tail and tends to theta.
     """
 
-    def block(b):
+    def block(b, out):
         if np.any(b < 0.0):
             raise DomainError("hazard is defined on x >= 0")
         t = _clipped_t(p, b)
         y = _pl_sf(p.beta, t)
         y *= math.log(p.alpha)
-        ratio = np.divide(y, np.expm1(y), out=np.ones_like(y), where=y != 0.0)
+        out.fill(1.0)  # the ratio y/expm1(y), then times the h_PL factor
+        np.divide(y, np.expm1(y), out=out, where=y != 0.0)
         del y
-        out = np.add(t, p.beta - 1.0)  # theta * (beta - 1 + t) / (beta + t) * ratio
-        out *= p.theta
+        h = np.add(t, p.beta - 1.0)  # theta * (beta - 1 + t) / (beta + t)
+        h *= p.theta
         t += p.beta
-        out /= t
-        out *= ratio
-        return out
+        h /= t
+        out *= h
 
     return _blockwise(block, x)
 
@@ -341,21 +349,23 @@ def _tail_log_s(p: PlAptParams, v):
     return np.minimum(log_s, 0.0, out=log_s)
 
 
-def _tail_quantile_arr(p: PlAptParams, v):
-    # Q(1 - v) = t/theta from the theta*x kernel, so quantiles scale exactly as
-    # 1/theta; a quantile beyond the float range is inf
-    t = _theta_x(p.beta, _tail_log_s(p, v))
+def _tail_quantile_arr(p: PlAptParams, v, out):
+    # Q(1 - v) = t/theta from the theta*x kernel, written into out, which may
+    # be v, so quantiles scale exactly as 1/theta; a quantile beyond the
+    # float range is inf
+    t = _theta_x(p.beta, _tail_log_s(p, v), out)
     with np.errstate(over="ignore"):
         t /= p.theta
-    return t
 
 
 def _quantile_block(p: PlAptParams):
-    # quantile's block function; the domain test reads the block's two extremes
-    def block(b):
+    # quantile's block function; the domain test reads the block's two
+    # extremes, and v = 1 - u goes into the output, u's own points in
+    # _sorted_quantiles
+    def block(b, out):
         if not (b.min() >= 0.0 and b.max() < 1.0):  # nan fails either
             raise DomainError("quantile requires 0 <= u < 1")
-        return _tail_quantile_arr(p, 1.0 - b)
+        _tail_quantile_arr(p, np.subtract(1.0, b, out=out), out)
 
     return block
 
@@ -388,10 +398,10 @@ def tail_quantile(p: PlAptParams, v):
     1 - v or a Lambert argument; ``tail_quantile(p, 1) == 0`` exactly.
     """
 
-    def block(b):
+    def block(b, out):
         if not (b.min() > 0.0 and b.max() <= 1.0):  # nan fails either
             raise DomainError("tail_quantile requires 0 < v <= 1")
-        return _tail_quantile_arr(p, b)
+        _tail_quantile_arr(p, b, out)
 
     return _blockwise(block, v)
 
@@ -571,20 +581,19 @@ def order_stat_pdf(p: PlAptParams, spec: OrderStatSpec, x):
         - math.lgamma(spec.k)
     )
 
-    def block(b):
+    def block(b, out):
         r = _reliability_arr(p, b)
         # A term whose exponent is 0 is skipped, not formed as 0 * log(0) =
         # nan, so the density stays finite where the cdf or the reliability is 0.
-        log_out = np.full_like(r, log_coef)
+        out.fill(log_coef)  # the log of the density over the pdf
         with np.errstate(divide="ignore"):
             if spec.k > 1:
-                log_out += (spec.k - 1) * np.log(1.0 - r)
+                out += (spec.k - 1) * np.log(1.0 - r)
             if spec.n > spec.k:
-                log_out += (spec.n - spec.k) * np.log(r)
+                out += (spec.n - spec.k) * np.log(r)
         del r  # the density's temporaries come next
-        out = np.exp(log_out, out=log_out)
+        np.exp(out, out=out)
         out *= _pdf_arr(p, b)
-        return out
 
     return _blockwise(block, x)
 

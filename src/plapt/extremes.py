@@ -21,7 +21,7 @@ from .distribution import (
     _log_ratio, _param_error, _positive, _tail_log_s, hazard, tail_quantile,
 )
 from .exceptions import DomainError, NumericalError
-from .special_functions import _theta_x
+from .special_functions import _TINY, _theta_x
 
 __all__ = [
     "ExtremalExpansion",
@@ -62,18 +62,26 @@ def a_function(p: PlAptParams, u):
     """W-argument A(alpha, beta, u) of the upper-tail quantile Q(1 - u).
 
     Lies in [-beta * exp(-beta), 0), inside (-1/e, 0), for u in (0, 1] and
-    behaves as u * C(alpha, beta) as u -> 0; at alpha = 1 it is exactly
-    u * C.  Where A underflows to 0 it raises ``NumericalError``.
+    behaves as u * C(alpha, beta) as u -> 0.  A = -beta * exp(-beta) * s, s
+    the Pseudo-Lindley survival mass at u, where exp(-beta) is a normal
+    float, so that at alpha = 1 it is exactly u * C; from beta of about 708
+    on, A = -exp(log(beta) - beta + log s) keeps the digits a subnormal A
+    can hold.  Where A underflows to 0 it raises ``NumericalError``.
     """
+    exp_minus_beta = math.exp(-p.beta)
 
-    def block(b):
+    def block(b, out):
         if not (b.min() > 0.0 and b.max() <= 1.0):  # nan fails either
             raise DomainError("a_function requires 0 < u <= 1")
-        s = b if p.is_alpha_one else np.exp(_tail_log_s(p, b))
-        a = np.multiply(s, -p.beta * math.exp(-p.beta))
-        if a.max() == 0.0:
+        if exp_minus_beta < _TINY:
+            log_s = _tail_log_s(p, b)
+            log_s += math.log(p.beta) - p.beta
+            np.negative(np.exp(log_s, out=out), out=out)
+        else:
+            s = b if p.is_alpha_one else np.exp(_tail_log_s(p, b), out=out)
+            np.multiply(s, -p.beta * exp_minus_beta, out=out)
+        if out.max() == 0.0:
             raise NumericalError("A(alpha, beta, u) underflows to 0 below the float range")
-        return a
 
     return _blockwise(block, u)
 
@@ -399,7 +407,12 @@ class MaximaResult:
     def ecdf(self, x):
         """Empirical cdf of the normalized maxima; NaN at a NaN point."""
         z = self._sorted
-        return _blockwise(lambda b: np.where(np.isnan(b), math.nan, np.searchsorted(z, b, side="right") / z.size), x)
+
+        def block(b, out):
+            np.divide(np.searchsorted(z, b, side="right"), z.size, out=out)
+            out[np.isnan(b)] = math.nan
+
+        return _blockwise(block, x)
 
 
 def _normalized_maxima(p: PlAptParams, n: int, g) -> np.ndarray:

@@ -35,9 +35,11 @@ class LambertBranch(enum.Enum):
     NEGATIVE_ONE = -1
 
 
-def _theta_x(beta: float, log_s):
+def _theta_x(beta: float, log_s, out=None):
     """The t >= 0 with t - log1p(t/beta) = -log s, elementwise on a 1-d array
     of log s <= 0, for a shift beta >= 1: t = -beta - W_{-1}(-beta*exp(-beta)*s).
+    a = -log s is formed over the log s array, which the caller gives up, and
+    t is written into out, a float array of its size apart from it, if given.
 
     With a = -log s, the points at distance d = 1 + e*z = -expm1(c - a),
     c = 1 + log(beta) - beta, at most 1/2 above the branch point take the
@@ -49,15 +51,17 @@ def _theta_x(beta: float, log_s):
     """
     c = math.log(beta) - (beta - 1.0)
     with np.errstate(all="ignore"):  # Newton steps at the branch point itself, whose t is the series'
-        a = np.subtract(0.0, log_s)  # +0.0, not -0.0, at s = 1
-        t = np.multiply(a, 1.0 / beta)
+        a = np.subtract(0.0, log_s, out=log_s)  # +0.0, not -0.0, at s = 1
+        t = np.multiply(a, 1.0 / beta, out=out)
         np.log1p(t, out=t)
         t += a
         near = np.flatnonzero(a <= c + math.log(2.0))
-        a_near = a[near]
-        d = np.subtract(c, a_near)
+        d = a[near]
+        at_one = d <= 0.0  # s = 1, where t is 0
+        np.subtract(c, d, out=d)
         np.negative(np.expm1(d, out=d), out=d)
-        p = np.multiply(d, 2.0)
+        kept = d < _SERIES_ONLY  # the points whose series value is kept
+        p = np.multiply(d, 2.0, out=d)
         np.negative(np.sqrt(p, out=p), out=p)  # p = -sqrt(2d)
         series = np.full_like(p, _BRANCH_COEFFS[-1])  # 1 + W_{-1}, by Horner down to the linear term
         for coeff in _BRANCH_COEFFS[-2:0:-1]:
@@ -65,8 +69,10 @@ def _theta_x(beta: float, log_s):
             series += coeff
         series *= p
         np.subtract(1.0 - beta, series, out=series)
-        series[a_near <= 0.0] = 0.0
+        series[at_one] = 0.0
         t[near] = series
+        near, series = near[kept], series[kept]
+        del d, p, at_one, kept  # before the Newton steps' two buffers
         g, r = np.empty_like(t), np.empty_like(t)
         for _ in range(4):  # t = g - (t - g)/(t + beta - 1), in place
             np.multiply(t, 1.0 / beta, out=g)
@@ -76,8 +82,7 @@ def _theta_x(beta: float, log_s):
             t -= g
             t /= r
             np.subtract(g, t, out=t)
-    series_only = d < _SERIES_ONLY
-    t[near[series_only]] = series[series_only]
+    t[near] = series
     return t
 
 

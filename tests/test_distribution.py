@@ -499,10 +499,26 @@ class TestBlockwise:
     @pytest.mark.parametrize("fn", list(_DRAWS))
     @pytest.mark.parametrize("cores", [1, 2, 64])
     def test_peak_memory_at_any_core_count(self, monkeypatch, cores, fn):
-        # 2**18 points are 16 blocks: 2 threads at 2 cores or more, each with
+        # 2**18 points are 8 blocks: 2 threads at 2 cores or more, each with
         # its block's temporaries, and still about the output's size
         monkeypatch.setattr(distribution, "_CORES", cores)
         self.test_peak_memory_about_the_output(fn)
+
+    @pytest.mark.parametrize("p", [P_ONE, PlAptParams(0.5, 1.1, 0.6)], ids=["alpha-one", "apt"])
+    @pytest.mark.parametrize("fn", [quantile, tail_quantile])
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_peak_memory_next_to_the_branch_point(self, monkeypatch, cores, fn, p):
+        # at beta = 1.1 about half the points take the branch-point series as
+        # their guess; its buffers are gone before the Newton steps' own
+        monkeypatch.setattr(distribution, "_CORES", cores)
+        a = np.random.default_rng(5).uniform(1e-3, 0.999, 2**18)
+        tracemalloc.start()
+        try:
+            fn(p, a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * a.nbytes
 
 
 def _count_threads(monkeypatch) -> list:
@@ -536,21 +552,41 @@ class TestThreadedBlocks:
             assert len(started) == 3, fn.__name__  # 4 threads: the caller and 3 helpers
             assert np.all(got == want), fn.__name__
             del started[:]
-            fn(p, a[: 7 * 15])  # 15 blocks: below 2 * _THREAD_BLOCKS, no helper
+            fn(p, a[: 7 * (2 * distribution._THREAD_BLOCKS - 1)])  # below 2 * _THREAD_BLOCKS blocks, no helper
             assert started == [], fn.__name__
+
+    @pytest.mark.parametrize("fn", list(_DRAWS) + [sample])
+    def test_thread_threshold_at_the_real_block(self, monkeypatch, fn):
+        # at the real _BLOCK and 2 cores, 2**18 points start one helper and
+        # one point fewer none, and a call of more points than that gives
+        # bitwise the one-thread result
+        def call(n):
+            if fn is sample:
+                return sample(P_APT, n, seed=31).values
+            return fn(P_APT, _DRAWS[fn](np.random.default_rng(31), n))
+
+        monkeypatch.setattr(distribution, "_CORES", 1)
+        want = call(2**18 + 12345)
+        monkeypatch.setattr(distribution, "_CORES", 2)
+        started = _count_threads(monkeypatch)
+        for n, helpers in [(2**18, 1), (2**18 - 1, 0)]:
+            del started[:]
+            call(n)
+            assert len(started) == helpers, n
+        assert np.all(call(2**18 + 12345) == want)
 
     def test_first_failing_block_wins_when_a_helper_fails_first(self, monkeypatch):
         monkeypatch.setattr(distribution, "_BLOCK", 7)
         monkeypatch.setattr(distribution, "_CORES", 2)
         started = _count_threads(monkeypatch)
 
-        def f(b):  # block 0 runs on the calling thread, block 1 on the helper
+        def f(b, o):  # block 0 runs on the calling thread, block 1 on the helper
             if b[0] == 0.0:
                 started[0].join(10.0)  # the helper has failed and stopped
                 raise ValueError(f"block 0, helper alive: {started[0].is_alive()}")
             if b[0] == 7.0:
                 raise KeyError("block 1")
-            return b
+            o[...] = b
 
         with pytest.raises(ValueError, match="block 0, helper alive: False"):
             distribution._blockwise(f, np.arange(16 * 7.0))
@@ -560,13 +596,13 @@ class TestThreadedBlocks:
         monkeypatch.setattr(distribution, "_CORES", 2)
         later_failed = threading.Event()
 
-        def f(b):  # block 1 runs on the helper, block 2 on the calling thread
+        def f(b, o):  # block 1 runs on the helper, block 2 on the calling thread
             if b[0] == 7.0:
                 raise KeyError(f"block 1, after block 2: {later_failed.wait(10.0)}")
             if b[0] == 14.0:
                 later_failed.set()
                 raise ValueError("block 2")
-            return b
+            o[...] = b
 
         with pytest.raises(KeyError, match="block 1, after block 2: True"):
             distribution._blockwise(f, np.arange(16 * 7.0))
@@ -578,11 +614,11 @@ class TestThreadedBlocks:
         u = np.random.default_rng(19).random(3 * 8 * 16 * 3)
         want = quantile(P_APT, u)  # one block
 
-        def f(b):
+        def f(b, o):
             if np.any(b >= 1.0):
                 time.sleep(0.002 if b.max() == 2.0 else 0.0)
                 raise ValueError(f"u = {b.max()}")
-            return quantile(P_APT, b)
+            o[...] = quantile(P_APT, b)
 
         bad = u.copy()
         bad[[3 * 17, 3 * 18, 1000]] = 2.0, 3.0, 1.0  # blocks 17, 18 and 333

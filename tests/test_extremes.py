@@ -112,6 +112,20 @@ class TestAFunction:
         u = np.array([1e-300, 1e-8, 0.5, 1.0])
         assert np.array_equal(a_function(p, u), tail_constant(1.0, 2.0) * u)
 
+    @pytest.mark.parametrize("beta", [700.0, 730.0, 740.0])
+    def test_subnormal_a_keeps_its_digits(self, beta):
+        # from beta of about 708, exp(-beta) and A are subnormal: A is then
+        # within one subnormal spacing of 50 digits, and normal A within 1e-14
+        got = a_function(PlAptParams(2.0, beta, 1.0), 0.5)
+        with mpmath.workdps(50):
+            b = mpmath.mpf(beta)
+            s = mpmath.log1p(mpmath.mpf(-0.25)) / -mpmath.log(2)
+            want = -b * mpmath.exp(-b) * s
+        if abs(want) >= np.finfo(float).tiny:
+            assert abs(got - want) <= 1e-14 * abs(want)
+        else:
+            assert abs(got - want) <= 5e-324
+
 
 class TestExtremalQuantile:
     def test_close_to_exact_at_small_u(self):
